@@ -123,15 +123,15 @@ type QueryOptions struct {
 	Timeout time.Duration
 }
 
-// engineOptions converts the options to engine form, tightening the
-// engine limit with the query's own LIMIT clause (the tighter bound
-// wins). It captures the timeout deadline from the moment it is called,
-// so call it at execution start — after parsing and preparation — to
-// keep parse cost from eating the query's time budget. ctx, when
-// non-nil, is polled by the engine alongside the deadline, so callers
-// can cancel in-flight work; Timeout remains a plain deadline, so the
-// two compose (the tighter bound aborts first).
-func (o *QueryOptions) engineOptions(ctx context.Context, queryLimit int) engine.Options {
+// engineOptions converts the options to engine form (the query's own
+// LIMIT clause is applied inside core; the tighter bound wins). It
+// captures the timeout deadline from the moment it is called, so call it
+// at execution start — after parsing and preparation — to keep parse
+// cost from eating the query's time budget. ctx, when non-nil, is polled
+// by the engine alongside the deadline, so callers can cancel in-flight
+// work; Timeout remains a plain deadline, so the two compose (the
+// tighter bound aborts first).
+func (o *QueryOptions) engineOptions(ctx context.Context) engine.Options {
 	var e engine.Options
 	e.Ctx = ctx
 	if o != nil {
@@ -141,9 +141,6 @@ func (o *QueryOptions) engineOptions(ctx context.Context, queryLimit int) engine
 			// engine reports as a timeout — useful for tests and dry runs.
 			e.Deadline = time.Now().Add(o.Timeout)
 		}
-	}
-	if queryLimit > 0 && (e.Limit == 0 || queryLimit < e.Limit) {
-		e.Limit = queryLimit
 	}
 	return e
 }
@@ -155,8 +152,8 @@ func (o *QueryOptions) engineOptions(ctx context.Context, queryLimit int) engine
 //
 // Deprecated-ish: new code should use the typed Binding surface
 // (QueryContext, Prepared.All, Rows), which keeps literals typed and
-// distinguishes unbound from empty. Row remains supported as a thin
-// wrapper over it.
+// distinguishes unbound from empty. Row remains supported as an adapter
+// over it.
 type Row map[string]string
 
 // Query runs a SPARQL SELECT query and materializes the result rows.
@@ -214,7 +211,7 @@ func (db *DB) CountParallel(sparqlText string, opts *QueryOptions, workers int) 
 type Prepared struct {
 	db    *DB
 	cp    *core.PreparedQuery
-	shape *bindingShape // projection names + index, shared by every row
+	index map[string]int // projection name → position, shared by every row
 }
 
 // Prepare parses and prepares a SPARQL SELECT or ASK query for repeated
@@ -228,7 +225,11 @@ func (db *DB) Prepare(sparqlText string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{db: db, cp: cp, shape: newBindingShape(cp.Projection())}, nil
+	index := make(map[string]int, len(cp.Projection()))
+	for i, v := range cp.Projection() {
+		index[v] = i
+	}
+	return &Prepared{db: db, cp: cp, index: index}, nil
 }
 
 // Projection returns the projected variable names, in SELECT order
@@ -255,36 +256,23 @@ func (p *Prepared) Query(opts *QueryOptions) ([]Row, error) {
 // QueryIter executes the prepared query, streaming rows to fn; see
 // DB.QueryIter for semantics.
 func (p *Prepared) QueryIter(opts *QueryOptions, fn func(Row) bool) error {
-	proj := p.shape.vars
-	err := p.cp.Execute(opts.engineOptions(nil, 0), func(sol core.Solution) bool {
-		row := make(Row, len(proj))
-		for _, name := range proj {
-			row[name] = sol[name].Value // zero Term → "" when unbound
+	return p.each(context.TODO(), opts, func(b Binding) bool {
+		row := make(Row, len(b.vars))
+		for i, name := range b.vars {
+			row[name] = b.terms[i].Value // zero Term → "" when unbound
 		}
 		return fn(row)
 	})
-	return mapExecErr(err)
 }
 
 // Count counts solutions of the prepared query; see DB.Count.
 func (p *Prepared) Count(opts *QueryOptions) (uint64, error) {
-	if p.cp.Plain() {
-		n, err := p.cp.CountPlan(opts.engineOptions(nil, p.cp.Query().Limit))
-		return n, mapExecErr(err)
-	}
-	var n uint64
-	err := p.cp.Execute(opts.engineOptions(nil, 0), func(core.Solution) bool {
-		n++
-		return true
-	})
+	n, err := p.cp.Count(opts.engineOptions(nil))
 	return n, mapExecErr(err)
 }
 
 // CountParallel counts solutions with a worker pool; see DB.CountParallel.
 func (p *Prepared) CountParallel(opts *QueryOptions, workers int) (uint64, error) {
-	if !p.cp.Plain() {
-		return p.Count(opts)
-	}
-	n, err := p.cp.CountPlanParallel(opts.engineOptions(nil, p.cp.Query().Limit), workers)
+	n, err := p.cp.CountPlanParallel(opts.engineOptions(nil), workers)
 	return n, mapExecErr(err)
 }

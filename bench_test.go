@@ -407,11 +407,11 @@ func BenchmarkAblation_OTILTrieWalk(b *testing.B) {
 func ablationBoundedQuery(b *testing.B, d *experiments.Dataset, kind workload.Kind, size int, maxCount uint64) *sparql.Query {
 	b.Helper()
 	for _, q := range d.Gen.Workload(kind, size, 25) {
-		qg, err := d.Amber.Prepare(q)
+		qg, err := d.Amber.PrepareQuery(q)
 		if err != nil {
 			continue
 		}
-		n, err := d.Amber.Count(qg, engine.Options{Deadline: time.Now().Add(2 * time.Second)})
+		n, err := qg.Count(engine.Options{Deadline: time.Now().Add(2 * time.Second)})
 		if err == nil && n > 0 && n <= maxCount {
 			return q
 		}
@@ -423,13 +423,13 @@ func ablationBoundedQuery(b *testing.B, d *experiments.Dataset, kind workload.Ki
 func BenchmarkAblation_FactorizedCount(b *testing.B) {
 	d := dataset(b, "LUBM")
 	q := ablationBoundedQuery(b, d, workload.Star, 8, 100_000)
-	qg, err := d.Amber.Prepare(q)
+	qg, err := d.Amber.PrepareQuery(q)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Amber.Count(qg, engine.Options{}); err != nil {
+		if _, err := qg.Count(engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -438,14 +438,14 @@ func BenchmarkAblation_FactorizedCount(b *testing.B) {
 func BenchmarkAblation_EnumeratedCount(b *testing.B) {
 	d := dataset(b, "LUBM")
 	q := ablationBoundedQuery(b, d, workload.Star, 8, 100_000)
-	qg, err := d.Amber.Prepare(q)
+	qg, err := d.Amber.PrepareQuery(q)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		err := d.Amber.Stream(qg, engine.Options{}, func([]dict.VertexID) bool {
+		err := engine.Stream(d.Amber.Snapshot().Reader(), qg.Plan(), engine.Options{}, func([]dict.VertexID) bool {
 			n++
 			return true
 		})
@@ -461,13 +461,13 @@ func BenchmarkAblation_EnumeratedCount(b *testing.B) {
 func benchParallel(b *testing.B, workers int) {
 	d := dataset(b, "LUBM")
 	q := ablationBoundedQuery(b, d, workload.Complex, 20, 10_000_000)
-	qg, err := d.Amber.Prepare(q)
+	qg, err := d.Amber.PrepareQuery(q)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Amber.CountParallel(qg, engine.Options{}, workers); err != nil {
+		if _, err := qg.CountPlanParallel(engine.Options{}, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

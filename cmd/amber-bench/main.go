@@ -17,15 +17,11 @@
 // add -fsync=always|never|interval=<d> to attach a write-ahead log and
 // measure the write-latency cost of each durability policy.
 //
-// With -json, the command instead emits a machine-readable amber-bench/v1
-// report (load rates, latency percentiles by query shape, churn write
-// latency per fsync policy, cost-vs-heuristic planner win ratio) — the
-// format committed as BENCH_NNNN.json files; -quick shrinks the run to
-// CI smoke-test scale and -validate checks an existing report file.
+// The repository's performance gate is benchmark/ (see benchmark/README.md);
+// this command reproduces the paper's evaluation.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -69,37 +65,8 @@ func main() {
 		writeBatch   = flag.Int("writebatch", 64, "triples per write batch for -exp churn")
 		fsync        = flag.String("fsync", "", "attach a write-ahead log to -exp churn with this policy (always, never, interval=<duration>; empty = no WAL)")
 		writers      = flag.Int("writers", 8, "concurrent writer goroutines for -exp churn (1 = interleaved single-writer loop)")
-		jsonOut      = flag.Bool("json", false, "emit a machine-readable benchmark report (amber-bench/v1 JSON) instead of the paper tables")
-		quick        = flag.Bool("quick", false, "with -json: CI smoke-test scale (small LUBM corpus, one workload point)")
-		validate     = flag.String("validate", "", "validate an amber-bench/v1 JSON report file and exit")
-		compare      = flag.Bool("compare", false, "compare two amber-bench/v1 JSON report files (old new): exit non-zero on schema drift or a >2x regression in any shared metric")
 	)
 	flag.Parse()
-
-	if *validate != "" {
-		data, err := os.ReadFile(*validate)
-		if err == nil {
-			err = experiments.ValidateReport(data)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "amber-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid %s report\n", *validate, experiments.ReportSchema)
-		return
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "amber-bench: -compare needs exactly two report files (old new)")
-			os.Exit(1)
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1)); err != nil {
-			fmt.Fprintln(os.Stderr, "amber-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	// Fail on a bad planner name before any (expensive) dataset build.
 	if _, ok := plan.ByName(*planner); !ok {
@@ -135,62 +102,10 @@ func main() {
 		cfg.Sizes = append(cfg.Sizes, n)
 	}
 
-	if *jsonOut {
-		// -json -exp churn emits the churn-focused report: the CI
-		// write-throughput smoke shape.
-		cfg.ChurnOnly = *exp == "churn"
-		if err := runReport(cfg, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "amber-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if err := run(*exp, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "amber-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// runCompare gates the benchmark trajectory: schema drift in either
-// report or a >2x regression in any shared metric fails the run.
-// Comparisons the gate declines (disk-bound metrics across mismatched
-// storage fingerprints) are printed as notes, never skipped silently.
-func runCompare(oldPath, newPath string) error {
-	oldData, err := os.ReadFile(oldPath)
-	if err != nil {
-		return err
-	}
-	newData, err := os.ReadFile(newPath)
-	if err != nil {
-		return err
-	}
-	regs, notes, err := experiments.CompareReports(oldData, newData)
-	if err != nil {
-		return err
-	}
-	for _, n := range notes {
-		fmt.Printf("note: %s\n", n)
-	}
-	if len(regs) > 0 {
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "REGRESSION %s\n", r)
-		}
-		return fmt.Errorf("%d regression(s) between %s and %s", len(regs), oldPath, newPath)
-	}
-	fmt.Printf("%s -> %s: no regressions in shared metrics\n", oldPath, newPath)
-	return nil
-}
-
-// runReport writes the machine-readable benchmark report to stdout.
-func runReport(cfg experiments.Config, quick bool) error {
-	rep, err := experiments.RunBenchReport(cfg, quick)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 func run(exp string, cfg experiments.Config) error {

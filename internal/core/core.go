@@ -22,13 +22,9 @@ import (
 
 	"repro/internal/delta"
 	"repro/internal/dict"
-	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/multigraph"
-	"repro/internal/plan"
-	"repro/internal/query"
 	"repro/internal/rdf"
-	"repro/internal/sparql"
 )
 
 // BuildStats records offline-stage costs, mirroring the paper's Table 5.
@@ -250,98 +246,4 @@ func LoadStore(r io.Reader) (*Store, error) {
 		},
 	})
 	return s, nil
-}
-
-// Translate builds the query multigraph (decomposition only, no matching
-// order) for a parsed SPARQL query against the current snapshot.
-func (s *Store) Translate(q *sparql.Query) (*query.Graph, error) {
-	return query.Build(q, s.Snapshot().Resolver())
-}
-
-// Prepare translates a parsed SPARQL query into an executable matching
-// plan using the default (cost-based) planner.
-func (s *Store) Prepare(q *sparql.Query) (*plan.Plan, error) {
-	return s.PrepareWith(plan.Default(), q)
-}
-
-// PrepareWith translates with an explicit planner, letting experiments
-// compare orderings. The plan is built against the current snapshot; a
-// mutation invalidates it (PreparedQuery handles revalidation — use it
-// when queries outlive updates).
-func (s *Store) PrepareWith(pl plan.Planner, q *sparql.Query) (*plan.Plan, error) {
-	sn := s.Snapshot()
-	qg, err := query.Build(q, sn.Resolver())
-	if err != nil {
-		return nil, err
-	}
-	return pl.Plan(qg, sn.Reader()), nil
-}
-
-// PrepareString parses, translates and plans SPARQL text.
-func (s *Store) PrepareString(src string) (*plan.Plan, *sparql.Query, error) {
-	pq, err := sparql.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := s.Prepare(pq)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, pq, nil
-}
-
-// Count returns the number of homomorphic embeddings of the plan against
-// the current snapshot (the plan must have been prepared on it).
-func (s *Store) Count(p *plan.Plan, opts engine.Options) (uint64, error) {
-	return engine.Count(s.Snapshot().Reader(), p, opts)
-}
-
-// CountParallel counts embeddings with a pool of worker goroutines (the
-// paper's future-work "parallel processing version"); see
-// engine.CountParallel.
-func (s *Store) CountParallel(p *plan.Plan, opts engine.Options, workers int) (uint64, error) {
-	return engine.CountParallel(s.Snapshot().Reader(), p, opts, workers)
-}
-
-// Stream enumerates embeddings of the plan; see engine.Stream.
-func (s *Store) Stream(p *plan.Plan, opts engine.Options, yield func([]dict.VertexID) bool) error {
-	return engine.Stream(s.Snapshot().Reader(), p, opts, yield)
-}
-
-// Binding is one variable binding of a solution row. Value is the term's
-// text (IRI, blank label, or literal lexical form — empty when the
-// variable is unbound in this row); Term carries the full typed term.
-type Binding struct {
-	Var   string
-	Value string
-	Term  rdf.Term
-}
-
-// Row is one solution: bindings in projection order.
-type Row []Binding
-
-// Select runs a SPARQL SELECT end to end and materializes the projected
-// rows (translated back to terms via Mv⁻¹/Ma⁻¹). The full extension
-// fragment (DISTINCT, UNION, FILTER, OFFSET) is honoured via Execute, as
-// is the query's LIMIT clause in addition to opts.Limit.
-func (s *Store) Select(src string, opts engine.Options) ([]Row, error) {
-	pq, err := sparql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	proj := pq.Projection()
-	var rows []Row
-	err = s.Execute(pq, opts, func(sol Solution) bool {
-		row := make(Row, len(proj))
-		for i, name := range proj {
-			t := sol[name]
-			row[i] = Binding{Var: name, Value: t.Value, Term: t}
-		}
-		rows = append(rows, row)
-		return true
-	})
-	if err != nil {
-		return rows, err
-	}
-	return rows, nil
 }

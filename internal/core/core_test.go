@@ -64,80 +64,107 @@ func TestNewStoreErrors(t *testing.T) {
 	}
 }
 
-func TestSelectEndToEnd(t *testing.T) {
-	s := newStore(t)
-	rows, err := s.Select(`
+// prepare parses and prepares src against s with the default planner.
+func prepare(t *testing.T, s *Store, src string) *PreparedQuery {
+	t.Helper()
+	p, err := s.PrepareQuery(parse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestExecuteEndToEnd(t *testing.T) {
+	p := prepare(t, newStore(t), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?who ?where WHERE {
   ?who y:wasBornIn ?where .
   ?who y:diedIn ?where .
-}`, engine.Options{})
-	if err != nil {
+}`)
+	if proj := p.Projection(); len(proj) != 2 || proj[0] != "who" || proj[1] != "where" {
+		t.Fatalf("projection = %v", proj)
+	}
+	var rows []Solution
+	if err := p.Execute(engine.Options{}, func(sol Solution) bool {
+		rows = append(rows, sol)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}
-	if rows[0][0].Var != "who" || rows[0][0].Value != "http://dbpedia.org/resource/Amy_Winehouse" {
-		t.Errorf("row = %v", rows[0])
-	}
-	if rows[0][1].Var != "where" || rows[0][1].Value != "http://dbpedia.org/resource/London" {
+	if rows[0][0] != rdf.NewIRI("http://dbpedia.org/resource/Amy_Winehouse") ||
+		rows[0][1] != rdf.NewIRI("http://dbpedia.org/resource/London") {
 		t.Errorf("row = %v", rows[0])
 	}
 }
 
-func TestSelectHonoursQueryLimit(t *testing.T) {
+func TestExecuteHonoursQueryLimit(t *testing.T) {
 	s := newStore(t)
-	rows, err := s.Select(`
-PREFIX y: <http://dbpedia.org/ontology/>
-SELECT ?a ?b WHERE { ?a y:livedIn ?b } LIMIT 2`, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
+	count := func(src string, opts engine.Options) int {
+		n := 0
+		if err := prepare(t, s, src).Execute(opts, func(Solution) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
-	if len(rows) != 2 {
-		t.Errorf("rows = %d, want 2 (query LIMIT)", len(rows))
+	if n := count(`
+PREFIX y: <http://dbpedia.org/ontology/>
+SELECT ?a ?b WHERE { ?a y:livedIn ?b } LIMIT 2`, engine.Options{}); n != 2 {
+		t.Errorf("rows = %d, want 2 (query LIMIT)", n)
 	}
 	// Options limit tighter than query limit wins.
-	rows, err = s.Select(`
+	if n := count(`
 PREFIX y: <http://dbpedia.org/ontology/>
-SELECT ?a ?b WHERE { ?a y:livedIn ?b } LIMIT 3`, engine.Options{Limit: 1})
-	if err != nil {
+SELECT ?a ?b WHERE { ?a y:livedIn ?b } LIMIT 3`, engine.Options{Limit: 1}); n != 1 {
+		t.Errorf("rows = %d, want 1 (options limit)", n)
+	}
+}
+
+// TestCountHonoursQueryLimit is the regression test for the LIMIT fork:
+// the factorized count of a plain query ignored the query's own LIMIT
+// clause (returning 3 here) while the enumeration fallback honoured it.
+func TestCountHonoursQueryLimit(t *testing.T) {
+	s := newStore(t)
+	for _, src := range []string{
+		`PREFIX y: <http://dbpedia.org/ontology/> SELECT ?a ?b WHERE { ?a y:livedIn ?b } LIMIT 2`,
+		`PREFIX y: <http://dbpedia.org/ontology/> SELECT DISTINCT ?a ?b WHERE { ?a y:livedIn ?b } LIMIT 2`,
+	} {
+		p := prepare(t, s, src)
+		if n, err := p.Count(engine.Options{}); err != nil || n != 2 {
+			t.Errorf("Count(%q) = %d, %v; want 2", src, n, err)
+		}
+		if n, err := p.CountPlanParallel(engine.Options{}, 4); err != nil || n != 2 {
+			t.Errorf("CountPlanParallel(%q) = %d, %v; want 2", src, n, err)
+		}
+		if n, err := p.Count(engine.Options{Limit: 1}); err != nil || n != 1 {
+			t.Errorf("Count(%q, Limit 1) = %d, %v; want 1", src, n, err)
+		}
+	}
+}
+
+func TestExecuteSelectStar(t *testing.T) {
+	p := prepare(t, newStore(t), `
+PREFIX y: <http://dbpedia.org/ontology/>
+SELECT * WHERE { ?a y:wasMarriedTo ?b }`)
+	var rows []Solution
+	if err := p.Execute(engine.Options{}, func(sol Solution) bool {
+		rows = append(rows, sol)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Errorf("rows = %d, want 1 (options limit)", len(rows))
+	if len(rows) != 1 || len(rows[0]) != 2 || len(p.Projection()) != 2 {
+		t.Fatalf("rows = %v, projection = %v", rows, p.Projection())
 	}
 }
 
-func TestSelectParseError(t *testing.T) {
-	s := newStore(t)
-	if _, err := s.Select(`SELEKT ?x WHERE { ?x <http://y/p> ?y }`, engine.Options{}); err == nil {
-		t.Error("parse error not propagated")
-	}
-}
-
-func TestSelectStar(t *testing.T) {
-	s := newStore(t)
-	rows, err := s.Select(`
-PREFIX y: <http://dbpedia.org/ontology/>
-SELECT * WHERE { ?a y:wasMarriedTo ?b }`, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || len(rows[0]) != 2 {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
-func TestCountMatchesSelect(t *testing.T) {
-	s := newStore(t)
-	qg, _, err := s.PrepareString(`
+func TestCountMatchesExecute(t *testing.T) {
+	p := prepare(t, newStore(t), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a ?b WHERE { ?a y:livedIn ?b }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := s.Count(qg, engine.Options{})
+	n, err := p.Count(engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +173,11 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b }`)
 	}
 }
 
-func TestSelectDeadline(t *testing.T) {
-	s := newStore(t)
-	_, err := s.Select(`
+func TestExecuteDeadline(t *testing.T) {
+	p := prepare(t, newStore(t), `
 PREFIX y: <http://dbpedia.org/ontology/>
-SELECT ?a ?b WHERE { ?a y:livedIn ?b }`,
-		engine.Options{Deadline: time.Now().Add(-time.Second)})
+SELECT ?a ?b WHERE { ?a y:livedIn ?b }`)
+	err := p.Execute(engine.Options{Deadline: time.Now().Add(-time.Second)}, func(Solution) bool { return true })
 	if err != engine.ErrDeadlineExceeded {
 		t.Errorf("err = %v, want deadline exceeded", err)
 	}

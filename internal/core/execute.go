@@ -14,12 +14,12 @@ import (
 	"repro/internal/sparql"
 )
 
-// Solution is one complete embedding translated back to RDF terms:
-// variable name → typed term (IRI, blank node, or — for literal
-// satellites — a literal with its datatype and language tag intact).
-// Variables that do not occur in the matched UNION branch are absent
-// from the map (SPARQL's unbound).
-type Solution map[string]rdf.Term
+// Solution is one embedding translated back to RDF terms: the projected
+// variables' typed terms (IRI, blank node, or — for literal satellites —
+// a literal with its datatype and language tag intact), positionally
+// aligned with PreparedQuery.Projection. A variable that does not occur
+// in the matched UNION branch is the zero Term (SPARQL's unbound).
+type Solution []rdf.Term
 
 // BindingTerm decodes one engine binding slot through the executing
 // snapshot's dictionaries: an encoded attribute id becomes its typed
@@ -74,11 +74,14 @@ type preparedState struct {
 	branches []preparedBranch
 }
 
-// preparedBranch is one UNION branch: its cached matching plan plus the
-// filters resolved against that branch's variables.
+// preparedBranch is one UNION branch: its cached matching plan, the
+// filters resolved against that branch's variables, and the query vertex
+// behind each projection position (-1 where the branch lacks the
+// variable), so a row decodes only what it projects.
 type preparedBranch struct {
 	pl      *plan.Plan
 	filters []compiledFilter
+	proj    []int
 }
 
 // PrepareQuery translates a parsed query into its executable form using
@@ -125,9 +128,17 @@ func (p *PreparedQuery) resolve() (*Snapshot, *preparedState, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		proj := make([]int, len(p.proj))
+		for i, name := range p.proj {
+			proj[i] = -1
+			if u, ok := qg.VarIndex[name]; ok {
+				proj[i] = int(u)
+			}
+		}
 		st.branches = append(st.branches, preparedBranch{
 			pl:      p.planner.Plan(qg, cur.Reader()),
 			filters: compileFilters(p.pq.Filters, qg),
+			proj:    proj,
 		})
 	}
 	p.state.Store(st)
@@ -139,10 +150,6 @@ func (p *PreparedQuery) Query() *sparql.Query { return p.pq }
 
 // Projection returns the projected variable names.
 func (p *PreparedQuery) Projection() []string { return p.proj }
-
-// Plain reports whether the query is in the paper's core fragment (see
-// IsPlain), for which the factorized Count path applies.
-func (p *PreparedQuery) Plain() bool { return p.plain }
 
 // Plan returns the current matching plan of a plain (single-branch)
 // query, for diagnostics; nil otherwise. Live updates may re-plan, so
@@ -171,9 +178,31 @@ func (p *PreparedQuery) Plans() []*plan.Plan {
 	return out
 }
 
-// CountPlan counts embeddings of a plain query through the factorized
-// engine path, pinned to one snapshot. Callers must have checked Plain.
-func (p *PreparedQuery) CountPlan(opts engine.Options) (uint64, error) {
+// limit is the row cap of one execution: the query's own LIMIT clause
+// tightened by opts.Limit (0 = unbounded).
+func (p *PreparedQuery) limit(opts engine.Options) int {
+	limit := p.pq.Limit
+	if opts.Limit > 0 && (limit == 0 || opts.Limit < limit) {
+		limit = opts.Limit
+	}
+	return limit
+}
+
+// Count counts solutions against one pinned snapshot, capped at the
+// execution's row limit; see CountPlanParallel.
+func (p *PreparedQuery) Count(opts engine.Options) (uint64, error) {
+	return p.CountPlanParallel(opts, 1)
+}
+
+// CountPlanParallel counts solutions with a pool of worker goroutines. A
+// plain query takes the factorized engine path (workers ≤ 1 is the
+// serial engine.Count); an extension query enumerates rows sequentially.
+func (p *PreparedQuery) CountPlanParallel(opts engine.Options, workers int) (uint64, error) {
+	if !p.plain {
+		var n uint64
+		err := p.Execute(opts, func(Solution) bool { n++; return true })
+		return n, err
+	}
 	sn, st, err := p.resolve()
 	if err != nil {
 		return 0, err
@@ -181,18 +210,8 @@ func (p *PreparedQuery) CountPlan(opts engine.Options) (uint64, error) {
 	if opts.Meter == nil {
 		opts.Meter = obs.TraceFromContext(opts.Ctx).Meter()
 	}
-	return engine.Count(sn.Reader(), st.branches[0].pl, opts)
-}
-
-// Count counts solutions against one pinned snapshot: the factorized
-// engine path for plain queries, row enumeration otherwise.
-func (p *PreparedQuery) Count(opts engine.Options) (uint64, error) {
-	if p.plain {
-		return p.CountPlan(opts)
-	}
-	var n uint64
-	err := p.Execute(opts, func(Solution) bool { n++; return true })
-	return n, err
+	opts.Limit = p.limit(opts)
+	return engine.CountParallel(sn.Reader(), st.branches[0].pl, opts, workers)
 }
 
 // Ask reports whether the query has at least one solution, stopping the
@@ -210,38 +229,18 @@ func (p *PreparedQuery) Ask(opts engine.Options) (bool, error) {
 	return found, err
 }
 
-// CountPlanParallel is CountPlan with a worker pool.
-func (p *PreparedQuery) CountPlanParallel(opts engine.Options, workers int) (uint64, error) {
-	sn, st, err := p.resolve()
-	if err != nil {
-		return 0, err
-	}
-	if opts.Meter == nil {
-		opts.Meter = obs.TraceFromContext(opts.Ctx).Meter()
-	}
-	return engine.CountParallel(sn.Reader(), st.branches[0].pl, opts, workers)
-}
-
-// Execute evaluates a parsed query with the full extension fragment:
-// UNION branches, FILTER constraints, DISTINCT, OFFSET and LIMIT. yield
-// receives complete solutions (all variables of the matched branch);
-// returning false stops evaluation.
+// Execute runs the prepared query against one pinned snapshot with the
+// full extension fragment: UNION branches, FILTER constraints, DISTINCT,
+// OFFSET and LIMIT. yield receives each solution's projected terms (a
+// fresh slice per row, safe to retain); returning false stops
+// evaluation.
 //
 // Row-level modifiers are applied in SPARQL order: filters per solution,
 // then projection-level DISTINCT, then OFFSET, then LIMIT.
-func (s *Store) Execute(pq *sparql.Query, opts engine.Options, yield func(Solution) bool) error {
-	p, err := s.PrepareQuery(pq)
-	if err != nil {
-		return err
-	}
-	return p.Execute(opts, yield)
-}
-
-// Execute runs the prepared query against one pinned snapshot; see
-// Store.Execute for semantics. When opts.Ctx carries an obs.Trace, the
-// engine's effort counters and per-level candidate frontiers are
-// recorded into it (per branch), alongside any opts.Stats the caller
-// passed.
+//
+// When opts.Ctx carries an obs.Trace, the engine's effort counters and
+// per-level candidate frontiers are recorded into it (per branch),
+// alongside any opts.Stats the caller passed.
 func (p *PreparedQuery) Execute(opts engine.Options, yield func(Solution) bool) error {
 	sn, st, err := p.resolve()
 	if err != nil {
@@ -255,10 +254,7 @@ func (p *PreparedQuery) Execute(opts engine.Options, yield func(Solution) bool) 
 		opts.Meter = tr.Meter()
 	}
 	pq := p.pq
-	limit := pq.Limit
-	if opts.Limit > 0 && (limit == 0 || opts.Limit < limit) {
-		limit = opts.Limit
-	}
+	limit := p.limit(opts)
 
 	// Only a plain query may push the limit into the engine.
 	engOpts := opts
@@ -279,7 +275,7 @@ func (p *PreparedQuery) Execute(opts engine.Options, yield func(Solution) bool) 
 
 	emit := func(sol Solution) bool {
 		if pq.Distinct {
-			key := distinctKey(p.proj, sol)
+			key := distinctKey(sol)
 			if seen[key] {
 				return true
 			}
@@ -308,7 +304,6 @@ func (p *PreparedQuery) Execute(opts engine.Options, yield func(Solution) bool) 
 		}
 		branch := &st.branches[bi]
 		filters := branch.filters
-		qg := branch.pl.Query
 		// A traced run uses per-branch engine stats (branches execute
 		// different plans, so their level records must not interleave),
 		// merged into the trace — and the caller's Stats — afterwards.
@@ -323,9 +318,11 @@ func (p *PreparedQuery) Execute(opts engine.Options, yield func(Solution) bool) 
 					return true
 				}
 			}
-			sol := make(Solution, len(qg.Vars))
-			for u := range qg.Vars {
-				sol[qg.Vars[u].Name] = BindingTerm(res, asg[u])
+			sol := make(Solution, len(branch.proj))
+			for i, u := range branch.proj {
+				if u >= 0 {
+					sol[i] = BindingTerm(res, asg[u])
+				}
 			}
 			return emit(sol)
 		})
@@ -349,10 +346,10 @@ func (p *PreparedQuery) Execute(opts engine.Options, yield func(Solution) bool) 
 // The N-Triples rendering is injective over terms (kind, datatype and
 // language tag are all part of it), and an unbound variable renders as
 // the empty string, which no term renders as.
-func distinctKey(proj []string, sol Solution) string {
-	parts := make([]string, len(proj))
-	for i, v := range proj {
-		if t, ok := sol[v]; ok {
+func distinctKey(sol Solution) string {
+	parts := make([]string, len(sol))
+	for i, t := range sol {
+		if !t.IsZero() {
 			parts[i] = t.String()
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/plan"
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
@@ -40,15 +41,15 @@ func TestIsPlain(t *testing.T) {
 
 func TestExecuteDistinctUnionFilters(t *testing.T) {
 	s := newStore(t)
-	pq := parse(t, `
+	p := prepare(t, s, `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT DISTINCT ?p WHERE {
   { ?p y:wasBornIn ?c } UNION { ?p y:diedIn ?c }
   FILTER strstarts(str(?p), "http://dbpedia.org/resource/A")
 }`)
 	var got []string
-	if err := s.Execute(pq, engine.Options{}, func(sol Solution) bool {
-		got = append(got, sol["p"].Value)
+	if err := p.Execute(engine.Options{}, func(sol Solution) bool {
+		got = append(got, sol[0].Value)
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -60,11 +61,11 @@ SELECT DISTINCT ?p WHERE {
 
 func TestExecuteEarlyStop(t *testing.T) {
 	s := newStore(t)
-	pq := parse(t, `
+	p := prepare(t, s, `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a WHERE { ?a y:livedIn ?b }`)
 	calls := 0
-	if err := s.Execute(pq, engine.Options{}, func(Solution) bool {
+	if err := p.Execute(engine.Options{}, func(Solution) bool {
 		calls++
 		return false
 	}); err != nil {
@@ -77,11 +78,11 @@ SELECT ?a WHERE { ?a y:livedIn ?b }`)
 
 func TestExecuteOffsetBeyondEnd(t *testing.T) {
 	s := newStore(t)
-	pq := parse(t, `
+	p := prepare(t, s, `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a WHERE { ?a y:livedIn ?b } OFFSET 50`)
 	n := 0
-	if err := s.Execute(pq, engine.Options{}, func(Solution) bool { n++; return true }); err != nil {
+	if err := p.Execute(engine.Options{}, func(Solution) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
@@ -92,7 +93,7 @@ SELECT ?a WHERE { ?a y:livedIn ?b } OFFSET 50`)
 func TestExecuteFilterVariableVariants(t *testing.T) {
 	s := newStore(t)
 	// ?a regex ?b: contains test between IRIs — London contains London.
-	pq := parse(t, `
+	p := prepare(t, s, `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a ?b WHERE {
   ?a y:isPartOf ?b .
@@ -101,18 +102,18 @@ SELECT ?a ?b WHERE {
   FILTER strstarts(?a, ?a)
 }`)
 	n := 0
-	if err := s.Execute(pq, engine.Options{}, func(Solution) bool { n++; return true }); err != nil {
+	if err := p.Execute(engine.Options{}, func(Solution) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Errorf("rows = %d, want 2 (both isPartOf edges)", n)
 	}
 	// var != var filter removing everything.
-	pq = parse(t, `
+	p = prepare(t, s, `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a ?b WHERE { ?a y:isPartOf ?b . FILTER (?a != ?a) }`)
 	n = 0
-	if err := s.Execute(pq, engine.Options{}, func(Solution) bool { n++; return true }); err != nil {
+	if err := p.Execute(engine.Options{}, func(Solution) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
@@ -136,55 +137,55 @@ func TestSaveAndLoadStore(t *testing.T) {
 	if loaded.BuildInfo().DatabaseBytes != s.BuildInfo().DatabaseBytes {
 		t.Errorf("size estimate differs after load")
 	}
-	rows, err := loaded.Select(`
+	n, err := prepare(t, loaded, `
 PREFIX y: <http://dbpedia.org/ontology/>
-SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, engine.Options{})
-	if err != nil || len(rows) != 3 {
-		t.Errorf("rows after load = %d, %v", len(rows), err)
+SELECT ?a ?b WHERE { ?a y:livedIn ?b }`).Count(engine.Options{})
+	if err != nil || n != 3 {
+		t.Errorf("rows after load = %d, %v", n, err)
 	}
 	if _, err := LoadStore(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
 }
 
-func TestCountParallelStore(t *testing.T) {
-	s := newStore(t)
-	qg, _, err := s.PrepareString(`
+func TestCountPlanParallel(t *testing.T) {
+	p := prepare(t, newStore(t), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a ?b WHERE { ?a y:livedIn ?b }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := s.CountParallel(qg, engine.Options{}, 4)
+	n, err := p.CountPlanParallel(engine.Options{}, 4)
 	if err != nil || n != 3 {
-		t.Errorf("CountParallel = %d, %v", n, err)
+		t.Errorf("CountPlanParallel = %d, %v", n, err)
 	}
 }
 
-func TestSelectWithUnboundProjection(t *testing.T) {
-	s := newStore(t)
-	rows, err := s.Select(`
+// TestUnionBranchUnboundProjection: a UNION branch that lacks a projected
+// variable yields the zero Term at that variable's position.
+func TestUnionBranchUnboundProjection(t *testing.T) {
+	p := prepare(t, newStore(t), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?p ?band WHERE {
   { ?p y:wasMarriedTo ?x } UNION { ?p y:wasPartOf ?band }
-}`, engine.Options{})
-	if err != nil {
+}`)
+	if proj := p.Projection(); len(proj) != 2 || proj[1] != "band" {
+		t.Fatalf("projection = %v", proj)
+	}
+	var rows []Solution
+	if err := p.Execute(engine.Options{}, func(sol Solution) bool {
+		rows = append(rows, sol)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	unbound := 0
-	for _, r := range rows {
-		if r[1].Var != "band" {
-			t.Errorf("projection order wrong: %v", r)
-		}
-		if r[1].Value == "" {
-			unbound++
-		}
+	amy := rdf.NewIRI("http://dbpedia.org/resource/Amy_Winehouse")
+	// Branch order: the wasMarriedTo branch (no ?band) comes first.
+	if rows[0][0] != amy || !rows[0][1].IsZero() {
+		t.Errorf("married branch row = %v, want ?band unbound (zero Term)", rows[0])
 	}
-	if unbound != 1 {
-		t.Errorf("unbound band rows = %d, want 1", unbound)
+	if rows[1][0] != amy || rows[1][1] != rdf.NewIRI("http://dbpedia.org/resource/Music_Band") {
+		t.Errorf("band branch row = %v", rows[1])
 	}
 }
 
@@ -192,13 +193,13 @@ func TestExecuteUnsatBranchSkipped(t *testing.T) {
 	s := newStore(t)
 	// First branch unsatisfiable (unknown predicate), second fine: UNION
 	// must still deliver the second branch's rows.
-	pq := parse(t, `
+	p := prepare(t, s, `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?p WHERE {
   { ?p y:noSuchPredicate ?c } UNION { ?p y:wasMarriedTo ?c }
 }`)
 	n := 0
-	if err := s.Execute(pq, engine.Options{}, func(Solution) bool { n++; return true }); err != nil {
+	if err := p.Execute(engine.Options{}, func(Solution) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {

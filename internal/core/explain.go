@@ -92,7 +92,10 @@ func (s *Store) ExplainAnalyze(pl plan.Planner, pq *sparql.Query, opts engine.Op
 	if err != nil {
 		return "", err
 	}
+	// The report is rendered from a private trace; the caller's resource
+	// meter (and with it the visit guard) stays attached to the run.
 	tr := obs.NewTrace("")
+	tr.SetMeter(obs.TraceFromContext(opts.Ctx).Meter())
 	opts.Ctx = obs.ContextWithTrace(opts.Ctx, tr)
 	rows := uint64(0)
 	if err := p.Execute(opts, func(Solution) bool { rows++; return true }); err != nil {

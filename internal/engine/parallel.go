@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/dict"
 	"repro/internal/index"
-	"repro/internal/otil"
 	"repro/internal/plan"
-	"repro/internal/query"
 )
 
 // CountParallel counts embeddings like Count but fans the recursion out
@@ -132,7 +130,8 @@ func countComponentParallel(r index.Reader, p *plan.Plan, opts Options, ci int, 
 }
 
 // countFromInitial counts the embeddings of component ci rooted at one
-// initial candidate vinit.
+// initial candidate vinit, which the master's initialCandidates already
+// restricted against the (immutable, shared) plan.
 //
 //amber:hotloop
 func (m *matcher) countFromInitial(ci int, vinit dict.VertexID) (uint64, error) {
@@ -141,9 +140,6 @@ func (m *matcher) countFromInitial(ci int, vinit dict.VertexID) (uint64, error) 
 	if m.checkDeadline() {
 		return 0, m.abortErr
 	}
-	if !m.admissible(uinit, vinit) || !m.inFixed(uinit, vinit) {
-		return 0, nil
-	}
 	if !m.matchSatellites(uinit, vinit, comp.Satellites[uinit]) {
 		return 0, nil
 	}
@@ -151,12 +147,4 @@ func (m *matcher) countFromInitial(ci int, vinit dict.VertexID) (uint64, error) 
 	m.asg[uinit] = vinit
 	matched[uinit] = true
 	return m.countMatch(ci, comp, 1, matched)
-}
-
-// inFixed reports whether v is within u's fixed candidate set (when one
-// exists). Used when candidates were computed by a different matcher.
-//
-//amber:hotloop
-func (m *matcher) inFixed(u query.VertexID, v dict.VertexID) bool {
-	return !m.p.IsFixed[int(u)] || otil.ContainsSorted(m.p.Fixed[int(u)], v)
 }

@@ -63,11 +63,6 @@ type Config struct {
 	// goroutines flat-out against concurrent readers, measuring durable
 	// write throughput and commit grouping. Only RunChurn consumes it.
 	Writers int
-	// ChurnOnly shrinks RunBenchReport to a churn-focused report: LUBM
-	// only, a single query point for context, and churn under the
-	// configured fsync policy (default "always") — the CI write-path
-	// smoke-test shape.
-	ChurnOnly bool
 }
 
 // DefaultConfig returns the laptop-scale defaults.

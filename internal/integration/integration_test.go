@@ -62,11 +62,11 @@ func oracleCount(t *testing.T, q *sparql.Query) uint64 {
 
 func amberCount(t *testing.T, q *sparql.Query) uint64 {
 	t.Helper()
-	qg, err := corpus.amber.Prepare(q)
+	qg, err := corpus.amber.PrepareQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := corpus.amber.Count(qg, engine.Options{})
+	n, err := qg.Count(engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,15 +151,15 @@ func TestParallelEquivalenceOnWorkload(t *testing.T) {
 		if !ok {
 			t.Fatal("generation failed")
 		}
-		qg, err := corpus.amber.Prepare(q)
+		qg, err := corpus.amber.PrepareQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := corpus.amber.Count(qg, engine.Options{})
+		serial, err := qg.Count(engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := corpus.amber.CountParallel(qg, engine.Options{}, 6)
+		par, err := qg.CountPlanParallel(engine.Options{}, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,19 +187,19 @@ func TestSnapshotPreservesAnswers(t *testing.T) {
 		if !ok {
 			t.Fatal("generation failed")
 		}
-		qa, err := corpus.amber.Prepare(q)
+		qa, err := corpus.amber.PrepareQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qb, err := reloaded.Prepare(q)
+		qb, err := reloaded.PrepareQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := corpus.amber.Count(qa, engine.Options{})
+		a, err := qa.Count(engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := reloaded.Count(qb, engine.Options{})
+		b, err := qb.Count(engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,12 +246,12 @@ func TestTimeoutHonouredUnderLoad(t *testing.T) {
 	if !ok {
 		t.Skip("no large star available")
 	}
-	qg, err := corpus.amber.Prepare(q)
+	qg, err := corpus.amber.PrepareQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = corpus.amber.Count(qg, engine.Options{Deadline: time.Now().Add(100 * time.Microsecond)})
+	_, err = qg.Count(engine.Options{Deadline: time.Now().Add(100 * time.Microsecond)})
 	elapsed := time.Since(start)
 	// Either it finished legitimately fast or it must report the deadline;
 	// in both cases it must come back promptly.
@@ -268,12 +268,23 @@ func TestTimeoutHonouredUnderLoad(t *testing.T) {
 func TestExtensionFragmentEndToEnd(t *testing.T) {
 	setup(t)
 	// All departments that anyone works for or is a member of.
-	rows, err := corpus.amber.Select(`
+	pq, err := sparql.Parse(`
 PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
 SELECT DISTINCT ?d WHERE {
   { ?x ub:worksFor ?d } UNION { ?x ub:memberOf ?d }
-}`, engine.Options{})
+}`)
 	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := corpus.amber.PrepareQuery(pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []core.Solution
+	if err := p.Execute(engine.Options{}, func(sol core.Solution) bool {
+		rows = append(rows, sol)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]bool{}

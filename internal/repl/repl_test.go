@@ -47,7 +47,7 @@ func startPrimary(t *testing.T, opts PrimaryOptions, dur *amber.DurabilityOption
 	if err != nil {
 		t.Fatalf("NewPrimary: %v", err)
 	}
-	srv := server.New(db, server.Config{Replication: rep, DisableHistograms: true})
+	srv := server.New(db, server.Config{Replication: rep})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -91,7 +91,7 @@ func startFollower(t *testing.T, primaryURL, id string, mutate func(*FollowerOpt
 		t.Fatalf("NewFollower(%s): %v", id, err)
 	}
 	tf.f = f
-	tf.srv = server.New(f.DB(), server.Config{Follower: f, DisableHistograms: true})
+	tf.srv = server.New(f.DB(), server.Config{Follower: f})
 	tf.ts = httptest.NewServer(tf.srv)
 	ctx, cancel := context.WithCancel(context.Background())
 	tf.cancel = cancel
@@ -417,7 +417,7 @@ func TestBootstrappedPrimaryForcesSnapshotBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(db, server.Config{Replication: rep, DisableHistograms: true})
+	srv := server.New(db, server.Config{Replication: rep})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()

@@ -2,10 +2,8 @@ package server
 
 import (
 	"compress/gzip"
-	"context"
 	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -105,25 +103,6 @@ func (s *Server) AdminHandler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	return mux
-}
-
-// cancelOutcome classifies an execution aborted with context.Canceled by
-// the context's cancellation cause, bumps the matching counter, and
-// returns the trace status plus the HTTP error to send. A zero code
-// means the client went away — no response is owed.
-func (s *Server) cancelOutcome(ctx context.Context) (status string, code int, msg string) {
-	switch cause := context.Cause(ctx); {
-	case errors.Is(cause, obs.ErrAdminCancelled):
-		s.met.cancelledAdmin.Add(1)
-		return "killed", http.StatusInternalServerError, "query cancelled by administrator"
-	case errors.Is(cause, obs.ErrResourceLimit):
-		s.met.resourceLimited.Add(1)
-		return "resource_limit", http.StatusUnprocessableEntity,
-			fmt.Sprintf("query exceeded resource limit (%d vertices visited)", s.cfg.MaxQueryVisits)
-	default:
-		s.met.cancelled.Add(1)
-		return "cancelled", 0, ""
-	}
 }
 
 // withGzip compresses the wrapped handler's response when the client

@@ -1,12 +1,6 @@
 package server
 
-import (
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // metrics holds the live serving counters exposed by /stats.
 type metrics struct {
@@ -25,56 +19,4 @@ type metrics struct {
 	updates      atomic.Uint64 // update requests accepted for processing
 	updateErrors atomic.Uint64 // update parse/apply failures
 
-	lat       latencyRing
-	updateLat latencyRing
-}
-
-// latencyRing keeps the most recent query latencies for percentile
-// estimation. A fixed ring bounds memory and keeps the percentiles
-// reflecting current behaviour rather than all-time history.
-type latencyRing struct {
-	mu   sync.Mutex
-	buf  [1024]time.Duration
-	next int
-	n    int // filled entries, ≤ len(buf)
-}
-
-func (r *latencyRing) record(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.next] = d
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// percentiles returns the given quantiles (0..1) over the recorded
-// window, nearest-rank: the smallest sample such that at least q·n
-// samples are ≤ it, i.e. sorted index ceil(q·n)−1. The previous
-// round-half-up formula (int(q·n+0.5)−1) under-reported whenever
-// frac(q·n) fell below 0.5 — e.g. p99 over 52 samples returned the
-// 51st smallest instead of the 52nd. With no samples it returns zeros.
-func (r *latencyRing) percentiles(qs ...float64) []time.Duration {
-	r.mu.Lock()
-	samples := make([]time.Duration, r.n)
-	copy(samples, r.buf[:r.n])
-	r.mu.Unlock()
-
-	out := make([]time.Duration, len(qs))
-	if len(samples) == 0 {
-		return out
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	for i, q := range qs {
-		idx := int(math.Ceil(q*float64(len(samples)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(samples) {
-			idx = len(samples) - 1
-		}
-		out[i] = samples[idx]
-	}
-	return out
 }

@@ -162,17 +162,24 @@ func TestMetricsBucketsMonotonic(t *testing.T) {
 	}
 }
 
-func TestHistogramsDisabledFallsBackToRing(t *testing.T) {
-	s, ts := newTestServer(t, townData, Config{DisableHistograms: true})
+// TestStatsPercentilesFromHistograms: /stats always carries p50_ms and
+// p99_ms, interpolated from the same histogram /metrics exposes.
+func TestStatsPercentilesFromHistograms(t *testing.T) {
+	s, ts := newTestServer(t, townData, Config{})
 	get(t, queryURL(ts.URL, knowsQuery), nil)
 
-	_, body := get(t, ts.URL+"/metrics", nil)
-	if strings.Contains(body, "amber_query_duration_seconds") {
-		t.Error("histograms exposed despite DisableHistograms")
+	_, body := get(t, ts.URL+"/stats", nil)
+	for _, key := range []string{`"p50_ms"`, `"p99_ms"`} {
+		if !strings.Contains(body, key) {
+			t.Errorf("/stats lacks %s", key)
+		}
 	}
-	// Percentiles still come from the ring.
-	if st := s.Stats(); st.Queries != 1 || st.P99Millis < st.P50Millis {
-		t.Errorf("ring fallback stats: %+v", st)
+	if st := s.Stats(); st.Queries != 1 || st.P50Millis <= 0 || st.P99Millis < st.P50Millis {
+		t.Errorf("stats percentiles: %+v", st)
+	}
+	_, metrics := get(t, ts.URL+"/metrics", nil)
+	if n := parsePrometheus(t, metrics)["amber_query_duration_seconds_count"]; n != 1 {
+		t.Errorf("amber_query_duration_seconds_count = %v, want 1", n)
 	}
 }
 

@@ -48,15 +48,13 @@ func (s *Server) initMetrics() {
 	r.GaugeFunc("amber_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 
-	if !s.cfg.DisableHistograms {
-		s.queryHist = r.Histogram("amber_query_duration_seconds",
-			"End-to-end latency of successfully answered queries.", obs.LatencyBuckets)
-		s.updateHist = r.Histogram("amber_update_duration_seconds",
-			"Latency of successfully applied updates.", obs.LatencyBuckets)
-		s.stageHist = r.HistogramVec("amber_stage_duration_seconds",
-			"Per-stage latency of query handling (parse_plan, execute, serialize).",
-			"stage", obs.LatencyBuckets)
-	}
+	s.queryHist = r.Histogram("amber_query_duration_seconds",
+		"End-to-end latency of successfully answered queries.", obs.LatencyBuckets)
+	s.updateHist = r.Histogram("amber_update_duration_seconds",
+		"Latency of successfully applied updates.", obs.LatencyBuckets)
+	s.stageHist = r.HistogramVec("amber_stage_duration_seconds",
+		"Per-stage latency of query handling (parse_plan, execute, serialize).",
+		"stage", obs.LatencyBuckets)
 
 	s.engRecur = r.CounterVec("amber_engine_recursions_total",
 		"HomomorphicMatch invocations, by query shape.", "shape")
@@ -201,27 +199,14 @@ func (s *Server) initMetrics() {
 	obs.RegisterRuntimeMetrics(r)
 }
 
-// recordLatency records one successfully answered query's end-to-end
-// latency: into the bucketed histogram, or — with histograms disabled —
-// the sliding-window ring that /stats percentiles then fall back to.
-func (s *Server) recordLatency(d time.Duration) {
-	if s.queryHist != nil {
-		s.queryHist.Observe(d.Seconds())
-	} else {
-		s.met.lat.record(d)
-	}
-}
-
 // finishTrace seals a request trace and fans it out: stage-timing
 // histograms, per-shape engine effort counters, the plan-quality
 // accumulator, the recent-trace ring, and the slow-query log.
 func (s *Server) finishTrace(st *dbState, tr *obs.Trace, status string, rows uint64) {
 	tr.Finish(status, rows)
 	v := tr.View()
-	if s.stageHist != nil {
-		for _, sp := range v.Spans {
-			s.stageHist.With(sp.Name).Observe(sp.Duration.Seconds())
-		}
+	for _, sp := range v.Spans {
+		s.stageHist.With(sp.Name).Observe(sp.Duration.Seconds())
 	}
 	if v.Shape != "" {
 		s.engRecur.With(v.Shape).Add(uint64(v.Engine.Recursions))

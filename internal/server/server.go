@@ -97,10 +97,6 @@ type Config struct {
 	// Default 128; negative disables the ring (the endpoint serves an
 	// empty list).
 	TraceBuffer int
-	// DisableHistograms turns off the bucketed latency histograms. /stats
-	// percentiles then fall back to the 1024-entry sliding-window ring,
-	// and /metrics omits the *_duration_seconds families.
-	DisableHistograms bool
 	// AdminToken, when set, enables POST /admin/queries/{id}/cancel on
 	// the public listener for requests carrying the token (X-Admin-Token
 	// or bearer Authorization header). Without it the public cancel
@@ -249,9 +245,7 @@ type Server struct {
 
 	// Observability (see internal/obs): the Prometheus registry behind
 	// /metrics, the recent-trace ring behind /debug/traces, the slow-query
-	// log, and the per-generation planner-accuracy accumulator. The
-	// histograms are nil when Config.DisableHistograms is set (the
-	// latencyRing then carries /stats percentiles).
+	// log, and the per-generation planner-accuracy accumulator.
 	reg        *obs.Registry
 	queryHist  *obs.Histogram
 	updateHist *obs.Histogram
@@ -502,19 +496,184 @@ func (s *Server) acquire(ctx context.Context) bool {
 
 // countingWriter tracks whether any response bytes reached the client,
 // which decides whether an execution error can still become a clean
-// HTTP error response. It also feeds the query's resource meter, so
+// HTTP error response. It also feeds the request's resource meter, so
 // /debug/queries shows bytes serialized while the response streams.
 type countingWriter struct {
-	dst   io.Writer
+	http.ResponseWriter
 	meter *obs.ResourceMeter
 	n     int64
 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.dst.Write(p)
+	n, err := c.ResponseWriter.Write(p)
 	c.n += int64(n)
 	c.meter.AddBytes(uint64(n))
 	return n, err
+}
+
+// errClientGone is what a run function returns when writing the response
+// failed: the client went away mid-stream and no reply is owed.
+var errClientGone = errors.New("client gone")
+
+// execution is the governed scope of one admitted request: what govern
+// hands the per-kind run function, and what outcome classifies against.
+type execution struct {
+	kind    string          // in-flight registry kind: "query", "explain" or "update"
+	timeout time.Duration   // the request's execution bound, for the timeout message
+	ctx     context.Context // cancellable with cause; carries the trace and pprof labels
+	w       *countingWriter // also holds the request's resource meter
+	tr      *obs.Trace      // carries the meter into the engine; published for SELECT/ASK
+	prep    *amber.Prepared // the resolved plan; nil for explain and update
+	rows    uint64          // rows emitted, maintained by run for the trace
+}
+
+// govern runs one executable request — a SELECT or ASK ("query"), an
+// explain, or an update — through the server's single governance path:
+// admission control (503 + Retry-After once the cap and queue wait are
+// exhausted), in-flight accounting, the /debug/queries registry entry,
+// the resource meter with its -max-query-visits guard, and pprof
+// goroutine labels. Execution runs under a cancellable-with-cause
+// context derived from the request's: a client disconnect, an admin
+// cancel (POST /admin/queries/{id}/cancel) and the visit guard all reach
+// the engine through the same ctx.Done() poll, and the cause
+// distinguishes them afterwards (see outcome).
+//
+// prepare, when non-nil, resolves the plan inside the execution slot —
+// planning probes the index — and marks the request as a cache-missed
+// SELECT/ASK, the only kind whose trace is published. run does the kind's
+// work and writes the success response; an error from either is answered
+// through outcome, provided no result bytes have been written yet.
+func (s *Server) govern(w http.ResponseWriter, r *http.Request, st *dbState, kind, reqID, text string,
+	timeout time.Duration, prepare func() (*amber.Prepared, error), run func(*execution) error) {
+	if !s.acquire(r.Context()) {
+		s.met.rejected.Add(1)
+		writeError(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("server saturated (%d executions in flight)", s.cfg.MaxConcurrent), reqID)
+		return
+	}
+	defer func() { <-s.sem }()
+	s.met.inFlight.Add(1)
+	defer s.met.inFlight.Add(-1)
+
+	accepted, latency := &s.met.queries, s.queryHist
+	switch kind {
+	case "explain":
+		latency = nil
+	case "update":
+		accepted, latency = &s.met.updates, s.updateHist
+	}
+	accepted.Add(1)
+
+	ctx, cancelCause := context.WithCancelCause(r.Context())
+	defer cancelCause(nil)
+	meter := obs.NewResourceMeter()
+	if s.cfg.MaxQueryVisits > 0 {
+		meter.SetVisitLimit(s.cfg.MaxQueryVisits, cancelCause)
+	}
+	// The meter rides the trace into the engine and is readable live
+	// through GET /debug/queries.
+	tr := obs.NewTraceID(reqID, text)
+	tr.SetMeter(meter)
+	ex := &execution{
+		kind: kind, timeout: timeout, ctx: obs.ContextWithTrace(ctx, tr),
+		w: &countingWriter{ResponseWriter: w, meter: meter}, tr: tr,
+	}
+	finish := func(err error) {
+		status, code, msg := s.outcome(ex, err)
+		if prepare != nil {
+			s.finishTrace(st, tr, status, ex.rows)
+		}
+		if code != 0 && ex.w.n == 0 {
+			writeError(w, code, msg, reqID)
+		}
+		if err == nil && latency != nil {
+			latency.Observe(time.Since(tr.Time).Seconds())
+		}
+	}
+
+	// pprof goroutine labels: CPU samples of this request's handler — and
+	// of any parallel workers it spawns, which inherit the labels — carry
+	// its request id and shape, so a -debug-addr profile attributes time
+	// to specific queries.
+	labels := []string{"request_id", reqID}
+	var shape func() string
+	if prepare != nil {
+		s.met.cacheMisses.Add(1)
+		endParse := tr.Span("parse_plan")
+		prep, err := prepare()
+		endParse()
+		if err != nil {
+			finish(err)
+			return
+		}
+		ex.prep, shape = prep, prep.Shape
+		labels = append(labels, "shape", prep.Shape())
+	}
+	s.inflight.Register(reqID, text, kind, r.RemoteAddr, st.db.Epoch(), meter, shape, cancelCause)
+	defer s.inflight.Remove(reqID)
+	defer pprof.SetGoroutineLabels(r.Context())
+	ex.ctx = pprof.WithLabels(ex.ctx, pprof.Labels(labels...))
+	pprof.SetGoroutineLabels(ex.ctx)
+
+	if testHookExecute != nil {
+		testHookExecute(text)
+	}
+	// A request cancelled before it starts never starts: the engine would
+	// notice at its first poll, but an update, once applying, runs to
+	// completion — a mutation batch cannot be aborted mid-commit.
+	err := ex.ctx.Err()
+	if err == nil {
+		err = run(ex)
+	}
+	finish(err)
+}
+
+// outcome is the one mapping from an execution's result to what the
+// client and the operator see: the trace status, and the HTTP error to
+// send with its message. A zero code means no response is owed — the
+// request succeeded, or the client went away. It bumps the counter
+// matching the failure.
+func (s *Server) outcome(ex *execution, err error) (status string, code int, msg string) {
+	switch {
+	case err == nil:
+		return "ok", 0, ""
+	case errors.Is(err, errClientGone):
+		return "client_gone", 0, ""
+	case errors.Is(err, amber.ErrTimeout), errors.Is(err, context.DeadlineExceeded):
+		s.met.timeouts.Add(1)
+		return "timeout", http.StatusServiceUnavailable, fmt.Sprintf("query timed out after %s", ex.timeout)
+	case errors.Is(err, context.Canceled):
+		switch cause := context.Cause(ex.ctx); {
+		case errors.Is(cause, obs.ErrAdminCancelled):
+			s.met.cancelledAdmin.Add(1)
+			return "killed", http.StatusInternalServerError, "query cancelled by administrator"
+		case errors.Is(cause, obs.ErrResourceLimit):
+			s.met.resourceLimited.Add(1)
+			return "resource_limit", http.StatusUnprocessableEntity,
+				fmt.Sprintf("query exceeded resource limit (%d vertices visited)", s.cfg.MaxQueryVisits)
+		default:
+			s.met.cancelled.Add(1)
+			return "cancelled", 0, ""
+		}
+	case errors.Is(err, amber.ErrDurability):
+		// The request was fine; the write-ahead log failed (disk full,
+		// fsync error, or closed mid-reload). 503 tells the client to
+		// retry instead of dropping the write as malformed.
+		s.met.updateErrors.Add(1)
+		return "error", http.StatusServiceUnavailable, "update not durable: " + err.Error()
+	case ex.prep == nil:
+		// Nothing had validated the text before it ran — an explain, an
+		// update, or a SELECT/ASK whose preparation just failed — so the
+		// failure is the client's input.
+		noun, failed := "query", &s.met.parseErrors
+		if ex.kind == "update" {
+			noun, failed = "update", &s.met.updateErrors
+		}
+		failed.Add(1)
+		return "parse_error", http.StatusBadRequest, "invalid " + noun + ": " + err.Error()
+	default:
+		return "error", http.StatusInternalServerError, err.Error()
+	}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -541,6 +700,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		params, err = s.readParams(r)
 	}
+	// Every read advertises the data version it serves, so a client can
+	// observe follower staleness; X-Min-Epoch lets a client that just
+	// wrote (and captured the update's X-Epoch) demand at-least-that-fresh
+	// reads — read-your-writes across the replication fleet, with a
+	// bounded wait on a lagging follower.
+	if err == nil {
+		st, err = s.gateMinEpoch(r, st)
+	}
 	if err != nil {
 		he := err.(*httpError)
 		if he.status == http.StatusMethodNotAllowed {
@@ -549,74 +716,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, he.status, he.msg, reqID)
 		return
 	}
-
-	// Every read advertises the data version it serves, so a client can
-	// observe follower staleness; X-Min-Epoch lets a client that just
-	// wrote (and captured the update's X-Epoch) demand at-least-that-fresh
-	// reads — read-your-writes across the replication fleet, with a
-	// bounded wait on a lagging follower.
-	st, err = s.gateMinEpoch(r, st)
-	if err != nil {
-		he := err.(*httpError)
-		writeError(w, he.status, he.msg, reqID)
-		return
-	}
 	w.Header().Set("X-Epoch", strconv.FormatUint(s.servedEpoch(st), 10))
 
 	// Explain renders the matching plan; explain=analyze additionally
 	// executes the query and reports actual per-level frontiers. Both run
-	// real index work, so they claim an execution slot like any query;
-	// they skip the result cache (plans are cheap relative to cache
-	// bookkeeping and the output embeds live cardinalities).
+	// real index work, so they are governed like any query; they skip the
+	// result cache (plans are cheap relative to cache bookkeeping and the
+	// output embeds live cardinalities).
 	if params.explain {
-		if !s.acquire(r.Context()) {
-			s.met.rejected.Add(1)
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("server saturated (%d executions in flight)", s.cfg.MaxConcurrent), reqID)
-			return
-		}
-		defer func() { <-s.sem }()
-		s.met.queries.Add(1)
-		s.met.inFlight.Add(1)
-		defer s.met.inFlight.Add(-1)
-		var out string
-		var eerr error
-		ectx := r.Context()
-		if params.analyze {
-			// explain=analyze executes the query, so it is governed like
-			// one: registered in the in-flight table, admin-cancellable,
-			// and subject to the visit guard.
-			var cancelCause context.CancelCauseFunc
-			ectx, cancelCause = context.WithCancelCause(ectx)
-			defer cancelCause(nil)
-			meter := obs.NewResourceMeter()
-			if s.cfg.MaxQueryVisits > 0 {
-				meter.SetVisitLimit(s.cfg.MaxQueryVisits, cancelCause)
+		s.govern(w, r, st, "explain", reqID, query, params.opts.Timeout, nil, func(ex *execution) error {
+			var out string
+			var err error
+			if params.analyze {
+				out, err = st.db.ExplainAnalyzeContext(ex.ctx, query, params.planner, &params.opts)
+			} else {
+				out, err = st.db.ExplainPlanner(query, params.planner)
 			}
-			s.inflight.Register(reqID, query, "explain", r.RemoteAddr, st.db.Epoch(), meter, nil, cancelCause)
-			defer s.inflight.Remove(reqID)
-			out, eerr = st.db.ExplainAnalyzeContext(ectx, query, params.planner, &params.opts)
-		} else {
-			out, eerr = st.db.ExplainPlanner(query, params.planner)
-		}
-		switch {
-		case eerr == amber.ErrTimeout:
-			s.met.timeouts.Add(1)
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("query timed out after %s", params.opts.Timeout), reqID)
-			return
-		case errors.Is(eerr, context.Canceled):
-			if _, code, msg := s.cancelOutcome(ectx); code != 0 {
-				writeError(w, code, msg, reqID)
+			if err != nil {
+				return err
 			}
-			return
-		case eerr != nil:
-			s.met.parseErrors.Add(1)
-			writeError(w, http.StatusBadRequest, "invalid query: "+eerr.Error(), reqID)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, out) //nolint:errcheck
+			ex.w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			io.WriteString(ex.w, out) //nolint:errcheck
+			return nil
+		})
 		return
 	}
 
@@ -629,7 +751,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.met.queries.Add(1)
 		s.met.cacheHits.Add(1)
 		tr := obs.NewTraceID(reqID, query)
-		start := time.Now()
 		w.Header().Set("Content-Type", params.format.ContentType)
 		w.Header().Set("X-Cache", "hit")
 		var werr error
@@ -639,102 +760,40 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			werr = results.WriteAll(params.format, w, cr.vars, cr.rows)
 		}
 		if werr == nil {
-			d := time.Since(start)
+			d := time.Since(tr.Time)
 			tr.AddSpan("serialize", d)
 			s.finishTrace(st, tr, "hit", uint64(len(cr.rows)))
-			s.recordLatency(d)
+			s.queryHist.Observe(d.Seconds())
 		}
 		return
 	}
-	if !s.acquire(r.Context()) {
-		s.met.rejected.Add(1)
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("server saturated (%d executions in flight)", s.cfg.MaxConcurrent), reqID)
-		return
-	}
-	defer func() { <-s.sem }()
+	s.govern(w, r, st, "query", reqID, query, params.opts.Timeout,
+		func() (*amber.Prepared, error) { return st.prepare(norm, query) },
+		func(ex *execution) error { return s.runQuery(ex, st, key, &params) })
+}
 
-	s.met.queries.Add(1)
-	s.met.cacheMisses.Add(1)
-	s.met.inFlight.Add(1)
-	defer s.met.inFlight.Add(-1)
-	tr := obs.NewTraceID(reqID, query)
-	start := time.Now()
-
-	endParse := tr.Span("parse_plan")
-	prep, perr := st.prepare(norm, query)
-	endParse()
-	if perr != nil {
-		s.met.parseErrors.Add(1)
-		s.finishTrace(st, tr, "parse_error", 0)
-		writeError(w, http.StatusBadRequest, "invalid query: "+perr.Error(), reqID)
-		return
-	}
-
-	// Execution runs under a cancellable-with-cause context derived from
-	// the request's: a client disconnect, an admin cancel
-	// (POST /admin/queries/{id}/cancel), and the -max-query-visits guard
-	// all reach the engine through the same ctx.Done() poll, and the
-	// cause distinguishes them afterwards. The meter rides the trace into
-	// the engine and is readable live through GET /debug/queries.
-	ctx, cancelCause := context.WithCancelCause(r.Context())
-	defer cancelCause(nil)
-	meter := obs.NewResourceMeter()
-	if s.cfg.MaxQueryVisits > 0 {
-		meter.SetVisitLimit(s.cfg.MaxQueryVisits, cancelCause)
-	}
-	tr.SetMeter(meter)
-	s.inflight.Register(reqID, query, "query", r.RemoteAddr, st.db.Epoch(), meter, prep.Shape, cancelCause)
-	defer s.inflight.Remove(reqID)
-
-	// pprof goroutine labels: CPU samples of this query's handler — and
-	// of any parallel workers it spawns, which inherit the labels — carry
-	// its request id and shape, so a -debug-addr profile attributes time
-	// to specific queries.
-	defer pprof.SetGoroutineLabels(r.Context())
-	ctx = pprof.WithLabels(obs.ContextWithTrace(ctx, tr),
-		pprof.Labels("request_id", reqID, "shape", prep.Shape()))
-	pprof.SetGoroutineLabels(ctx)
-
-	if testHookExecute != nil {
-		testHookExecute(query)
-	}
-
+// runQuery executes a prepared SELECT or ASK inside its governed scope,
+// streaming the result in the negotiated format and caching it when it
+// is small enough.
+func (s *Server) runQuery(ex *execution, st *dbState, key string, params *queryParams) error {
+	w, tr, prep := ex.w, ex.tr, ex.prep
 	if prep.IsAsk() {
 		endExec := tr.Span("execute")
-		val, aerr := prep.AskContext(ctx, &params.opts)
+		val, err := prep.AskContext(ex.ctx, &params.opts)
 		endExec()
-		switch {
-		case aerr == amber.ErrTimeout:
-			s.met.timeouts.Add(1)
-			s.finishTrace(st, tr, "timeout", 0)
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("query timed out after %s", params.opts.Timeout), reqID)
-			return
-		case errors.Is(aerr, context.Canceled):
-			status, code, msg := s.cancelOutcome(ctx)
-			s.finishTrace(st, tr, status, 0)
-			if code != 0 {
-				writeError(w, code, msg, reqID)
-			}
-			return
-		case aerr != nil:
-			s.finishTrace(st, tr, "error", 0)
-			writeError(w, http.StatusInternalServerError, aerr.Error(), reqID)
-			return
+		if err != nil {
+			return err
 		}
 		w.Header().Set("Content-Type", params.format.ContentType)
 		w.Header().Set("X-Cache", "miss")
-		if results.WriteBool(params.format, w, val) == nil {
-			st.results.Put(key, &cachedResult{isBool: true, boolVal: val})
-			s.finishTrace(st, tr, "ok", 0)
-			s.recordLatency(time.Since(start))
+		if results.WriteBool(params.format, w, val) != nil {
+			return errClientGone
 		}
-		return
+		st.results.Put(key, &cachedResult{isBool: true, boolVal: val})
+		return nil
 	}
 
-	cw := &countingWriter{dst: w, meter: meter}
-	sw := params.format.New(cw)
+	sw := params.format.New(w)
 	w.Header().Set("Content-Type", params.format.ContentType)
 	w.Header().Set("X-Cache", "miss")
 
@@ -754,10 +813,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	collected := make([]map[string]amber.Term, 0, 64)
 	collecting := s.cfg.MaxCacheRows > 0
 	var writeErr error
-	var rows uint64
 	var serialize time.Duration
 	loopStart := time.Now()
-	qerr := prep.QueryIterContext(ctx, &params.opts, func(b amber.Binding) bool {
+	err := prep.QueryIterContext(ex.ctx, &params.opts, func(b amber.Binding) bool {
 		m := b.Map()
 		if collecting {
 			if len(collected) < s.cfg.MaxCacheRows {
@@ -767,69 +825,38 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		rowStart := time.Now()
-		if werr := begin(); werr != nil {
-			writeErr = werr
-			return false
+		if writeErr = begin(); writeErr == nil {
+			writeErr = sw.Row(m)
 		}
-		if werr := sw.Row(m); werr != nil {
-			writeErr = werr
+		if writeErr != nil {
 			return false
 		}
 		serialize += time.Since(rowStart)
-		rows++
-		meter.AddRows(1)
+		ex.rows++
+		w.meter.AddRows(1)
 		return true
 	})
 	// The loop interleaves engine work and row writes; attribute the
 	// write share to "serialize" and the rest to "execute".
 	tr.AddSpan("execute", time.Since(loopStart)-serialize)
-
-	switch {
-	case qerr == amber.ErrTimeout:
-		s.met.timeouts.Add(1)
-		tr.AddSpan("serialize", serialize)
-		s.finishTrace(st, tr, "timeout", rows)
-		if cw.n == 0 {
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("query timed out after %s", params.opts.Timeout), reqID)
+	if err == nil && writeErr == nil {
+		endStart := time.Now()
+		if writeErr = begin(); writeErr == nil {
+			writeErr = sw.End()
 		}
-		return
-	case errors.Is(qerr, context.Canceled):
-		status, code, msg := s.cancelOutcome(ctx)
-		tr.AddSpan("serialize", serialize)
-		s.finishTrace(st, tr, status, rows)
-		if code != 0 && cw.n == 0 {
-			writeError(w, code, msg, reqID)
-		}
-		return
-	case qerr != nil:
-		tr.AddSpan("serialize", serialize)
-		s.finishTrace(st, tr, "error", rows)
-		if cw.n == 0 {
-			writeError(w, http.StatusInternalServerError, qerr.Error(), reqID)
-		}
-		return
-	case writeErr != nil:
-		tr.AddSpan("serialize", serialize)
-		s.finishTrace(st, tr, "client_gone", rows)
-		return // client went away mid-stream; nothing useful to do
+		serialize += time.Since(endStart)
 	}
-	endStart := time.Now()
-	swErr := begin()
-	if swErr == nil {
-		swErr = sw.End()
-	}
-	serialize += time.Since(endStart)
 	tr.AddSpan("serialize", serialize)
-	if swErr != nil {
-		s.finishTrace(st, tr, "client_gone", rows)
-		return
+	switch {
+	case err != nil:
+		return err
+	case writeErr != nil:
+		return errClientGone // mid-stream; nothing useful to do
 	}
 	if collecting {
 		st.results.Put(key, &cachedResult{vars: vars, rows: collected})
 	}
-	s.finishTrace(st, tr, "ok", rows)
-	s.recordLatency(time.Since(start))
+	return nil
 }
 
 // servedEpoch is the data version a read response advertises: the
@@ -871,11 +898,12 @@ func (s *Server) gateMinEpoch(r *http.Request, st *dbState) (*dbState, error) {
 	return st, nil
 }
 
-// handleUpdate executes a SPARQL 1.1 Update request. Updates claim an
-// execution slot like queries — applying a batch and the compaction it
-// may trigger are real work — and respond 204 No Content on success.
-// The database epoch moves with the update, so every result-cache entry
-// of the previous state becomes unreachable at once.
+// handleUpdate executes a SPARQL 1.1 Update request. Updates are
+// governed like queries — applying a batch and the compaction it may
+// trigger are real work, and GET /debug/queries lists them with their
+// age — and respond 204 No Content on success. The database epoch moves
+// with the update, so every result-cache entry of the previous state
+// becomes unreachable at once.
 //
 // A follower never applies client updates: its state is defined entirely
 // by the primary's WAL, so it answers 421 Misdirected Request pointing
@@ -887,46 +915,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, st *dbStat
 			"read-only replication follower; send updates to the primary at "+f.PrimaryURL(), reqID)
 		return
 	}
-	if !s.acquire(r.Context()) {
-		s.met.rejected.Add(1)
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("server saturated (%d executions in flight)", s.cfg.MaxConcurrent), reqID)
-		return
-	}
-	defer func() { <-s.sem }()
-	s.met.updates.Add(1)
-	s.met.inFlight.Add(1)
-	defer s.met.inFlight.Add(-1)
-	// Updates register for visibility — GET /debug/queries lists them
-	// with their age — though the apply path runs to completion: an admin
-	// cancel marks the entry but cannot abort a mutation batch
-	// mid-commit.
-	_, cancelCause := context.WithCancelCause(r.Context())
-	defer cancelCause(nil)
-	s.inflight.Register(reqID, update, "update", r.RemoteAddr, st.db.Epoch(),
-		obs.NewResourceMeter(), nil, cancelCause)
-	defer s.inflight.Remove(reqID)
-	start := time.Now()
-	if err := st.db.UpdateOpts(update, &amber.UpdateOptions{AllowLoad: s.cfg.AllowLoad}); err != nil {
-		s.met.updateErrors.Add(1)
-		if errors.Is(err, amber.ErrDurability) {
-			// The request was fine; the write-ahead log failed (disk full,
-			// fsync error, or closed mid-reload). 503 tells the client to
-			// retry instead of dropping the write as malformed.
-			writeError(w, http.StatusServiceUnavailable, "update not durable: "+err.Error(), reqID)
-			return
+	s.govern(w, r, st, "update", reqID, update, 0, nil, func(ex *execution) error {
+		if err := st.db.UpdateOpts(update, &amber.UpdateOptions{AllowLoad: s.cfg.AllowLoad}); err != nil {
+			return err
 		}
-		writeError(w, http.StatusBadRequest, "invalid update: "+err.Error(), reqID)
-		return
-	}
-	d := time.Since(start)
-	if s.updateHist != nil {
-		s.updateHist.Observe(d.Seconds())
-	} else {
-		s.met.updateLat.record(d)
-	}
-	w.Header().Set("X-Epoch", strconv.FormatUint(st.db.Epoch(), 10))
-	w.WriteHeader(http.StatusNoContent)
+		ex.w.Header().Set("X-Epoch", strconv.FormatUint(st.db.Epoch(), 10))
+		ex.w.WriteHeader(http.StatusNoContent)
+		return nil
+	})
 }
 
 // cacheKey builds the result-cache key from the normalized query text
@@ -1139,21 +1135,13 @@ type GenerationSection struct {
 	LastCompactionMillis float64 `json:"last_compaction_ms"`
 }
 
-// Stats snapshots the serving counters. Latency percentiles come from
-// the bucketed histograms (interpolated) or, with histograms disabled,
-// the sliding-window latencyRing.
+// Stats snapshots the serving counters. Latency percentiles are
+// interpolated from the bucketed histograms.
 func (s *Server) Stats() StatsResponse {
 	st := s.state.Load()
-	var p50, p99, up99 time.Duration
-	if s.queryHist != nil {
-		p50 = time.Duration(s.queryHist.Quantile(0.50) * float64(time.Second))
-		p99 = time.Duration(s.queryHist.Quantile(0.99) * float64(time.Second))
-		up99 = time.Duration(s.updateHist.Quantile(0.99) * float64(time.Second))
-	} else {
-		pcts := s.met.lat.percentiles(0.50, 0.99)
-		p50, p99 = pcts[0], pcts[1]
-		up99 = s.met.updateLat.percentiles(0.99)[0]
-	}
+	p50 := time.Duration(s.queryHist.Quantile(0.50) * float64(time.Second))
+	p99 := time.Duration(s.queryHist.Quantile(0.99) * float64(time.Second))
+	up99 := time.Duration(s.updateHist.Quantile(0.99) * float64(time.Second))
 	gen := st.db.Generation()
 	uptime := time.Since(s.start)
 	// Rate derives from the store's applied-batch counter (the same

@@ -26,7 +26,7 @@ import (
 // Execution runs in a background goroutine that the cursor pulls from;
 // Close cancels it, so abandoning a large result set does not leak work.
 type Rows struct {
-	shape  *bindingShape
+	vars   []string
 	parent context.Context // the caller's context, for Close's error triage
 	cancel context.CancelFunc
 	ch     chan Binding
@@ -44,7 +44,7 @@ func queryRows(ctx context.Context, p *Prepared, opts *QueryOptions) *Rows {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	r := &Rows{
-		shape:  p.shape,
+		vars:   p.cp.Projection(),
 		parent: parent,
 		cancel: cancel,
 		ch:     make(chan Binding),
@@ -66,7 +66,7 @@ func queryRows(ctx context.Context, p *Prepared, opts *QueryOptions) *Rows {
 }
 
 // Vars returns the projected variable names in SELECT order.
-func (r *Rows) Vars() []string { return r.shape.vars }
+func (r *Rows) Vars() []string { return r.vars }
 
 // Next advances to the next row, reporting false at the end of the
 // result set or on error (consult Err to distinguish).
@@ -104,8 +104,8 @@ func (r *Rows) Scan(dest ...any) error {
 	if !r.started {
 		return errors.New("amber: Scan called before Next")
 	}
-	if len(dest) != len(r.shape.vars) {
-		return fmt.Errorf("amber: Scan expected %d destinations, got %d", len(r.shape.vars), len(dest))
+	if len(dest) != len(r.vars) {
+		return fmt.Errorf("amber: Scan expected %d destinations, got %d", len(r.vars), len(dest))
 	}
 	for i, d := range dest {
 		t, bound := r.cur.At(i)
@@ -122,7 +122,7 @@ func (r *Rows) Scan(dest ...any) error {
 				*d = nil
 			}
 		default:
-			return fmt.Errorf("amber: unsupported Scan destination %T for ?%s", d, r.shape.vars[i])
+			return fmt.Errorf("amber: unsupported Scan destination %T for ?%s", d, r.vars[i])
 		}
 	}
 	return nil
@@ -228,16 +228,18 @@ func (db *DB) All(ctx context.Context, sparqlText string, opts *QueryOptions) it
 }
 
 // each streams typed rows to fn, stopping early when fn returns false.
-// It is the common core of every execution surface.
+// It is the common core of every row-producing execution surface.
 func (p *Prepared) each(ctx context.Context, opts *QueryOptions, fn func(Binding) bool) error {
-	err := p.cp.Execute(opts.engineOptions(ctx, 0), func(sol core.Solution) bool {
-		return fn(p.shape.row(sol))
+	vars := p.cp.Projection()
+	err := p.cp.Execute(opts.engineOptions(ctx), func(sol core.Solution) bool {
+		return fn(Binding{vars: vars, index: p.index, terms: sol})
 	})
 	return mapExecErr(err)
 }
 
 // QueryIterContext streams typed rows to fn, stopping early when fn
-// returns false — the zero-allocation-per-row path the HTTP server uses.
+// returns false. Each row costs one allocation (its terms slice); this
+// is the path the HTTP server uses.
 func (p *Prepared) QueryIterContext(ctx context.Context, opts *QueryOptions, fn func(Binding) bool) error {
 	return p.each(ctx, opts, fn)
 }
@@ -260,7 +262,7 @@ func (p *Prepared) Ask(opts *QueryOptions) (bool, error) {
 // AskContext is Ask with cancellation; see QueryContext for context
 // semantics.
 func (p *Prepared) AskContext(ctx context.Context, opts *QueryOptions) (bool, error) {
-	ok, err := p.cp.Ask(opts.engineOptions(ctx, 0))
+	ok, err := p.cp.Ask(opts.engineOptions(ctx))
 	return ok, mapExecErr(err)
 }
 

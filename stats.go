@@ -97,6 +97,6 @@ func (db *DB) ExplainAnalyzeContext(ctx context.Context, sparqlText, planner str
 	if err != nil {
 		return "", err
 	}
-	out, err := db.store.ExplainAnalyze(pl, pq, opts.engineOptions(ctx, 0))
+	out, err := db.store.ExplainAnalyze(pl, pq, opts.engineOptions(ctx))
 	return out, mapExecErr(err)
 }

@@ -1,9 +1,6 @@
 package amber
 
-import (
-	"repro/internal/core"
-	"repro/internal/rdf"
-)
+import "repro/internal/rdf"
 
 // Term is one RDF term of a query solution: an IRI, a blank node, or a
 // typed literal. Kind discriminates; Value holds the IRI text, the blank
@@ -102,27 +99,4 @@ func (b Binding) Map() map[string]Term {
 		}
 	}
 	return m
-}
-
-// bindingShape is the per-execution shared part of every Binding.
-type bindingShape struct {
-	vars  []string
-	index map[string]int
-}
-
-func newBindingShape(vars []string) *bindingShape {
-	idx := make(map[string]int, len(vars))
-	for i, v := range vars {
-		idx[v] = i
-	}
-	return &bindingShape{vars: vars, index: idx}
-}
-
-// row builds one Binding from an engine solution.
-func (s *bindingShape) row(sol core.Solution) Binding {
-	terms := make([]Term, len(s.vars))
-	for i, v := range s.vars {
-		terms[i] = sol[v] // zero Term when absent (unbound)
-	}
-	return Binding{vars: s.vars, index: s.index, terms: terms}
 }
