@@ -21,11 +21,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/delta"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/multigraph"
 	"repro/internal/otil"
+	"repro/internal/plan"
+	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/rtree"
 	"repro/internal/sparql"
@@ -512,5 +515,95 @@ func BenchmarkAblation_NTriplesLoad(b *testing.B) {
 		if _, err := core.NewStoreFromReader(strings.NewReader(src)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkInitialCandidates times the CandInit kernel (Algorithm 3,
+// l. 4–5) that opens every component of every run: with the initial
+// vertex left open (the S probe: R-tree walk plus the sort into id order)
+// and with it fixed by Algorithm 1 (the same probe, then ∩ Fixed), over
+// the frozen base and through a non-empty overlay.
+func BenchmarkInitialCandidates(b *testing.B) {
+	d := dataset(b, "DBPEDIA")
+	g, ix := d.Amber.Snapshot().Delta.Base()
+	var anchor rdf.Triple
+	for _, t := range d.Triples {
+		if !t.O.IsLiteral() {
+			anchor = t
+			break
+		}
+	}
+	fresh := func(s string) rdf.Term { return rdf.NewIRI("http://bench.example.org/" + s) }
+	view, err := delta.NewView(g, ix).Apply([]rdf.Triple{
+		{S: fresh("a"), P: anchor.P, O: anchor.O},
+		{S: anchor.S, P: anchor.P, O: fresh("b")},
+	}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := map[string]string{
+		"unfixed": "SELECT * WHERE { ?x <" + anchor.P.Value + "> ?y . ?x <" + anchor.P.Value + "> ?z }",
+		"fixed":   "SELECT * WHERE { ?x <" + anchor.P.Value + "> <" + anchor.O.Value + "> . ?x <" + anchor.P.Value + "> ?z }",
+	}
+	readers := map[string]interface {
+		index.Reader
+		dict.Resolver
+	}{"base": delta.NewView(g, ix), "overlay": view}
+	for qname, src := range queries {
+		pq, err := sparql.Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for rname, r := range readers {
+			qg, err := query.Build(pq, r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := plan.For(qg, r)
+			u := p.Components[0].Core[0]
+			if p.IsFixed[u] != (qname == "fixed") {
+				b.Fatalf("%s: initial vertex fixed = %v", qname, p.IsFixed[u])
+			}
+			b.Run(qname+"/"+rname, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if len(engine.InitialCandidates(r, p, u)) == 0 {
+						b.Fatal("no initial candidates")
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkNeighborsHub probes N at the data graph's highest-degree
+// vertex: a single-type probe (the stored list, no copy) and a two-type
+// probe (one intersection into one slice).
+func BenchmarkNeighborsHub(b *testing.B) {
+	g, ix := dataset(b, "DBPEDIA").Amber.Snapshot().Delta.Base()
+	hub := dict.VertexID(0)
+	for v := 0; v < g.NumVertices(); v++ {
+		if len(g.In(dict.VertexID(v))) > len(g.In(hub)) {
+			hub = dict.VertexID(v)
+		}
+	}
+	single := g.In(hub)[0].Types[:1]
+	multi := single
+	for _, nb := range g.In(hub) {
+		if len(nb.Types) > 1 {
+			multi = nb.Types[:2]
+			break
+		}
+	}
+	r := index.NewReader(g, ix)
+	for name, q := range map[string][]dict.EdgeType{"single": single, "multi": multi} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(r.Neighbors(hub, index.Incoming, q)) == 0 {
+					b.Fatal("empty probe")
+				}
+			}
+		})
 	}
 }

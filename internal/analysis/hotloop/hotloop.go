@@ -1,7 +1,7 @@
 // Package hotloop enforces the engine's hot-path discipline on
 // functions that opt in with a //amber:hotloop directive: the inner
 // search step must stay free of per-visit overhead (atomics, fmt, map
-// writes, clock reads), and every recursive cycle through the marked
+// writes, clock reads, make), and every recursive cycle through the marked
 // set must poll the throttled deadline check so a runaway query stays
 // cancellable.
 //
@@ -19,7 +19,7 @@
 // Two directive forms:
 //
 //	//amber:hotloop       — the function is a hot search step; content
-//	                        rules V1–V4 apply, and if it is recursive
+//	                        rules V1–V5 apply, and if it is recursive
 //	                        (directly or mutually through other marked
 //	                        functions) it must directly call a poll
 //	                        function (rule P1).
@@ -39,11 +39,12 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "hotloop",
 	Doc: "//amber:hotloop functions must stay lean and poll the deadline\n\n" +
-		"Functions marked //amber:hotloop may not call sync/atomic, fmt or the\n" +
-		"time package, nor write to maps (per-visit cost belongs in plain fields,\n" +
-		"flushed at the poll cadence). Marked functions that recurse — directly or\n" +
-		"mutually through other marked functions — must directly call a function\n" +
-		"marked //amber:hotloop poll, so every search cycle stays cancellable.",
+		"Functions marked //amber:hotloop may not call sync/atomic, fmt, the time\n" +
+		"package or make, nor write to maps (per-visit cost belongs in plain fields\n" +
+		"and run-scoped scratch, flushed at the poll cadence). Marked functions that\n" +
+		"recurse — directly or mutually through other marked functions — must\n" +
+		"directly call a function marked //amber:hotloop poll, so every search\n" +
+		"cycle stays cancellable.",
 	Run: run,
 }
 
@@ -125,19 +126,28 @@ func reaches(marked map[*types.Func]*fnInfo, fi *fnInfo, start *types.Func, seen
 	return false
 }
 
-// checkBody applies content rules V1–V4 to one marked function and
+// checkBody applies content rules V1–V5 to one marked function and
 // records its call edges for P1.
 func checkBody(pass *analysis.Pass, obj *types.Func, fi *fnInfo, marked map[*types.Func]*fnInfo) {
 	info := pass.TypesInfo
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			// delete(m, k) is a map write (V3's builtin case).
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && info.Uses[id] == types.Universe.Lookup("delete") {
-				if !fi.poll {
-					pass.Reportf(n.Pos(), "map delete in hot function %s: map mutation in the search step defeats the flush-at-poll design (use a slice or move it out of the loop)", obj.Name())
+			// delete(m, k) is a map write (V3's builtin case); make(...)
+			// is a per-visit allocation (V5).
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
+				switch info.Uses[id] {
+				case types.Universe.Lookup("delete"):
+					if !fi.poll {
+						pass.Reportf(n.Pos(), "map delete in hot function %s: map mutation in the search step defeats the flush-at-poll design (use a slice or move it out of the loop)", obj.Name())
+					}
+					return true
+				case types.Universe.Lookup("make"):
+					if !fi.poll {
+						pass.Reportf(n.Pos(), "make in hot function %s allocates per visit: keep the buffer in matcher-owned scratch sized once per run (prepare)", obj.Name())
+					}
+					return true
 				}
-				return true
 			}
 			callee := analysis.Callee(info, n)
 			if callee == nil {

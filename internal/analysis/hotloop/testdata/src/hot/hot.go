@@ -127,6 +127,11 @@ func (x *m) badMapDelete(k int) {
 	delete(x.seen, k) // want "map delete in hot function badMapDelete"
 }
 
+//amber:hotloop
+func (x *m) badMake(n int) []bool {
+	return make([]bool, n) // want "make in hot function badMake allocates per visit"
+}
+
 //amber:hotloop pool
 func (x *m) badDirectiveArg() { // want "unknown //amber:hotloop argument \"pool\""
 }

@@ -132,11 +132,11 @@ func TestSeededRegressions(t *testing.T) {
 	// Regression 2: drop the deadline poll from the engine's core
 	// recursion, making a runaway query uncancellable.
 	mutate(t, dir, "internal/engine/engine.go",
-		`func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int, matched []bool) {
+		`func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int) {
 	if m.stopped || m.checkDeadline() {
 		return
 	}`,
-		`func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int, matched []bool) {
+		`func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int) {
 	if m.stopped {
 		return
 	}`)

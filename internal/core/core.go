@@ -125,7 +125,7 @@ func finish(b *multigraph.Builder, start time.Time) (*Store, error) {
 			DatabaseTime:  dbTime,
 			IndexTime:     time.Since(idxStart),
 			DatabaseBytes: estimateGraphBytes(g),
-			IndexBytes:    estimateIndexBytes(g, ix),
+			IndexBytes:    estimateIndexBytes(ix),
 		},
 	})
 	return s, nil
@@ -177,18 +177,11 @@ func estimateGraphBytes(g *multigraph.Graph) int64 {
 }
 
 // estimateIndexBytes is an analytic size estimate of I = {A, S, N}.
-func estimateIndexBytes(g *multigraph.Graph, ix *index.Index) int64 {
+func estimateIndexBytes(ix *index.Index) int64 {
 	var bytes int64
 	bytes += 4 * int64(ix.A.Entries())                             // A postings
 	bytes += int64(ix.S.Len()) * (multigraph.SynopsisFields*4 + 8) // S leaves
-	// N: one trie node + one posting per (vertex, neighbour, type), twice
-	// (N+ and N−).
-	for v := 0; v < g.NumVertices(); v++ {
-		vid := dict.VertexID(v)
-		for _, nb := range g.Out(vid) {
-			bytes += 2 * (16 + 8*int64(len(nb.Types)))
-		}
-	}
+	bytes += ix.N.Bytes()                                          // N flat arrays
 	return bytes
 }
 
@@ -242,7 +235,7 @@ func LoadStore(r io.Reader) (*Store, error) {
 			DatabaseTime:  dbTime,
 			IndexTime:     time.Since(idxStart),
 			DatabaseBytes: estimateGraphBytes(g),
-			IndexBytes:    estimateIndexBytes(g, ix),
+			IndexBytes:    estimateIndexBytes(ix),
 		},
 	})
 	return s, nil

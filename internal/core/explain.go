@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/otil"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/sparql"
@@ -28,8 +27,8 @@ func (s *Store) Explain(src string) (string, error) {
 // the given planner: the core/satellite decomposition, the chosen matching
 // order, the per-vertex constraints, and — for every core vertex — the
 // planner's estimated candidate-set size next to the actual standalone
-// candidate count obtained by probing the index ensemble (signature-index
-// candidates refined by the Algorithm 1 constraints). It is a diagnostic
+// candidate count: the CandInit the engine would enumerate were the vertex
+// its component's initial one (engine.InitialCandidates). It is a diagnostic
 // aid; the output format is human-oriented and not stable.
 func (s *Store) ExplainQuery(pl plan.Planner, pq *sparql.Query) (string, error) {
 	sn := s.Snapshot()
@@ -65,7 +64,7 @@ func (s *Store) ExplainQuery(pl plan.Planner, pq *sparql.Query) (string, error) 
 			v := &qg.Vars[u]
 			fmt.Fprintf(&b, "  core[%d] ?%s deg=%d attrs=%d iris=%d",
 				pos, v.Name, qg.VarDegree(u), len(v.Attrs), len(v.IRIs))
-			fmt.Fprintf(&b, " est=%s actual=%d", fmtEst(comp.Estimates[pos]), actualCandidates(sn, p, u))
+			fmt.Fprintf(&b, " est=%s actual=%d", fmtEst(comp.Estimates[pos]), len(engine.InitialCandidates(sn.Reader(), p, u)))
 			if sats := comp.Satellites[u]; len(sats) > 0 {
 				names := make([]string, len(sats))
 				for i, su := range sats {
@@ -127,28 +126,6 @@ func (s *Store) ExplainAnalyze(pl plan.Planner, pq *sparql.Query, opts engine.Op
 	fmt.Fprintf(&b, "rows: %d\n", rows)
 	fmt.Fprintf(&b, "time: %s\n", tr.Duration())
 	return b.String(), nil
-}
-
-// actualCandidates probes the snapshot for the true standalone
-// candidate-set size of a core vertex: the signature candidates
-// intersected with the plan's fixed constraints and self-loop filter —
-// exactly what the engine would compute were the vertex chosen as the
-// component's initial vertex.
-func actualCandidates(sn *Snapshot, p *plan.Plan, u query.VertexID) int {
-	qg := p.Query
-	r := sn.Reader()
-	cand := r.SignatureCandidates(qg.Synopsis(u))
-	n := 0
-	for _, v := range cand {
-		if p.IsFixed[u] && !otil.ContainsSorted(p.Fixed[u], v) {
-			continue
-		}
-		if st := qg.Vars[u].SelfTypes; len(st) > 0 && !r.HasEdgeTypes(v, v, st) {
-			continue
-		}
-		n++
-	}
-	return n
 }
 
 // fmtEst renders a planner estimate compactly (estimates are derived from

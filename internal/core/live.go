@@ -428,7 +428,7 @@ func (s *Store) clearLocked(logIt bool) error {
 		Epoch: cur.Epoch + 1, Gen: cur.Gen + 1,
 		Build: BuildStats{
 			DatabaseBytes: estimateGraphBytes(g),
-			IndexBytes:    estimateIndexBytes(g, ix),
+			IndexBytes:    estimateIndexBytes(ix),
 		},
 	})
 	l.log = nil
@@ -521,7 +521,7 @@ func (s *Store) runCompaction() error {
 		DatabaseTime:  dbTime,
 		IndexTime:     time.Since(idxStart),
 		DatabaseBytes: estimateGraphBytes(g),
-		IndexBytes:    estimateIndexBytes(g, ix),
+		IndexBytes:    estimateIndexBytes(ix),
 	}
 
 	l.mu.Lock()

@@ -43,6 +43,7 @@ package delta
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -495,7 +496,7 @@ func (v *View) SignatureCandidates(q multigraph.Synopsis) []dict.VertexID {
 	v.touchOnce.Do(func() {
 		st := make([]dict.VertexID, len(v.touched))
 		copy(st, v.touched)
-		sort.Slice(st, func(i, j int) bool { return st[i] < st[j] })
+		slices.Sort(st)
 		v.sortedTouched = st
 	})
 	return unionSorted(base, v.sortedTouched)

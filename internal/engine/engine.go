@@ -97,6 +97,18 @@ type matcher struct {
 
 	asg     []dict.VertexID   // current assignment, indexed by query vertex
 	satSets [][]dict.VertexID // per-branch satellite candidate sets
+	// matched marks the core vertices assigned on the current branch. One
+	// array serves every component: components share no query vertex, so
+	// the nested search of component ci+1 never reads or writes ci's marks.
+	matched []bool
+	// initCand[ci] memoises CandInit of component ci for the whole run
+	// (initDone[ci] tells a computed empty list from a pending one): Stream
+	// re-enters component ci+1 once per embedding of component ci, and the
+	// list depends only on the plan and the reader. It lives here, not in
+	// the cached plan.Plan, because it can be as long as the vertex set.
+	initCand [][]dict.VertexID
+	initDone []bool
+	litBuf   [][]dict.VertexID // per literal satellite, reused across visits
 
 	yield    func([]dict.VertexID) bool
 	limit    int
@@ -295,6 +307,10 @@ func prepare(r index.Reader, p *plan.Plan, opts Options) (*matcher, bool) {
 	n := len(m.q.Vars)
 	m.asg = make([]dict.VertexID, n)
 	m.satSets = make([][]dict.VertexID, n)
+	m.litBuf = make([][]dict.VertexID, n)
+	m.matched = make([]bool, n)
+	m.initCand = make([][]dict.VertexID, len(p.Components))
+	m.initDone = make([]bool, len(p.Components))
 	return m, true
 }
 
@@ -352,29 +368,44 @@ func (m *matcher) restrict(u query.VertexID, cand []dict.VertexID) []dict.Vertex
 	return out
 }
 
-// initialCandidates computes CandInit for a component's first core vertex:
-// the S index probe (QuerySynIndex) refined by ProcessVertex (Algorithm 3,
-// lines 4–5). A literal satellite that forms its own component (constant
-// subject) has its exact mixed vertex/literal candidate list precomputed
-// at plan time; the signature index knows nothing about literals, so the
-// probe is skipped.
+// InitialCandidates computes CandInit for query vertex u as if u were its
+// component's initial vertex: the one kernel behind every run's first
+// step and behind the standalone "actual" count of an explain report.
+func InitialCandidates(r index.Reader, p *plan.Plan, u query.VertexID) []dict.VertexID {
+	m := &matcher{r: r, p: p, q: p.Query}
+	return m.candInit(u)
+}
+
+// candInit is the CandInit kernel (Algorithm 3, lines 4–5): the S index
+// probe (QuerySynIndex) refined by ProcessVertex. A literal satellite that
+// forms its own component (constant subject) has its exact mixed
+// vertex/literal candidate list precomputed at plan time; the signature
+// index knows nothing about literals, so the probe is skipped.
 //
 //amber:hotloop
-func (m *matcher) initialCandidates(u query.VertexID) []dict.VertexID {
+func (m *matcher) candInit(u query.VertexID) []dict.VertexID {
 	if m.q.Vars[u].Lit != nil {
-		cand := m.p.Fixed[int(u)]
+		return m.p.Fixed[int(u)]
+	}
+	m.countProbe()
+	return m.restrict(u, m.r.SignatureCandidates(m.q.Synopsis(u)))
+}
+
+// initialCandidates returns CandInit of component ci, computing it on the
+// component's first visit of the run and recording its size — into Stats
+// and as the level-0 frontier — exactly then.
+//
+//amber:hotloop
+func (m *matcher) initialCandidates(ci int) []dict.VertexID {
+	if !m.initDone[ci] {
+		cand := m.candInit(m.p.Components[ci].Core[0])
+		m.initCand[ci], m.initDone[ci] = cand, true
 		if m.stats != nil {
 			m.stats.InitCandidates += len(cand)
 		}
-		return cand
+		m.recordLevel(ci, 0, len(cand))
 	}
-	m.countProbe()
-	cand := m.r.SignatureCandidates(m.q.Synopsis(u))
-	cand = m.restrict(u, cand)
-	if m.stats != nil {
-		m.stats.InitCandidates += len(cand)
-	}
-	return cand
+	return m.initCand[ci]
 }
 
 // satCandidates is Algorithm 2 for a single satellite us attached to core
@@ -389,7 +420,7 @@ func (m *matcher) satCandidates(uc, us query.VertexID, vc dict.VertexID) []dict.
 		m.stats.SatProbes++
 	}
 	if lit := m.q.Vars[us].Lit; lit != nil {
-		return m.litCandidates(lit, vc)
+		return m.litCandidates(us, lit, vc)
 	}
 	toSat, fromSat := m.q.EdgesBetween(uc, us)
 	var cand []dict.VertexID
@@ -416,10 +447,11 @@ func (m *matcher) satCandidates(uc, us query.VertexID, vc dict.VertexID) []dict.
 // subject match vc: p-edge neighbours (when p is an edge type) followed by
 // vc's <p, ·> attributes as encoded literal bindings. Both halves are
 // sorted and every encoded binding exceeds every vertex id, so the
-// concatenation is sorted.
+// concatenation is sorted. It is built in us's scratch buffer: a
+// satellite's set is dead once its core vertex moves to the next candidate.
 //
 //amber:hotloop
-func (m *matcher) litCandidates(lit *query.LitSat, vc dict.VertexID) []dict.VertexID {
+func (m *matcher) litCandidates(us query.VertexID, lit *query.LitSat, vc dict.VertexID) []dict.VertexID {
 	var verts []dict.VertexID
 	if len(lit.Types) > 0 {
 		m.countProbe()
@@ -431,11 +463,11 @@ func (m *matcher) litCandidates(lit *query.LitSat, vc dict.VertexID) []dict.Vert
 	if len(attrs) == 0 {
 		return verts
 	}
-	out := make([]dict.VertexID, 0, len(verts)+len(attrs))
-	out = append(out, verts...)
+	out := append(m.litBuf[us][:0], verts...)
 	for _, a := range attrs {
 		out = append(out, dict.EncodeAttrBinding(a))
 	}
+	m.litBuf[us] = out
 	return out
 }
 
@@ -461,7 +493,7 @@ func (m *matcher) matchSatellites(uc query.VertexID, vc dict.VertexID, sats []qu
 // every already-matched neighbour, refined by ProcessVertex.
 //
 //amber:hotloop
-func (m *matcher) coreCandidates(unxt query.VertexID, matched []bool) []dict.VertexID {
+func (m *matcher) coreCandidates(unxt query.VertexID) []dict.VertexID {
 	var cand []dict.VertexID
 	have := false
 	add := func(nb []dict.VertexID) bool {
@@ -475,7 +507,7 @@ func (m *matcher) coreCandidates(unxt query.VertexID, matched []bool) []dict.Ver
 	}
 	v := &m.q.Vars[unxt]
 	for _, e := range v.Out { // unxt → e.To
-		if !matched[e.To] {
+		if !m.matched[e.To] {
 			continue
 		}
 		vn := m.asg[e.To]
@@ -485,7 +517,7 @@ func (m *matcher) coreCandidates(unxt query.VertexID, matched []bool) []dict.Ver
 		}
 	}
 	for _, e := range v.In { // e.To → unxt
-		if !matched[e.To] {
+		if !m.matched[e.To] {
 			continue
 		}
 		vn := m.asg[e.To]
@@ -518,10 +550,7 @@ func (m *matcher) matchComponent(ci int) {
 	}
 	comp := &m.p.Components[ci]
 	uinit := comp.Core[0]
-	matched := make([]bool, len(m.q.Vars))
-	cand := m.initialCandidates(uinit)
-	m.recordLevel(ci, 0, len(cand))
-	for _, vinit := range cand {
+	for _, vinit := range m.initialCandidates(ci) {
 		if m.stopped || m.checkDeadline() {
 			return
 		}
@@ -529,9 +558,9 @@ func (m *matcher) matchComponent(ci int) {
 			continue
 		}
 		m.asg[uinit] = vinit
-		matched[uinit] = true
-		m.homomorphicMatch(ci, comp, 1, matched)
-		matched[uinit] = false
+		m.matched[uinit] = true
+		m.homomorphicMatch(ci, comp, 1)
+		m.matched[uinit] = false
 	}
 }
 
@@ -539,7 +568,7 @@ func (m *matcher) matchComponent(ci int) {
 // vertex comp.Core[pos].
 //
 //amber:hotloop
-func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int, matched []bool) {
+func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int) {
 	if m.stopped || m.checkDeadline() {
 		return
 	}
@@ -553,7 +582,7 @@ func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int, ma
 		return
 	}
 	unxt := comp.Core[pos]
-	cand := m.coreCandidates(unxt, matched)
+	cand := m.coreCandidates(unxt)
 	m.recordLevel(ci, pos, len(cand))
 	for _, vnxt := range cand {
 		if m.stopped || m.expired {
@@ -563,9 +592,9 @@ func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int, ma
 			continue
 		}
 		m.asg[unxt] = vnxt
-		matched[unxt] = true
-		m.homomorphicMatch(ci, comp, pos+1, matched)
-		matched[unxt] = false
+		m.matched[unxt] = true
+		m.homomorphicMatch(ci, comp, pos+1)
+		m.matched[unxt] = false
 	}
 }
 
@@ -615,23 +644,9 @@ func (m *matcher) emit() {
 //
 //amber:hotloop
 func (m *matcher) countComponent(ci int) (uint64, error) {
-	comp := &m.p.Components[ci]
-	uinit := comp.Core[0]
-	matched := make([]bool, len(m.q.Vars))
 	total := uint64(0)
-	cand := m.initialCandidates(uinit)
-	m.recordLevel(ci, 0, len(cand))
-	for _, vinit := range cand {
-		if m.checkDeadline() {
-			return 0, m.abortErr
-		}
-		if !m.matchSatellites(uinit, vinit, comp.Satellites[uinit]) {
-			continue
-		}
-		m.asg[uinit] = vinit
-		matched[uinit] = true
-		sub, err := m.countMatch(ci, comp, 1, matched)
-		matched[uinit] = false
+	for _, vinit := range m.initialCandidates(ci) {
+		sub, err := m.countFromInitial(ci, vinit)
 		if err != nil {
 			return 0, err
 		}
@@ -640,10 +655,32 @@ func (m *matcher) countComponent(ci int) (uint64, error) {
 	return total, nil
 }
 
+// countFromInitial counts the embeddings of component ci rooted at one
+// initial candidate vinit: the loop body of the serial count, and the unit
+// of work CountParallel hands its workers (whose master computed CandInit
+// once against the immutable, shared plan).
+//
+//amber:hotloop
+func (m *matcher) countFromInitial(ci int, vinit dict.VertexID) (uint64, error) {
+	comp := &m.p.Components[ci]
+	uinit := comp.Core[0]
+	if m.checkDeadline() {
+		return 0, m.abortErr
+	}
+	if !m.matchSatellites(uinit, vinit, comp.Satellites[uinit]) {
+		return 0, nil
+	}
+	m.asg[uinit] = vinit
+	m.matched[uinit] = true
+	n, err := m.countMatch(ci, comp, 1)
+	m.matched[uinit] = false
+	return n, err
+}
+
 // countMatch mirrors homomorphicMatch in count mode.
 //
 //amber:hotloop
-func (m *matcher) countMatch(ci int, comp *plan.ComponentPlan, pos int, matched []bool) (uint64, error) {
+func (m *matcher) countMatch(ci int, comp *plan.ComponentPlan, pos int) (uint64, error) {
 	if m.checkDeadline() {
 		return 0, m.abortErr
 	}
@@ -659,16 +696,16 @@ func (m *matcher) countMatch(ci int, comp *plan.ComponentPlan, pos int, matched 
 	}
 	unxt := comp.Core[pos]
 	total := uint64(0)
-	cand := m.coreCandidates(unxt, matched)
+	cand := m.coreCandidates(unxt)
 	m.recordLevel(ci, pos, len(cand))
 	for _, vnxt := range cand {
 		if !m.matchSatellites(unxt, vnxt, comp.Satellites[unxt]) {
 			continue
 		}
 		m.asg[unxt] = vnxt
-		matched[unxt] = true
-		sub, err := m.countMatch(ci, comp, pos+1, matched)
-		matched[unxt] = false
+		m.matched[unxt] = true
+		sub, err := m.countMatch(ci, comp, pos+1)
+		m.matched[unxt] = false
 		if err != nil {
 			return 0, err
 		}

@@ -44,8 +44,7 @@ func CountParallel(r index.Reader, p *plan.Plan, opts Options, workers int) (uin
 
 	total := uint64(1)
 	for ci := range p.Components {
-		comp := &p.Components[ci]
-		cands := master.initialCandidates(comp.Core[0])
+		cands := master.initialCandidates(ci)
 		if len(cands) == 0 {
 			return 0, nil
 		}
@@ -127,24 +126,4 @@ func countComponentParallel(r index.Reader, p *plan.Plan, opts Options, ci int, 
 		return 0, firstErr
 	}
 	return total, nil
-}
-
-// countFromInitial counts the embeddings of component ci rooted at one
-// initial candidate vinit, which the master's initialCandidates already
-// restricted against the (immutable, shared) plan.
-//
-//amber:hotloop
-func (m *matcher) countFromInitial(ci int, vinit dict.VertexID) (uint64, error) {
-	comp := &m.p.Components[ci]
-	uinit := comp.Core[0]
-	if m.checkDeadline() {
-		return 0, m.abortErr
-	}
-	if !m.matchSatellites(uinit, vinit, comp.Satellites[uinit]) {
-		return 0, nil
-	}
-	matched := make([]bool, len(m.q.Vars))
-	m.asg[uinit] = vinit
-	matched[uinit] = true
-	return m.countMatch(ci, comp, 1, matched)
 }

@@ -1,12 +1,13 @@
 // Package index builds and serves the three offline index structures of the
 // AMbER paper (Section 4): the attribute inverted index A, the vertex
 // signature (synopsis) index S backed by an R-tree, and the vertex
-// neighbourhood index N backed by per-vertex OTIL tries for incoming (N+)
-// and outgoing (N−) edges. The ensemble I := {A, S, N} is what the online
-// matching procedure probes.
+// neighbourhood index N — the inverted lists of the per-vertex OTILs for
+// incoming (N+) and outgoing (N−) edges. The ensemble I := {A, S, N} is
+// what the online matching procedure probes.
 package index
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
@@ -132,29 +133,104 @@ func (si *SignatureIndex) Candidates(q multigraph.Synopsis) []dict.VertexID {
 // Len reports the number of indexed synopses.
 func (si *SignatureIndex) Len() int { return si.tree.Len() }
 
-// NeighborhoodIndex is N: per-vertex OTIL tries, split into N+ and N−
-// (Section 4.3).
+// NeighborhoodIndex is N: per vertex and direction, the inverted lists of
+// an OTIL (Section 4.3) — the edge types on that side of the vertex in
+// ascending order, each with the ascending list of neighbours whose
+// multi-edge contains it. The trie half of the OTIL is not stored: every
+// probe is answered from the inverted lists alone (otil.Trie keeps the
+// trie walk as the reference implementation for tests).
 type NeighborhoodIndex struct {
-	in  []otil.Trie // N+[v]: incoming multi-edges of v
-	out []otil.Trie // N−[v]: outgoing multi-edges of v
+	in  sideLists // N+: incoming multi-edges
+	out sideLists // N−: outgoing multi-edges
 }
 
-// BuildNeighborhoodIndex constructs the tries from the graph adjacency.
-func BuildNeighborhoodIndex(g *multigraph.Graph) *NeighborhoodIndex {
+// sideLists holds one direction of N for all vertices in four flat
+// arrays: vertex v owns entries start[v]..start[v+1] of types/off, and
+// entry e's neighbour list is ids[off[e]:off[e+1]]. Offsets are 32-bit: a
+// posting is one stored (vertex, neighbour, type) edge, of which the
+// adjacency it is built from holds fewer than 2³² long before memory
+// runs out.
+type sideLists struct {
+	start []uint32
+	types []dict.EdgeType
+	off   []uint32
+	ids   []dict.VertexID
+}
+
+// of slices vertex v's inverted lists out of the flat arrays.
+func (sl *sideLists) of(v dict.VertexID) otil.Postings {
+	lo, hi := sl.start[v], sl.start[v+1]
+	return otil.Postings{Types: sl.types[lo:hi], Off: sl.off[lo : hi+1], IDs: sl.ids}
+}
+
+// buildSide lays out one direction of N straight from the adjacency:
+// adj(v) is sorted by neighbour and every multi-edge is sorted and
+// duplicate-free, so scattering each (neighbour, type) pair to its type's
+// list in adjacency order yields ascending duplicate-free lists with no
+// sort. next[t] is per-vertex scratch: first the list length of type t,
+// then the write cursor into ids; it is zero again after each vertex.
+func buildSide(g *multigraph.Graph, adj func(dict.VertexID) []multigraph.Neighbor) sideLists {
 	n := g.NumVertices()
-	ni := &NeighborhoodIndex{in: make([]otil.Trie, n), out: make([]otil.Trie, n)}
+	next := make([]uint32, g.NumEdgeTypes())
+	// Size the arrays exactly: next[t] == v+1 marks type t as already
+	// counted for vertex v.
+	entries, postings := 0, 0
 	for v := 0; v < n; v++ {
-		vid := dict.VertexID(v)
-		for _, nb := range g.In(vid) {
-			ni.in[v].Insert(nb.Types, nb.V)
+		for _, nb := range adj(dict.VertexID(v)) {
+			postings += len(nb.Types)
+			for _, t := range nb.Types {
+				if next[t] != uint32(v+1) {
+					next[t] = uint32(v + 1)
+					entries++
+				}
+			}
 		}
-		for _, nb := range g.Out(vid) {
-			ni.out[v].Insert(nb.Types, nb.V)
-		}
-		ni.in[v].Finalize()
-		ni.out[v].Finalize()
 	}
-	return ni
+	clear(next)
+	sl := sideLists{
+		start: make([]uint32, n+1),
+		types: make([]dict.EdgeType, 0, entries),
+		off:   make([]uint32, 0, entries+1),
+		ids:   make([]dict.VertexID, postings),
+	}
+	var seen []dict.EdgeType
+	cursor := uint32(0)
+	for v := 0; v < n; v++ {
+		sl.start[v] = uint32(len(sl.types))
+		nbs := adj(dict.VertexID(v))
+		seen = seen[:0]
+		for _, nb := range nbs {
+			for _, t := range nb.Types {
+				if next[t] == 0 {
+					seen = append(seen, t)
+				}
+				next[t]++
+			}
+		}
+		slices.Sort(seen)
+		for _, t := range seen {
+			sl.types = append(sl.types, t)
+			sl.off = append(sl.off, cursor)
+			cursor, next[t] = cursor+next[t], cursor
+		}
+		for _, nb := range nbs {
+			for _, t := range nb.Types {
+				sl.ids[next[t]] = nb.V
+				next[t]++
+			}
+		}
+		for _, t := range seen {
+			next[t] = 0
+		}
+	}
+	sl.start[n] = uint32(len(sl.types))
+	sl.off = append(sl.off, cursor)
+	return sl
+}
+
+// BuildNeighborhoodIndex constructs N+ and N− from the graph adjacency.
+func BuildNeighborhoodIndex(g *multigraph.Graph) *NeighborhoodIndex {
+	return &NeighborhoodIndex{in: buildSide(g, g.In), out: buildSide(g, g.Out)}
 }
 
 // Neighbors implements the paper's N probe: given matched data vertex v,
@@ -163,15 +239,29 @@ func BuildNeighborhoodIndex(g *multigraph.Graph) *NeighborhoodIndex {
 //	dir=Incoming: {v′ | (v′,v) ∈ E ∧ T′ ⊆ LE(v′,v)}
 //	dir=Outgoing: {v′ | (v,v′) ∈ E ∧ T′ ⊆ LE(v,v′)}
 //
-// sorted ascending.
+// sorted ascending. A single-type probe returns the stored list itself:
+// the result may alias the index and must not be modified.
 func (ni *NeighborhoodIndex) Neighbors(v dict.VertexID, dir Direction, types []dict.EdgeType) []dict.VertexID {
-	if int(v) >= len(ni.in) {
+	sl := &ni.out
+	if dir == Incoming {
+		sl = &ni.in
+	}
+	if int(v) >= len(sl.start)-1 {
 		return nil
 	}
-	if dir == Incoming {
-		return ni.in[v].Lookup(types)
+	return sl.of(v).Lookup(types)
+}
+
+// Bytes reports the size of N's arrays (for Table 5 size accounting): per
+// direction a 4-byte posting per (vertex, neighbour, type), an 8-byte
+// (type, offset) entry per distinct (vertex, type) and a 4-byte start per
+// vertex.
+func (ni *NeighborhoodIndex) Bytes() int64 {
+	n := 0
+	for _, sl := range []*sideLists{&ni.in, &ni.out} {
+		n += len(sl.start) + len(sl.types) + len(sl.off) + len(sl.ids)
 	}
-	return ni.out[v].Lookup(types)
+	return 4 * int64(n)
 }
 
 // Cardinalities are per-edge-type occurrence counts gathered while the
@@ -265,9 +355,11 @@ func BuildCardinalities(g *multigraph.Graph) *Cardinalities {
 // the ensemble per write.
 //
 // Contract: every returned vertex list is sorted ascending and must not
-// be modified. SignatureCandidates may over-approximate (Lemma 1 — the
-// engine verifies every query multi-edge with exact probes later); all
-// other probes are exact.
+// be modified — a list may alias index storage (a single-type Neighbors
+// probe returns the stored inverted list itself) and is shared with every
+// other reader of the generation. SignatureCandidates may over-approximate
+// (Lemma 1 — the engine verifies every query multi-edge with exact probes
+// later); all other probes are exact.
 type Reader interface {
 	// SignatureCandidates returns a superset of the vertices whose
 	// signature can embed the query synopsis q (already in AsQuery form).
@@ -308,7 +400,7 @@ func (r GraphReader) SignatureCandidates(q multigraph.Synopsis) []dict.VertexID 
 	return r.Ix.S.Candidates(q)
 }
 
-// Neighbors probes the OTIL tries N.
+// Neighbors probes the neighbourhood index N.
 func (r GraphReader) Neighbors(v dict.VertexID, dir Direction, types []dict.EdgeType) []dict.VertexID {
 	return r.Ix.N.Neighbors(v, dir, types)
 }

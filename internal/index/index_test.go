@@ -1,11 +1,15 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/dict"
 	"repro/internal/multigraph"
+	"repro/internal/otil"
 	"repro/internal/rdf"
 )
 
@@ -316,5 +320,149 @@ func TestCardinalities(t *testing.T) {
 	// Unknown type is safe.
 	if c.VerticesWith(Outgoing, r+100) != 0 || c.Fanout(Incoming, r+100) != 0 {
 		t.Error("out-of-range type not zero")
+	}
+}
+
+// randomGraph builds nV vertices joined by nE random typed edges; vertex
+// "hub" additionally reaches one neighbour per edge type over hubTypes
+// distinct types and shares several types with each of a few neighbours.
+func randomGraph(t *testing.T, rng *rand.Rand, nV, nP, nE, hubTypes int) *multigraph.Graph {
+	t.Helper()
+	var b multigraph.Builder
+	add := func(s, p, o string) {
+		t.Helper()
+		if err := b.Add(rdf.Triple{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: rdf.NewIRI(o)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vert := func(i int) string { return fmt.Sprintf("http://g/v%d", i) }
+	for i := 0; i < nE; i++ {
+		add(vert(rng.Intn(nV)), fmt.Sprintf("http://g/p%d", rng.Intn(nP)), vert(rng.Intn(nV)))
+	}
+	for i := 0; i < hubTypes; i++ {
+		add("http://g/hub", fmt.Sprintf("http://g/h%d", i), vert(rng.Intn(nV)))
+		add(vert(rng.Intn(nV)), fmt.Sprintf("http://g/h%d", i), "http://g/hub")
+		add("http://g/hub", fmt.Sprintf("http://g/h%d", i), vert(i%5))
+	}
+	return b.Build()
+}
+
+// TestSignatureCandidatesAgainstScan: on random graphs the S probe equals
+// the brute-force dominance scan and is strictly ascending — for vertex
+// synopses, for the all-dominated empty query and for a query nothing
+// dominates — including the empty tree, from concurrent probes.
+func TestSignatureCandidatesAgainstScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	graphs := []*multigraph.Graph{
+		(&multigraph.Builder{}).Build(),
+		randomGraph(t, rng, 40, 5, 120, 0),
+		randomGraph(t, rng, 700, 12, 4000, 20),
+	}
+	for _, g := range graphs {
+		si := BuildSignatureIndex(g)
+		var none multigraph.Synopsis
+		for i := range none {
+			none[i] = 1 << 30
+		}
+		queries := []multigraph.Synopsis{multigraph.Synopsis{}.AsQuery(), none}
+		for v := 0; v < g.NumVertices(); v += 7 {
+			queries = append(queries, g.VertexSynopsis(dict.VertexID(v)).AsQuery())
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, q := range queries {
+					var want []dict.VertexID
+					for v := 0; v < g.NumVertices(); v++ {
+						if g.VertexSynopsis(dict.VertexID(v)).Dominates(q) {
+							want = append(want, dict.VertexID(v))
+						}
+					}
+					if got := si.Candidates(q); !slices.Equal(got, want) {
+						t.Errorf("|V|=%d query %v: S returned %d ids, scan %d (or out of order)", g.NumVertices(), q, len(got), len(want))
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if n := len(si.Candidates(queries[0])); n != g.NumVertices() {
+			t.Errorf("empty query dominated by %d of %d vertices", n, g.NumVertices())
+		}
+		if got := si.Candidates(none); len(got) != 0 {
+			t.Errorf("undominated query returned %v", got)
+		}
+	}
+}
+
+// TestNeighborsAgainstTrie: N's lookup equals the OTIL trie walk (the
+// reference implementation) for every vertex and direction of a random
+// multigraph, for single types, stored multi-edges and random subsets —
+// including a hub with more than 256 edge types.
+func TestNeighborsAgainstTrie(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := randomGraph(t, rng, 60, 6, 900, 300)
+	hub, ok := g.Dicts.LookupVertex("http://g/hub")
+	if !ok {
+		t.Fatal("hub missing")
+	}
+	hubTypes := map[dict.EdgeType]bool{}
+	for _, nb := range g.Out(hub) {
+		for _, et := range nb.Types {
+			hubTypes[et] = true
+		}
+	}
+	if len(hubTypes) < 256 {
+		t.Fatalf("hub has %d edge types, want ≥ 256", len(hubTypes))
+	}
+	ni := BuildNeighborhoodIndex(g)
+	for v := 0; v < g.NumVertices(); v++ {
+		vid := dict.VertexID(v)
+		for _, side := range []struct {
+			dir Direction
+			adj []multigraph.Neighbor
+		}{{Incoming, g.In(vid)}, {Outgoing, g.Out(vid)}} {
+			var tr otil.Trie
+			var queries [][]dict.EdgeType
+			for _, nb := range side.adj {
+				tr.Insert(nb.Types, nb.V)
+				queries = append(queries, nb.Types, nb.Types[:1], nb.Types[len(nb.Types)-1:])
+				if len(nb.Types) > 2 {
+					queries = append(queries, []dict.EdgeType{nb.Types[0], nb.Types[len(nb.Types)-1]})
+				}
+			}
+			for i := 0; i < 8; i++ { // mostly-absent combinations
+				a, b := dict.EdgeType(rng.Intn(g.NumEdgeTypes())), dict.EdgeType(rng.Intn(g.NumEdgeTypes()))
+				if a != b {
+					queries = append(queries, []dict.EdgeType{min(a, b), max(a, b)})
+				}
+			}
+			for _, q := range queries {
+				got, want := ni.Neighbors(vid, side.dir, q), tr.LookupTrie(q)
+				if !slices.Equal(got, want) {
+					t.Fatalf("N%s(%d, %v) = %v, trie walk says %v", side.dir, v, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNeighborsSingleTypeAllocs: a single-type probe of the base index
+// returns the stored list, allocating nothing.
+func TestNeighborsSingleTypeAllocs(t *testing.T) {
+	g := randomGraph(t, rand.New(rand.NewSource(4)), 60, 6, 900, 0)
+	r := NewReader(g, Build(g))
+	var v dict.VertexID
+	for len(g.Out(v)) == 0 {
+		v++
+	}
+	q := g.Out(v)[0].Types[:1]
+	var got []dict.VertexID
+	if allocs := testing.AllocsPerRun(100, func() { got = r.Neighbors(v, Outgoing, q) }); allocs != 0 {
+		t.Errorf("single-type Neighbors probe allocates %.0f times per call", allocs)
+	}
+	if len(got) == 0 {
+		t.Error("probe of a stored edge type returned nothing")
 	}
 }

@@ -2,24 +2,111 @@
 // Terrovitis et al. (CIKM 2006), the structure the AMbER paper uses for the
 // vertex neighbourhood index N (Section 4.3, Figure 3).
 //
-// One trie indexes the multi-edges incident on a single data vertex in one
+// One OTIL indexes the multi-edges incident on a single data vertex in one
 // direction. Each multi-edge — the ordered set of edge types shared with
-// one neighbour — is inserted as a root-to-node path, and the neighbour is
+// one neighbour — is a root-to-node trie path, and the neighbour is
 // recorded both at the terminal trie node and in a per-edge-type inverted
 // list. A lookup for a query multi-edge T′ returns every neighbour whose
 // multi-edge is a superset of T′.
 //
-// Two equivalent lookup strategies are provided: intersection of inverted
-// lists (the default, and what the engine uses) and a trie walk with
-// skip-descent (kept as the reference implementation and as an ablation
-// point for the benchmarks).
+// The served index only ever reads the inverted lists, so that half stands
+// alone as Postings: a type-sorted array of ascending neighbour lists with
+// the one lookup implementation (index.NeighborhoodIndex keeps one flat
+// Postings per direction and slices a vertex's share out of it). Trie adds
+// the trie half on top: it is the reference implementation the tests and
+// the ablation benchmark compare against (LookupTrie, skip-descent walk).
 package otil
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
 )
+
+// Postings is the inverted-list half of an OTIL: for each edge type in
+// Types (ascending, unique), the ascending duplicate-free list of
+// neighbours whose multi-edge contains it. List i is
+// IDs[Off[i]:Off[i+1]], so len(Off) == len(Types)+1 and offsets index IDs
+// directly — several Postings may share one IDs array. The zero value is
+// an empty index.
+type Postings struct {
+	Types []dict.EdgeType
+	Off   []uint32
+	IDs   []dict.VertexID
+}
+
+// List returns the stored neighbour list of a single edge type (nil when
+// the type is absent). The returned slice aliases the index and must not
+// be modified.
+func (p Postings) List(et dict.EdgeType) []dict.VertexID {
+	i, ok := slices.BinarySearch(p.Types, et)
+	if !ok {
+		return nil
+	}
+	return p.IDs[p.Off[i]:p.Off[i+1]:p.Off[i+1]]
+}
+
+// Lookup returns, sorted ascending, every neighbour whose multi-edge is a
+// superset of types (sorted ascending, duplicates allowed but redundant).
+// A single-type query returns the stored list itself — no copy, the
+// result must not be modified; a multi-type query intersects from the
+// rarest list outward into one fresh slice. An empty query returns nil —
+// the engine never asks for unconstrained neighbours through the index.
+func (p Postings) Lookup(types []dict.EdgeType) []dict.VertexID {
+	if len(types) == 0 {
+		return nil
+	}
+	if len(types) == 1 {
+		return p.List(types[0])
+	}
+	var buf [8][]dict.VertexID // query multi-edges are short: keeps lists off the heap
+	lists, rarest := buf[:0], 0
+	for i, et := range types {
+		lst := p.List(et)
+		if len(lst) == 0 {
+			return nil
+		}
+		lists = append(lists, lst)
+		if len(lst) < len(lists[rarest]) {
+			rarest = i
+		}
+	}
+	out := make([]dict.VertexID, 0, len(lists[rarest]))
+	src := lists[rarest]
+	for i, lst := range lists {
+		if i == rarest {
+			continue
+		}
+		// Writing into out while reading it is safe: the write index never
+		// passes the read index.
+		out = intersectInto(out[:0], src, lst)
+		if len(out) == 0 {
+			return nil
+		}
+		src = out
+	}
+	return out
+}
+
+// intersectInto appends the intersection of two ascending lists to dst.
+func intersectInto[T ~uint32](dst, a, b []T) []T {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	return dst
+}
 
 // tnode is one trie node; children are kept sorted by edge type.
 type tnode struct {
@@ -31,14 +118,6 @@ type tnode struct {
 type childRef struct {
 	t dict.EdgeType
 	n *tnode
-}
-
-func (n *tnode) child(t dict.EdgeType) *tnode {
-	i := sort.Search(len(n.children), func(i int) bool { return n.children[i].t >= t })
-	if i < len(n.children) && n.children[i].t == t {
-		return n.children[i].n
-	}
-	return nil
 }
 
 func (n *tnode) ensureChild(t dict.EdgeType) *tnode {
@@ -53,11 +132,12 @@ func (n *tnode) ensureChild(t dict.EdgeType) *tnode {
 	return c
 }
 
-// Trie indexes the multi-edges of one vertex in one direction.
-// The zero value is ready to use; call Finalize after the last Insert.
+// Trie indexes the multi-edges of one vertex in one direction, insert by
+// insert. The zero value is ready to use; lookups finalize lazily, so a
+// Trie must not be probed concurrently with its first lookup.
 type Trie struct {
 	root tnode
-	inv  map[dict.EdgeType][]dict.VertexID
+	post Postings // the inverted lists, derived from the trie by Finalize
 	fin  bool
 }
 
@@ -73,39 +153,50 @@ func (t *Trie) Insert(types []dict.EdgeType, v dict.VertexID) {
 		n = n.ensureChild(et)
 	}
 	n.terminal = append(n.terminal, v)
-	if t.inv == nil {
-		t.inv = make(map[dict.EdgeType][]dict.VertexID)
-	}
-	for _, et := range types {
-		t.inv[et] = append(t.inv[et], v)
-	}
 	t.fin = false
 }
 
-// Finalize sorts the inverted lists; it must be called before lookups and
-// is idempotent.
+// posting is one (edge type, neighbour) pair of the inverted lists.
+type posting struct {
+	t dict.EdgeType
+	v dict.VertexID
+}
+
+// Finalize derives the inverted lists from the trie paths; it must be
+// called before lookups and is idempotent.
 func (t *Trie) Finalize() {
 	if t.fin {
 		return
 	}
-	for et, lst := range t.inv {
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
-		t.inv[et] = dedupVertices(lst)
+	var all []posting
+	collectPostings(&t.root, nil, &all)
+	slices.SortFunc(all, func(a, b posting) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.v, b.v))
+	})
+	all = slices.Compact(all)
+	t.post = Postings{}
+	for i, p := range all {
+		if i == 0 || p.t != all[i-1].t {
+			t.post.Types = append(t.post.Types, p.t)
+			t.post.Off = append(t.post.Off, uint32(i))
+		}
+		t.post.IDs = append(t.post.IDs, p.v)
 	}
+	t.post.Off = append(t.post.Off, uint32(len(all)))
 	t.fin = true
 }
 
-func dedupVertices(lst []dict.VertexID) []dict.VertexID {
-	if len(lst) < 2 {
-		return lst
-	}
-	out := lst[:1]
-	for _, v := range lst[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
+// collectPostings emits one posting per (type on the path, terminal) of
+// every node below n; path holds the types from the root to n.
+func collectPostings(n *tnode, path []dict.EdgeType, out *[]posting) {
+	for _, v := range n.terminal {
+		for _, et := range path {
+			*out = append(*out, posting{et, v})
 		}
 	}
-	return out
+	for _, c := range n.children {
+		collectPostings(c.n, append(path, c.t), out)
+	}
 }
 
 // Neighbors returns the sorted inverted list for a single edge type: all
@@ -113,39 +204,14 @@ func dedupVertices(lst []dict.VertexID) []dict.VertexID {
 // modified.
 func (t *Trie) Neighbors(et dict.EdgeType) []dict.VertexID {
 	t.Finalize()
-	return t.inv[et]
+	return t.post.List(et)
 }
 
-// Lookup returns, sorted ascending, every neighbour whose multi-edge is a
-// superset of types (sorted ascending, duplicates allowed but redundant).
-// An empty query returns nil — the engine never asks for unconstrained
-// neighbours through the index.
+// Lookup answers the superset query from the inverted lists (see
+// Postings.Lookup).
 func (t *Trie) Lookup(types []dict.EdgeType) []dict.VertexID {
-	if len(types) == 0 {
-		return nil
-	}
 	t.Finalize()
-	// Start from the rarest list to keep intersections cheap.
-	lists := make([][]dict.VertexID, len(types))
-	for i, et := range types {
-		lst := t.inv[et]
-		if len(lst) == 0 {
-			return nil
-		}
-		lists[i] = lst
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	out := lists[0]
-	for _, lst := range lists[1:] {
-		out = IntersectSorted(out, lst)
-		if len(out) == 0 {
-			return nil
-		}
-	}
-	// out may alias an inverted list; copy before returning.
-	res := make([]dict.VertexID, len(out))
-	copy(res, out)
-	return res
+	return t.post.Lookup(types)
 }
 
 // LookupTrie answers the same superset query by walking the trie with
@@ -157,8 +223,8 @@ func (t *Trie) LookupTrie(types []dict.EdgeType) []dict.VertexID {
 	}
 	var out []dict.VertexID
 	walkSuperset(&t.root, types, &out)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return dedupVertices(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // walkSuperset visits all terminal nodes whose path contains every type in
@@ -191,28 +257,14 @@ func collectTerminals(n *tnode, out *[]dict.VertexID) {
 }
 
 // Len reports the number of distinct edge types indexed.
-func (t *Trie) Len() int { return len(t.inv) }
+func (t *Trie) Len() int {
+	t.Finalize()
+	return len(t.post.Types)
+}
 
 // IntersectSorted returns the intersection of two ascending id lists.
 func IntersectSorted[T ~uint32](a, b []T) []T {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	var out []T
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
+	return intersectInto(nil, a, b)
 }
 
 // ContainsSorted reports whether v occurs in the ascending id list, by

@@ -252,3 +252,40 @@ func TestIntersectSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestPostingsLookupLeavesIndexIntact: multi-type lookups intersect into
+// their own result slice — through three and more lists, in place — and
+// never write the stored lists a single-type lookup hands out.
+func TestPostingsLookupLeavesIndexIntact(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var tr Trie
+	const nTypes = 300 // a hub: more types than any fixed-size scratch
+	for v := dict.VertexID(0); v < 400; v++ {
+		me := types(0, 1)
+		for et := dict.EdgeType(2); et < nTypes; et++ {
+			if rng.Intn(3) == 0 {
+				me = append(me, et)
+			}
+		}
+		tr.Insert(me, v)
+	}
+	tr.Finalize()
+	before := make(map[dict.EdgeType][]dict.VertexID)
+	for et := dict.EdgeType(0); et < nTypes; et++ {
+		before[et] = append([]dict.VertexID(nil), tr.Lookup(types(et))...)
+	}
+	for i := 0; i < 200; i++ {
+		q := types(0, 1)
+		for et := dict.EdgeType(2); et < nTypes && len(q) < 2+rng.Intn(12); et += dict.EdgeType(1 + rng.Intn(40)) {
+			q = append(q, et)
+		}
+		if got, want := tr.Lookup(q), tr.LookupTrie(q); !equalVerts(got, want) {
+			t.Fatalf("Lookup(%v) = %v, trie walk says %v", q, got, want)
+		}
+	}
+	for et, want := range before {
+		if got := tr.Lookup(types(et)); !equalVerts(got, want) {
+			t.Fatalf("stored list of type %d changed under multi-type lookups", et)
+		}
+	}
+}

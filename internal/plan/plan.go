@@ -26,7 +26,7 @@ package plan
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dict"
 	"repro/internal/index"
@@ -273,8 +273,8 @@ func (s *scaffold) litSupport(v *query.Vertex) (cand []dict.VertexID, have bool)
 			syn := multigraph.SynopsisFromMultiEdges(nil, [][]dict.EdgeType{lit.Types}).AsQuery()
 			union = append(union, s.r.SignatureCandidates(syn)...)
 		}
-		sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-		union = dedupVerts(union)
+		slices.Sort(union)
+		union = slices.Compact(union)
 		if have {
 			cand = otil.IntersectSorted(cand, union)
 		} else {
@@ -285,20 +285,6 @@ func (s *scaffold) litSupport(v *query.Vertex) (cand []dict.VertexID, have bool)
 		}
 	}
 	return cand, have
-}
-
-// dedupVerts removes duplicates from a sorted list in place.
-func dedupVerts(a []dict.VertexID) []dict.VertexID {
-	if len(a) < 2 {
-		return a
-	}
-	out := a[:1]
-	for _, x := range a[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // rank1 is the paper's r1(u): the number of satellite vertices attached to

@@ -300,9 +300,10 @@ func packLevel(ents []entry, leaf bool) *node {
 		if end > len(ents) {
 			end = len(ents)
 		}
-		chunk := make([]entry, end-start)
-		copy(chunk, ents[start:end])
-		child := &node{leaf: leaf, entries: chunk}
+		// Nodes of one level share the sorted array (capacity-capped, so an
+		// Insert that grows a node copies it out): a walk reads a level's
+		// entries in memory order.
+		child := &node{leaf: leaf, entries: ents[start:end:end]}
 		be := boundingEntry(child)
 		be.child = child
 		nodes = append(nodes, be)

@@ -213,3 +213,26 @@ func TestInsertEqualsBulkLoadProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestInsertAfterBulkLoad: a bulk-loaded level's nodes share one sorted
+// array, so an Insert that grows a node must copy it out rather than
+// overwrite its neighbour's entries.
+func TestInsertAfterBulkLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	points := make([]Point, 600)
+	ids := make([]uint32, len(points))
+	for i := range points {
+		points[i] = randPoint(rng)
+		ids[i] = uint32(i)
+	}
+	tr := BulkLoad(points[:400], ids[:400])
+	for i := 400; i < len(points); i++ {
+		tr.Insert(points[i], ids[i])
+	}
+	for q := 0; q < 100; q++ {
+		query := randPoint(rng)
+		if got, want := sortedIDs(tr.CollectDominating(query)), sortedIDs(linearDominating(points, query)); !equalIDs(got, want) {
+			t.Fatalf("query %v: got %d ids, want %d", query, len(got), len(want))
+		}
+	}
+}
