@@ -107,9 +107,8 @@ func main() {
 		compactAt = flag.Int("compact-threshold", 0, "delta entries (adds+tombstones) that trigger background compaction (0 = default 8192, negative disables)")
 		allowLoad = flag.Bool("allow-load", false, "permit LOAD <file> in update requests (reads server-local files)")
 
-		walDir      = flag.String("wal-dir", "", "write-ahead log directory: log updates before acknowledging and replay them on start/reload (empty = in-memory updates)")
-		fsync       = flag.String("fsync", "always", "WAL fsync policy: always, never, or interval=<duration> (with -wal-dir)")
-		walCompress = flag.Bool("wal-compress", false, "gzip sealed WAL segments in the background (with -wal-dir)")
+		walDir = flag.String("wal-dir", "", "write-ahead log directory: log updates before acknowledging and replay them on start/reload (empty = in-memory updates)")
+		fsync  = flag.String("fsync", "always", "WAL fsync policy: always, never, or interval=<duration> (with -wal-dir)")
 
 		follow       = flag.String("follow", "", "run as a read-only replication follower of this primary base URL (requires -wal-dir for the local replica state)")
 		followerID   = flag.String("follower-id", "", "follower identity in the primary's ack registry (default hostname:waldir)")
@@ -153,7 +152,7 @@ func main() {
 		cfg.SlowQueryOut = f
 	}
 
-	src := source{data: *dataPath, snapshot: *snapshot, walDir: *walDir, fsync: *fsync, compress: *walCompress}
+	src := source{data: *dataPath, snapshot: *snapshot, walDir: *walDir, fsync: *fsync}
 	rep := replConfig{follow: *follow, followerID: *followerID, retainSeqs: *replRetain}
 	if err := run(*addr, *debugAddr, *adminAddr, src, *compactAt, cfg, *shutdownGrace, rep); err != nil {
 		fmt.Fprintln(os.Stderr, "amber-serve:", err)
@@ -168,7 +167,6 @@ type source struct {
 	snapshot string
 	walDir   string
 	fsync    string
-	compress bool
 }
 
 // replConfig is the replication role selection: follow set = follower;
@@ -201,7 +199,6 @@ func (s source) open() (*amber.DB, error) {
 	db, err := amber.OpenDurable(s.walDir, &amber.DurabilityOptions{
 		Fsync:               s.fsync,
 		CheckpointOnCompact: true,
-		CompressSegments:    s.compress,
 		Bootstrap:           s.loadBase,
 	})
 	if err != nil {
@@ -233,7 +230,6 @@ func run(addr, debugAddr, adminAddr string, src source, compactAt int, cfg serve
 			ID:                  rep.followerID,
 			Fsync:               src.fsync,
 			CheckpointOnCompact: true,
-			CompressSegments:    src.compress,
 			OnSwap: func(db *amber.DB) {
 				if s := srvRef.Load(); s != nil {
 					s.Swap(db)

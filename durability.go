@@ -39,9 +39,6 @@ type DurabilityOptions struct {
 	// checkpointed snapshot (e.g. from a binary snapshot elsewhere). WAL
 	// records always replay on top of whichever base is loaded.
 	Bootstrap func() (*DB, error)
-	// CompressSegments gzips sealed WAL segments in the background;
-	// replay and replication reads handle the archives transparently.
-	CompressSegments bool
 	// WrapWALFile is a fault-injection hook wrapping each active WAL
 	// segment file (see wal.Options.WrapFile); nil in production.
 	WrapWALFile func(*os.File) wal.SegmentFile
@@ -98,7 +95,6 @@ func OpenDurable(dir string, opts *DurabilityOptions) (*DB, error) {
 		Interval:            interval,
 		SegmentBytes:        o.SegmentBytes,
 		CheckpointOnCompact: o.CheckpointOnCompact,
-		Compress:            o.CompressSegments,
 		WrapFile:            o.WrapWALFile,
 		BaseLoaded:          baseLoaded,
 	}); err != nil {

@@ -40,9 +40,6 @@ type WALOptions struct {
 	// automatically after every completed compaction, bounding the log to
 	// roughly one compaction threshold of records.
 	CheckpointOnCompact bool
-	// Compress gzips sealed WAL segments in the background (see
-	// wal.Options.Compress).
-	Compress bool
 	// WrapFile is the fault-injection hook passed through to the log (see
 	// wal.Options.WrapFile); nil in production.
 	WrapFile func(*os.File) wal.SegmentFile
@@ -96,7 +93,6 @@ func (s *Store) AttachWAL(dir string, o WALOptions) (int, error) {
 		Policy:       o.Policy,
 		Interval:     o.Interval,
 		SegmentBytes: o.SegmentBytes,
-		Compress:     o.Compress,
 		WrapFile:     o.WrapFile,
 	}
 	if o.BaseLoaded {

@@ -39,12 +39,11 @@ type FollowerOptions struct {
 	// ID names this follower in the primary's ack registry; default is
 	// the hostname plus the directory base name.
 	ID string
-	// Fsync, SegmentBytes, CheckpointOnCompact, CompressSegments and
-	// WrapWALFile mirror amber.DurabilityOptions for the local directory.
+	// Fsync, SegmentBytes, CheckpointOnCompact and WrapWALFile mirror
+	// amber.DurabilityOptions for the local directory.
 	Fsync               string
 	SegmentBytes        int64
 	CheckpointOnCompact bool
-	CompressSegments    bool
 	WrapWALFile         func(*os.File) wal.SegmentFile
 	// AckInterval is how often the follower reports its applied position
 	// to the primary. Default 1s.
@@ -136,7 +135,6 @@ func (f *Follower) openLocal() (*amber.DB, error) {
 		Fsync:               f.opts.Fsync,
 		SegmentBytes:        f.opts.SegmentBytes,
 		CheckpointOnCompact: f.opts.CheckpointOnCompact,
-		CompressSegments:    f.opts.CompressSegments,
 		WrapWALFile:         f.opts.WrapWALFile,
 	})
 }

@@ -257,11 +257,11 @@ type streamCursor struct {
 }
 
 // shipAvailable writes every logged record with sequence above cur.seq
-// to w, walking the segment view: sealed segments (plain or gzipped) are
-// read whole via wal.ReadSegmentFile, the active segment is read up to
-// its snapshotted frame-complete length. A segment file that disappears
-// mid-read lost a race with the background compressor; the view is
-// re-fetched and the walk retried.
+// to w, walking the segment view: every segment is read up to its
+// snapshotted frame-complete length, the active one from the cursor's
+// offset when the stream is already tailing it. A segment file that
+// disappears mid-read lost a race with Checkpoint; the view is re-fetched
+// and the walk retried, so the truncation check below sees the removal.
 func (p *Primary) shipAvailable(w io.Writer, cur *streamCursor) error {
 retry:
 	for {
@@ -285,21 +285,14 @@ retry:
 			if seg.Last <= cur.seq || seg.Bytes == 0 {
 				continue
 			}
-			var data []byte
-			var err error
 			var base int64 // byte offset of data[0] within the segment
-			switch {
-			case seg.Active && seg.Path == cur.path && cur.off > 0 && cur.off <= seg.Bytes:
+			if seg.Active && seg.Path == cur.path && cur.off > 0 && cur.off <= seg.Bytes {
 				base = cur.off
-				data, err = readFileRange(seg.Path, cur.off, seg.Bytes)
-			case seg.Active:
-				data, err = readFileRange(seg.Path, 0, seg.Bytes)
-			default:
-				data, err = wal.ReadSegmentFile(seg.Path)
 			}
+			data, err := readFileRange(seg.Path, base, seg.Bytes)
 			if err != nil {
 				if os.IsNotExist(err) {
-					continue retry // compressor swapped plain → gz; re-list
+					continue retry // Checkpoint removed it; re-list
 				}
 				return err
 			}

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -173,141 +172,35 @@ func TestRetainHookPinsSegments(t *testing.T) {
 	}
 }
 
-func waitForCompressed(t *testing.T, l *Log, want int) []SegmentInfo {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		segs, _, _ := l.SegmentView()
-		n := 0
-		for _, s := range segs {
-			if s.Compressed {
-				n++
-			}
-		}
-		if n >= want {
-			return segs
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d segments compressed in time", n, want)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestCompressionRoundTrip(t *testing.T) {
+// TestGzipArchiveRefusesOpen: a directory holding a gzip-compressed
+// sealed segment (wal-<first>.seg.gz) must not open, because replaying
+// around the archive would silently drop the records inside it.
+func TestGzipArchiveRefusesOpen(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openCollect(t, dir, Options{SegmentBytes: 256, Policy: SyncNever, Compress: true})
-	for i := 0; i < 40; i++ {
-		if _, err := l.Append(mut(i)); err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
-	}
-	segs := waitForCompressed(t, l, 2)
-	for _, seg := range segs {
-		if !seg.Compressed {
-			continue
-		}
-		if !strings.HasSuffix(seg.Path, ".seg.gz") {
-			t.Fatalf("compressed segment has path %s", seg.Path)
-		}
-		// Transparent read: the archive decodes to the same frames.
-		data, err := ReadSegmentFile(seg.Path)
-		if err != nil {
-			t.Fatalf("ReadSegmentFile: %v", err)
-		}
-		var off int
-		for off < len(data) {
-			_, n, derr := DecodeFrame(data[off:])
-			if derr != nil {
-				t.Fatalf("decoding %s at %d: %v", seg.Path, off, derr)
-			}
-			off += n
-		}
+	l, _ := openCollect(t, dir, Options{})
+	if _, err := l.Append(mut(0)); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+		t.Fatal(err)
 	}
-
-	// Replay reads the archives transparently.
-	l2, got := openCollect(t, dir, Options{Compress: true})
-	if len(got) != 40 {
-		t.Fatalf("replayed %d records through compressed segments, want 40", len(got))
+	archive := filepath.Join(dir, segName(1<<20)+".gz")
+	if err := os.WriteFile(archive, []byte{0x1f, 0x8b}, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := l2.Close(); err != nil {
-		t.Fatalf("Close 2: %v", err)
+	if l2, err := Open(dir, Options{}, nil); err == nil {
+		l2.Close()
+		t.Fatal("Open accepted a directory holding a gzip segment archive")
 	}
-}
-
-func TestCompressionCatchUpOnOpen(t *testing.T) {
-	dir := t.TempDir()
-	// Write sealed plain segments without compression...
-	l, _ := openCollect(t, dir, Options{SegmentBytes: 256, Policy: SyncNever})
-	for i := 0; i < 40; i++ {
-		if _, err := l.Append(mut(i)); err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
+	// Removing the archive (an operator decompressing it back to a plain
+	// segment) makes the directory open again.
+	if err := os.Remove(archive); err != nil {
+		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// ...then reopen with compression: the backlog catches up.
-	l2, got := openCollect(t, dir, Options{SegmentBytes: 256, Policy: SyncNever, Compress: true})
-	if len(got) != 40 {
-		t.Fatalf("replayed %d, want 40", len(got))
-	}
-	waitForCompressed(t, l2, 2)
-	if err := l2.Close(); err != nil {
-		t.Fatalf("Close 2: %v", err)
-	}
-}
-
-func TestCorruptArchiveRecoversValidPrefix(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openCollect(t, dir, Options{SegmentBytes: 256, Policy: SyncNever, Compress: true})
-	for i := 0; i < 40; i++ {
-		if _, err := l.Append(mut(i)); err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
-	}
-	segs := waitForCompressed(t, l, 2)
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// Truncate the first archive mid-stream: open must salvage the
-	// records that still decompress and discard everything after the
-	// damage (post-corruption segments cannot be trusted).
-	var victim string
-	for _, seg := range segs {
-		if seg.Compressed {
-			victim = seg.Path
-			break
-		}
-	}
-	info, err := os.Stat(victim)
-	if err != nil {
-		t.Fatalf("stat: %v", err)
-	}
-	if err := os.Truncate(victim, info.Size()/2); err != nil {
-		t.Fatalf("truncate: %v", err)
-	}
-	l2, got := openCollect(t, dir, Options{})
-	defer l2.Close()
-	if len(got) >= 40 {
-		t.Fatalf("replayed %d records from a damaged log", len(got))
-	}
-	// The salvaged prefix is contiguous from the start.
-	for i, r := range got {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("salvaged record %d has seq %d", i, r.Seq)
-		}
-	}
-	// The damaged archive was rewritten as a plain segment.
-	if _, err := os.Stat(victim); !os.IsNotExist(err) {
-		t.Fatalf("damaged archive %s still present (err %v)", filepath.Base(victim), err)
-	}
-	// And the log still appends.
-	if _, err := l2.Append(mut(99)); err != nil {
-		t.Fatalf("Append after salvage: %v", err)
+	l3, got := openCollect(t, dir, Options{})
+	defer l3.Close()
+	if len(got) != 1 {
+		t.Fatalf("replayed %d records, want 1", len(got))
 	}
 }
 

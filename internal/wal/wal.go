@@ -35,7 +35,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -123,10 +122,6 @@ type Options struct {
 	// SegmentBytes rotates to a fresh segment once the active one exceeds
 	// this size; default 16 MiB.
 	SegmentBytes int64
-	// Compress gzips segments in the background once they are sealed.
-	// Replay and streaming reads handle compressed segments transparently;
-	// the active segment is always plain so appends stay raw writes.
-	Compress bool
 	// WrapFile, when set, wraps each newly opened active segment file
 	// before the log writes to it. Fault-injection tests use it to model
 	// torn writes and silent bit flips under the log.
@@ -182,28 +177,25 @@ type Stats struct {
 
 // segment is one on-disk log file.
 type segment struct {
-	path       string
-	first      uint64 // sequence of its first record
-	last       uint64 // sequence of its last record (0 while empty)
-	bytes      int64  // on-disk size (compressed size once gzipped)
-	compressed bool
+	path  string
+	first uint64 // sequence of its first record
+	last  uint64 // sequence of its last record (0 while empty)
+	bytes int64  // on-disk size
 }
 
 // SegmentInfo describes one on-disk segment for readers outside the
 // package — the replication streamer walks this view to serve history.
 type SegmentInfo struct {
-	Path       string
-	First      uint64 // sequence of the segment's first record
-	Last       uint64 // sequence of its last record (0 while empty)
-	Bytes      int64  // on-disk size
-	Compressed bool
-	Active     bool // the segment still taking appends
+	Path   string
+	First  uint64 // sequence of the segment's first record
+	Last   uint64 // sequence of its last record (0 while empty)
+	Bytes  int64  // on-disk size
+	Active bool   // the segment still taking appends
 }
 
 const (
 	segPrefix      = "wal-"
 	segSuffix      = ".seg"
-	gzSuffix       = ".seg.gz"
 	checkpointName = "checkpoint"
 	lockName       = "LOCK"
 )
@@ -216,28 +208,17 @@ func segName(first uint64) string {
 	return fmt.Sprintf("%s%016x%s", segPrefix, first, segSuffix)
 }
 
-func parseSegName(name string) (first uint64, compressed bool, ok bool) {
-	if !strings.HasPrefix(name, segPrefix) {
-		return 0, false, false
+func parseSegName(name string) (first uint64, ok bool) {
+	hex, ok := strings.CutPrefix(name, segPrefix)
+	if !ok {
+		return 0, false
 	}
-	hex := strings.TrimPrefix(name, segPrefix)
-	switch {
-	case strings.HasSuffix(hex, gzSuffix):
-		hex = strings.TrimSuffix(hex, gzSuffix)
-		compressed = true
-	case strings.HasSuffix(hex, segSuffix):
-		hex = strings.TrimSuffix(hex, segSuffix)
-	default:
-		return 0, false, false
-	}
-	if len(hex) != 16 {
-		return 0, false, false
+	hex, ok = strings.CutSuffix(hex, segSuffix)
+	if !ok || len(hex) != 16 {
+		return 0, false
 	}
 	v, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false, false
-	}
-	return v, compressed, true
+	return v, err == nil
 }
 
 // Log is an open write-ahead log. All methods are safe for concurrent
@@ -268,8 +249,6 @@ type Log struct {
 	// pinning segments against checkpoint truncation.
 	subs   map[chan struct{}]struct{}
 	retain func(lastSeq uint64) uint64
-
-	compressWG sync.WaitGroup // in-flight background segment compressions
 
 	stop chan struct{} // interval syncer shutdown; nil unless SyncEvery
 	done chan struct{}
@@ -309,17 +288,6 @@ func Open(dir string, opts Options, c Consumer) (*Log, error) {
 		l.done = make(chan struct{})
 		go l.syncLoop()
 	}
-	if opts.Compress {
-		// Sealed plain segments left by earlier (uncompressed) runs catch
-		// up in the background.
-		l.mu.Lock()
-		for _, seg := range l.sealed {
-			if !seg.compressed {
-				l.compressInBackground(seg.first)
-			}
-		}
-		l.mu.Unlock()
-	}
 	return l, nil
 }
 
@@ -333,9 +301,6 @@ func openLocked(dir string, opts Options, c Consumer) (*Log, error) {
 	l.cpSeq = cpSeq
 	l.lastSeq = cpSeq
 
-	if err := removeCompressTemps(dir); err != nil {
-		return nil, err
-	}
 	names, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -356,55 +321,24 @@ func openLocked(dir string, opts Options, c Consumer) (*Log, error) {
 			}
 			continue
 		}
-		first, compressed, _ := parseSegName(name)
-		seg := segment{path: path, first: first, compressed: compressed}
-		data, complete, readErr := readSegmentData(path)
-		if readErr != nil {
-			return nil, readErr
+		first, _ := parseSegName(name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
 		}
 		validEnd, last, n, scanErr := l.scanRecords(data, &prev, c)
 		if scanErr != nil {
 			return nil, scanErr
 		}
-		seg.last = last
-		switch {
-		case compressed && complete && validEnd == int64(len(data)):
-			info, statErr := os.Stat(path)
-			if statErr != nil {
-				return nil, statErr
-			}
-			seg.bytes = info.Size()
-		case compressed:
-			// A gzip segment with a bad tail cannot be truncated in place:
-			// rewrite the validated prefix as a plain segment, durably, and
-			// drop the archive. Later segments can only hold
-			// post-corruption data, same as after a torn plain tail.
-			plain := strings.TrimSuffix(path, gzSuffix) + segSuffix
-			if err := writeFileDurable(plain, data[:validEnd]); err != nil {
+		if int64(len(data)) > validEnd {
+			// Torn or corrupt tail: cut it so appends resume cleanly.
+			if err := os.Truncate(path, validEnd); err != nil {
 				return nil, err
 			}
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
-			if err := SyncDir(dir); err != nil {
-				return nil, err
-			}
-			seg.path = plain
-			seg.compressed = false
-			seg.bytes = validEnd
 			corrupted = true
-		default:
-			seg.bytes = validEnd
-			if int64(len(data)) > validEnd {
-				// Torn or corrupt tail: cut it so appends resume cleanly.
-				if err := os.Truncate(path, validEnd); err != nil {
-					return nil, err
-				}
-				corrupted = true
-			}
 		}
 		l.replayed += n
-		l.sealed = append(l.sealed, seg)
+		l.sealed = append(l.sealed, segment{path: path, first: first, last: last, bytes: validEnd})
 	}
 
 	// A log with no history at all adopts the caller's synthetic base
@@ -419,10 +353,10 @@ func openLocked(dir string, opts Options, c Consumer) (*Log, error) {
 		l.lastSeq = opts.InitialSeq
 	}
 
-	// The newest scanned plain segment becomes the active one; with none
-	// (fresh log, everything checkpointed away, or a compressed — hence
-	// sealed — newest segment) a new segment starts at lastSeq+1.
-	if n := len(l.sealed); n > 0 && !l.sealed[n-1].compressed {
+	// The newest scanned segment becomes the active one; with none (fresh
+	// log, or everything checkpointed away) a new segment starts at
+	// lastSeq+1.
+	if n := len(l.sealed); n > 0 {
 		l.active = l.sealed[n-1]
 		l.sealed = l.sealed[:n-1]
 		var f *os.File
@@ -446,7 +380,6 @@ func (l *Log) wrapFile(f *os.File) SegmentFile {
 	}
 	return f
 }
-
 
 // scanRecords replays data's valid records, returning the byte offset of
 // the end of the last valid frame, the sequence of the last valid record
@@ -480,45 +413,30 @@ func (l *Log) scanRecords(data []byte, prev *uint64, c Consumer) (int64, uint64,
 	return off, last, applied, nil
 }
 
-// listSegments returns segment file names in sequence order. When both a
-// plain and a compressed file exist for the same first sequence (a crash
-// between the compressor's rename and its removal of the original), the
-// compressed one wins — its rename was atomic, so it is complete — and
-// the leftover plain file is removed.
+// listSegments returns segment file names in sequence order (os.ReadDir
+// sorts by name, and the fixed-width hex in the name makes that sequence
+// order). A gzip archive of a sealed segment, wal-<first>.seg.gz, is an
+// error: the log no longer reads archives, and replaying around one
+// would silently drop the records it holds.
 func listSegments(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	byFirst := make(map[uint64]string)
-	var firsts []uint64
+	var names []string
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
-		first, compressed, ok := parseSegName(e.Name())
-		if !ok {
-			continue
+		name := e.Name()
+		if plain, ok := strings.CutSuffix(name, ".gz"); ok {
+			if _, ok := parseSegName(plain); ok {
+				return nil, fmt.Errorf("wal: %s is a gzip-compressed segment, which this log no longer reads; decompress it to %s and reopen", filepath.Join(dir, name), plain)
+			}
 		}
-		prev, dup := byFirst[first]
-		if !dup {
-			byFirst[first] = e.Name()
-			firsts = append(firsts, first)
-			continue
+		if _, ok := parseSegName(name); ok {
+			names = append(names, name)
 		}
-		stale := e.Name()
-		if compressed {
-			stale = prev
-			byFirst[first] = e.Name()
-		}
-		if err := os.Remove(filepath.Join(dir, stale)); err != nil && !os.IsNotExist(err) {
-			return nil, err
-		}
-	}
-	sort.Slice(firsts, func(i, j int) bool { return firsts[i] < firsts[j] })
-	names := make([]string, len(firsts))
-	for i, f := range firsts {
-		names[i] = byFirst[f]
 	}
 	return names, nil
 }
@@ -675,25 +593,16 @@ func (l *Log) appendAssigned(recs []Record, sync bool) (uint64, error) {
 }
 
 // rotateLocked seals the active segment (fsyncing it, so sealed segments
-// are always fully durable) and starts a new one at first. Under
-// Options.Compress the sealed segment is handed to the background
-// compressor.
+// are always fully durable) and starts a new one at first.
 func (l *Log) rotateLocked(first uint64) error {
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
 	old := l.f
-	sealedFirst := l.active.first
 	if err := l.newSegment(first); err != nil {
 		return err
 	}
-	if err := old.Close(); err != nil {
-		return err
-	}
-	if l.opts.Compress {
-		l.compressInBackground(sealedFirst)
-	}
-	return nil
+	return old.Close()
 }
 
 // syncLocked fsyncs the active segment if it has unsynced bytes.
@@ -858,7 +767,7 @@ func (l *Log) SegmentView() (segs []SegmentInfo, lastSeq, cpSeq uint64) {
 	defer l.mu.Unlock()
 	segs = make([]SegmentInfo, 0, len(l.sealed)+1)
 	for _, s := range l.sealed {
-		segs = append(segs, SegmentInfo{Path: s.path, First: s.first, Last: s.last, Bytes: s.bytes, Compressed: s.compressed})
+		segs = append(segs, SegmentInfo{Path: s.path, First: s.first, Last: s.last, Bytes: s.bytes})
 	}
 	segs = append(segs, SegmentInfo{
 		Path: l.active.path, First: l.active.first, Last: l.active.last,
@@ -943,7 +852,6 @@ func (l *Log) Close() error {
 	if done != nil {
 		<-done
 	}
-	l.compressWG.Wait()
 	return err
 }
 
