@@ -12,7 +12,11 @@
 //
 //	db, err := amber.OpenFile("data.nt")
 //	...
-//	rows, err := db.Query(`SELECT ?who WHERE { ?who <http://y/livedIn> <http://x/US> . }`, nil)
+//	p, err := db.Prepare(`SELECT ?who WHERE { ?who <http://y/livedIn> <http://x/US> . }`)
+//	...
+//	for b, err := range p.All(ctx, nil) {
+//		...
+//	}
 //
 // The WHERE clause supports basic graph patterns (with PREFIX, `a` and
 // `;`/`,` abbreviations), plus the extension fragment the paper lists as
@@ -22,8 +26,8 @@
 //
 // Results are typed: bindings are Terms (IRI, blank node, or literal
 // with datatype and language tag), surfaced through the context-aware
-// cursor API (QueryContext/Rows), the range-over-func form (All), or the
-// legacy flattened Row maps. Single-occurrence object variables may bind
+// cursor API (QueryContext/Rows) or the range-over-func form (All), both
+// over one execution path. Single-occurrence object variables may bind
 // literals (`SELECT ?name WHERE { ?x <…/name> ?name }`); variables that
 // join across patterns bind graph vertices, as in the paper.
 package amber
@@ -145,43 +149,11 @@ func (o *QueryOptions) engineOptions(ctx context.Context) engine.Options {
 	return e
 }
 
-// Row is one solution in the legacy flattened form: projected variable
-// name → the bound term's text (an IRI, a blank label, or a literal's
-// lexical form — the datatype and language tag are dropped). A variable
-// that is unbound in the matched UNION branch maps to the empty string.
-//
-// Deprecated-ish: new code should use the typed Binding surface
-// (QueryContext, Prepared.All, Rows), which keeps literals typed and
-// distinguishes unbound from empty. Row remains supported as an adapter
-// over it.
-type Row map[string]string
-
-// Query runs a SPARQL SELECT query and materializes the result rows.
-func (db *DB) Query(sparqlText string, opts *QueryOptions) ([]Row, error) {
-	var rows []Row
-	err := db.QueryIter(sparqlText, opts, func(r Row) bool {
-		rows = append(rows, r)
-		return true
-	})
-	return rows, err
-}
-
-// QueryIter streams result rows to fn, stopping early when fn returns
-// false. Each Row is freshly allocated and may be retained. A projected
-// variable that is unbound in a UNION branch maps to the empty string;
-// see Row for what typed literals flatten to.
-func (db *DB) QueryIter(sparqlText string, opts *QueryOptions, fn func(Row) bool) error {
-	p, err := db.Prepare(sparqlText)
-	if err != nil {
-		return err
-	}
-	return p.QueryIter(opts, fn)
-}
-
 // Count returns the number of solutions without materializing them. For
 // queries in the paper's core fragment (single BGP, no DISTINCT, FILTER
 // or OFFSET) the count factorizes over satellite vertices and is far
-// cheaper than Query; extension queries fall back to enumeration.
+// cheaper than enumerating rows; extension queries fall back to
+// enumeration.
 func (db *DB) Count(sparqlText string, opts *QueryOptions) (uint64, error) {
 	p, err := db.Prepare(sparqlText)
 	if err != nil {
@@ -209,7 +181,6 @@ func (db *DB) CountParallel(sparqlText string, opts *QueryOptions, workers int) 
 // loop) skips all of it. A Prepared is tied to the DB that produced it
 // and, like the DB, is safe for concurrent use.
 type Prepared struct {
-	db    *DB
 	cp    *core.PreparedQuery
 	index map[string]int // projection name → position, shared by every row
 }
@@ -229,7 +200,7 @@ func (db *DB) Prepare(sparqlText string) (*Prepared, error) {
 	for i, v := range cp.Projection() {
 		index[v] = i
 	}
-	return &Prepared{db: db, cp: cp, index: index}, nil
+	return &Prepared{cp: cp, index: index}, nil
 }
 
 // Projection returns the projected variable names, in SELECT order
@@ -242,28 +213,6 @@ func (p *Prepared) Projection() []string {
 // ("star", "chain", "cyclic", ...), for observability labels. Live
 // updates may re-plan, so successive calls can differ.
 func (p *Prepared) Shape() string { return p.cp.Shape() }
-
-// Query executes the prepared query and materializes the result rows.
-func (p *Prepared) Query(opts *QueryOptions) ([]Row, error) {
-	var rows []Row
-	err := p.QueryIter(opts, func(r Row) bool {
-		rows = append(rows, r)
-		return true
-	})
-	return rows, err
-}
-
-// QueryIter executes the prepared query, streaming rows to fn; see
-// DB.QueryIter for semantics.
-func (p *Prepared) QueryIter(opts *QueryOptions, fn func(Row) bool) error {
-	return p.each(context.TODO(), opts, func(b Binding) bool {
-		row := make(Row, len(b.vars))
-		for i, name := range b.vars {
-			row[name] = b.terms[i].Value // zero Term → "" when unbound
-		}
-		return fn(row)
-	})
-}
 
 // Count counts solutions of the prepared query; see DB.Count.
 func (p *Prepared) Count(opts *QueryOptions) (uint64, error) {

@@ -2,6 +2,7 @@ package amber
 
 import (
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 	"sync"
@@ -29,6 +30,20 @@ x:Amy_Winehouse y:livedIn x:United_States .
 x:Amy_Winehouse y:wasMarriedTo x:Blake_Fielder-Civil .
 x:Blake_Fielder-Civil y:livedIn x:United_States .
 `
+
+// collect drains a query's solutions into name → Term maps (Binding.Map),
+// stopping at the first error. An unbound variable is absent from its
+// map, so its Value reads as "".
+func collect(seq iter.Seq2[Binding, error]) ([]map[string]Term, error) {
+	var rows []map[string]Term
+	for b, err := range seq {
+		if err != nil {
+			return rows, err
+		}
+		rows = append(rows, b.Map())
+	}
+	return rows, nil
+}
 
 func openDB(t *testing.T) *DB {
 	t.Helper()
@@ -75,37 +90,40 @@ func TestOpenErrors(t *testing.T) {
 
 func TestQuery(t *testing.T) {
 	db := openDB(t)
-	rows, err := db.Query(`
+	rows, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?who ?where WHERE {
   ?who y:wasBornIn ?where .
   ?who y:diedIn ?where .
-}`, nil)
+}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 {
 		t.Fatalf("rows = %v", rows)
 	}
-	if rows[0]["who"] != "http://dbpedia.org/resource/Amy_Winehouse" {
-		t.Errorf("who = %q", rows[0]["who"])
+	if rows[0]["who"].Value != "http://dbpedia.org/resource/Amy_Winehouse" {
+		t.Errorf("who = %q", rows[0]["who"].Value)
 	}
-	if rows[0]["where"] != "http://dbpedia.org/resource/London" {
-		t.Errorf("where = %q", rows[0]["where"])
+	if rows[0]["where"].Value != "http://dbpedia.org/resource/London" {
+		t.Errorf("where = %q", rows[0]["where"].Value)
 	}
 }
 
 func TestQueryIterEarlyStop(t *testing.T) {
 	db := openDB(t)
 	n := 0
-	err := db.QueryIter(`
+	for _, err := range db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
-SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, nil, func(Row) bool {
+SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, nil) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		n++
-		return false
-	})
-	if err != nil || n != 1 {
-		t.Errorf("n = %d, err = %v", n, err)
+		break
+	}
+	if n != 1 {
+		t.Errorf("n = %d, want 1", n)
 	}
 }
 
@@ -121,15 +139,15 @@ SELECT * WHERE { ?a y:livedIn ?b }`, nil)
 
 func TestLimits(t *testing.T) {
 	db := openDB(t)
-	rows, err := db.Query(`
+	rows, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
-SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, &QueryOptions{Limit: 2})
+SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, &QueryOptions{Limit: 2}))
 	if err != nil || len(rows) != 2 {
 		t.Errorf("rows = %d, %v", len(rows), err)
 	}
-	rows, err = db.Query(`
+	rows, err = collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
-SELECT ?a ?b WHERE { ?a y:livedIn ?b } LIMIT 1`, &QueryOptions{Limit: 5})
+SELECT ?a ?b WHERE { ?a y:livedIn ?b } LIMIT 1`, &QueryOptions{Limit: 5}))
 	if err != nil || len(rows) != 1 {
 		t.Errorf("query LIMIT rows = %d, %v", len(rows), err)
 	}
@@ -137,9 +155,9 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b } LIMIT 1`, &QueryOptions{Limit: 5})
 
 func TestTimeout(t *testing.T) {
 	db := openDB(t)
-	_, err := db.Query(`
+	_, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
-SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, &QueryOptions{Timeout: -time.Second})
+SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, &QueryOptions{Timeout: -time.Second}))
 	if err != ErrTimeout {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
@@ -147,7 +165,7 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, &QueryOptions{Timeout: -time.Second})
 
 func TestQueryParseError(t *testing.T) {
 	db := openDB(t)
-	if _, err := db.Query(`SELEKT nonsense`, nil); err == nil {
+	if _, err := collect(db.All(t.Context(), `SELEKT nonsense`, nil)); err == nil {
 		t.Error("parse error not surfaced")
 	}
 	if _, err := db.Count(`SELEKT nonsense`, nil); err == nil {
@@ -157,10 +175,10 @@ func TestQueryParseError(t *testing.T) {
 
 func TestNoResults(t *testing.T) {
 	db := openDB(t)
-	rows, err := db.Query(`
+	rows, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
 PREFIX x: <http://dbpedia.org/resource/>
-SELECT ?who WHERE { ?who y:wasBornIn x:United_States }`, nil)
+SELECT ?who WHERE { ?who y:wasBornIn x:United_States }`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +192,9 @@ func TestConcurrentReaders(t *testing.T) {
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
-			_, err := db.Query(`
+			_, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
-SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, nil)
+SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, nil))
 			done <- err
 		}()
 	}
@@ -214,7 +232,7 @@ func TestWithPrefixes(t *testing.T) {
 		"x": "http://dbpedia.org/resource/",
 	})
 	// No PREFIX declarations needed.
-	rows, err := db.Query(`SELECT ?who WHERE { ?who y:livedIn x:United_States }`, nil)
+	rows, err := collect(db.All(t.Context(), `SELECT ?who WHERE { ?who y:livedIn x:United_States }`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +240,9 @@ func TestWithPrefixes(t *testing.T) {
 		t.Errorf("rows = %d, want 2", len(rows))
 	}
 	// In-query declarations override defaults.
-	rows, err = db.Query(`
+	rows, err = collect(db.All(t.Context(), `
 PREFIX y: <http://nowhere.example/>
-SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, nil)
+SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +251,7 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, nil)
 	}
 	// The original handle is unaffected.
 	orig := openDB(t)
-	if _, err := orig.Query(`SELECT ?who WHERE { ?who y:livedIn x:United_States }`, nil); err == nil {
+	if _, err := collect(orig.All(t.Context(), `SELECT ?who WHERE { ?who y:livedIn x:United_States }`, nil)); err == nil {
 		t.Error("unbound prefix accepted on original handle")
 	}
 }
@@ -255,11 +273,11 @@ SELECT ?who ?where WHERE {
 	// Executing the same plan repeatedly with different options yields
 	// consistent results.
 	for i := 0; i < 3; i++ {
-		rows, err := p.Query(nil)
+		rows, err := collect(p.All(t.Context(), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows) != 1 || rows[0]["who"] != "http://dbpedia.org/resource/Amy_Winehouse" {
+		if len(rows) != 1 || rows[0]["who"].Value != "http://dbpedia.org/resource/Amy_Winehouse" {
 			t.Errorf("run %d: rows = %v", i, rows)
 		}
 	}
@@ -267,7 +285,7 @@ SELECT ?who ?where WHERE {
 	if err != nil || n != 1 {
 		t.Errorf("Count = %d, %v", n, err)
 	}
-	if _, err := p.Query(&QueryOptions{Timeout: -time.Second}); err != ErrTimeout {
+	if _, err := collect(p.All(t.Context(), &QueryOptions{Timeout: -time.Second})); err != ErrTimeout {
 		t.Errorf("timeout err = %v, want ErrTimeout", err)
 	}
 }
@@ -281,11 +299,11 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b } LIMIT 2`)
 		t.Fatal(err)
 	}
 	// The query's LIMIT and the options' limit compose: tighter wins.
-	rows, err := p.Query(&QueryOptions{Limit: 5})
+	rows, err := collect(p.All(t.Context(), &QueryOptions{Limit: 5}))
 	if err != nil || len(rows) != 2 {
 		t.Errorf("rows = %d, %v; want 2", len(rows), err)
 	}
-	rows, err = p.Query(&QueryOptions{Limit: 1})
+	rows, err = collect(p.All(t.Context(), &QueryOptions{Limit: 1}))
 	if err != nil || len(rows) != 1 {
 		t.Errorf("rows = %d, %v; want 1", len(rows), err)
 	}
@@ -315,7 +333,7 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b }`)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rows, err := p.Query(nil)
+			rows, err := collect(p.All(t.Context(), nil))
 			if err != nil {
 				errs <- err
 				return

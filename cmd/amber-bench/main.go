@@ -11,14 +11,12 @@
 //
 // Experiments: table1, table4, table5, fig6 (star/DBPEDIA), fig7
 // (complex/DBPEDIA), fig8 (star/YAGO), fig9 (complex/YAGO), fig10
-// (star/LUBM), fig11 (complex/LUBM), all. Beyond the paper, `churn`
-// measures query latency under a mixed read/write workload
-// (-writeratio) with live updates and background compaction enabled;
-// add -fsync=always|never|interval=<d> to attach a write-ahead log and
-// measure the write-latency cost of each durability policy.
+// (star/LUBM), fig11 (complex/LUBM), all.
 //
 // The repository's performance gate is benchmark/ (see benchmark/README.md);
-// this command reproduces the paper's evaluation.
+// this command reproduces the paper's evaluation. Query latency under live
+// updates, compaction and a write-ahead log is the gate's churn-durable
+// workload: bash benchmark/run.sh --workload churn-durable.
 package main
 
 import (
@@ -31,7 +29,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/plan"
-	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -61,10 +58,6 @@ func main() {
 		seed         = flag.Int64("seed", 2016, "generation seed")
 		sizes        = flag.String("sizes", "10,20,30,40,50", "query sizes (triple patterns)")
 		planner      = flag.String("planner", "cost", "AMbER matching-order planner: cost (statistics-driven) or heuristic (paper §5.3)")
-		writeRatio   = flag.Float64("writeratio", 0.2, "write fraction for -exp churn (0..1)")
-		writeBatch   = flag.Int("writebatch", 64, "triples per write batch for -exp churn")
-		fsync        = flag.String("fsync", "", "attach a write-ahead log to -exp churn with this policy (always, never, interval=<duration>; empty = no WAL)")
-		writers      = flag.Int("writers", 8, "concurrent writer goroutines for -exp churn (1 = interleaved single-writer loop)")
 	)
 	flag.Parse()
 
@@ -72,13 +65,6 @@ func main() {
 	if _, ok := plan.ByName(*planner); !ok {
 		fmt.Fprintf(os.Stderr, "amber-bench: unknown planner %q (use cost or heuristic)\n", *planner)
 		os.Exit(1)
-	}
-	// Likewise a bad fsync policy.
-	if *fsync != "" {
-		if _, _, err := wal.ParseSyncPolicy(*fsync); err != nil {
-			fmt.Fprintln(os.Stderr, "amber-bench:", err)
-			os.Exit(1)
-		}
 	}
 
 	cfg := experiments.DefaultConfig()
@@ -88,10 +74,6 @@ func main() {
 	cfg.Timeout = *timeout
 	cfg.Seed = *seed
 	cfg.Planner = *planner
-	cfg.WriteRatio = *writeRatio
-	cfg.WriteBatch = *writeBatch
-	cfg.Fsync = *fsync
-	cfg.Writers = *writers
 	cfg.Sizes = nil
 	for _, s := range strings.Split(*sizes, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -169,16 +151,6 @@ func run(exp string, cfg experiments.Config) error {
 		fmt.Fprintf(os.Stderr, "running %s...\n", f.id)
 		points := experiments.RunFigure(d, f.kind, cfg)
 		fmt.Println(experiments.FormatFigure(f.caption, points))
-		ran = true
-	}
-
-	if want("churn") {
-		d, err := getDS("DBPEDIA")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "running churn...")
-		fmt.Println(experiments.FormatChurn(experiments.RunChurn(d, workload.Star, cfg)))
 		ran = true
 	}
 

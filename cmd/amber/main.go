@@ -131,7 +131,7 @@ func run(logger *slog.Logger, dataPath, snapshot, saveSnap, queryText, queryFile
 		logger.LogAttrs(ctx, slog.LevelDebug, "query trace", tr.SlogAttrs()...)
 	}
 
-	prep, err := db.PrepareContext(ctx, queryText)
+	prep, err := db.Prepare(queryText)
 	if err != nil {
 		return err
 	}

@@ -62,16 +62,16 @@ func ExamplePrepared_All() {
 }
 
 // ASK: existence checks short-circuit after the first match.
-func ExampleDB_Ask() {
+func ExampleDB_AskContext() {
 	db, err := amber.OpenString(exampleData)
 	if err != nil {
 		log.Fatal(err)
 	}
-	yes, err := db.Ask(`ASK { ?s <http://p/name> "Alice" }`, nil)
+	yes, err := db.AskContext(context.Background(), `ASK { ?s <http://p/name> "Alice" }`, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	no, err := db.Ask(`ASK { ?s <http://p/name> "Alice"@en }`, nil)
+	no, err := db.AskContext(context.Background(), `ASK { ?s <http://p/name> "Alice"@en }`, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -81,24 +82,28 @@ SELECT ?prof WHERE {
 			log.Fatal(err)
 		}
 		countTime := time.Since(qStart)
-		rows, err := db.Query(q.text, &amber.QueryOptions{Timeout: 10 * time.Second})
-		if err != nil {
-			log.Fatal(err)
+		var lines []string
+		for b, err := range db.All(context.Background(), q.text, &amber.QueryOptions{Timeout: 10 * time.Second}) {
+			if err != nil {
+				log.Fatal(err)
+			}
+			lines = append(lines, shorten(b))
 		}
 		fmt.Printf("  %d total solutions (counted in %s); first %d:\n",
-			n, countTime.Round(time.Microsecond), len(rows))
-		for _, r := range rows {
-			fmt.Printf("    %s\n", shorten(r))
+			n, countTime.Round(time.Microsecond), len(lines))
+		for _, l := range lines {
+			fmt.Printf("    %s\n", l)
 		}
 		fmt.Println()
 	}
 }
 
 // shorten strips the long LUBM namespace for readable output.
-func shorten(r amber.Row) string {
-	parts := make([]string, 0, len(r))
-	for k, v := range r {
-		v = strings.TrimPrefix(v, "http://www.univ-bench.example.org/")
+func shorten(b amber.Binding) string {
+	parts := make([]string, 0, b.Len())
+	for i, k := range b.Vars() {
+		t, _ := b.At(i)
+		v := strings.TrimPrefix(t.Value, "http://www.univ-bench.example.org/")
 		parts = append(parts, fmt.Sprintf("?%s=%s", k, v))
 	}
 	return strings.Join(parts, " ")

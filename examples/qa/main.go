@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -112,16 +113,18 @@ func main() {
 	for _, q := range questions {
 		fmt.Println("Q:", q.text)
 		start := time.Now()
-		rows, err := db.Query(q.sparql, &amber.QueryOptions{Timeout: 5 * time.Second})
-		if err != nil {
-			log.Fatal(err)
-		}
 		// Deduplicate projected answers (question 3 yields symmetric rows).
 		seen := map[string]bool{}
-		for _, r := range rows {
-			parts := make([]string, 0, len(r))
-			for k, v := range r {
-				parts = append(parts, fmt.Sprintf("%s=%s", k, short(v)))
+		rows := 0
+		for b, err := range db.All(context.Background(), q.sparql, &amber.QueryOptions{Timeout: 5 * time.Second}) {
+			if err != nil {
+				log.Fatal(err)
+			}
+			rows++
+			parts := make([]string, 0, b.Len())
+			for i, k := range b.Vars() {
+				t, _ := b.At(i)
+				parts = append(parts, fmt.Sprintf("%s=%s", k, short(t.Value)))
 			}
 			line := strings.Join(parts, ", ")
 			if !seen[line] {
@@ -129,10 +132,10 @@ func main() {
 				fmt.Printf("  A: %s\n", line)
 			}
 		}
-		if len(rows) == 0 {
+		if rows == 0 {
 			fmt.Println("  A: (no answer)")
 		}
-		fmt.Printf("  [%d rows in %s]\n\n", len(rows), time.Since(start).Round(time.Microsecond))
+		fmt.Printf("  [%d rows in %s]\n\n", rows, time.Since(start).Round(time.Microsecond))
 	}
 }
 

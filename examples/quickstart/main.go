@@ -43,25 +43,28 @@ func main() {
 	fmt.Printf("loaded %d triples → %d vertices, %d edge types, %d attributes\n\n",
 		st.Triples, st.Vertices, st.EdgeTypes, st.Attributes)
 
+	ctx := context.Background()
+
 	// Who was born in and died in the same place?
 	fmt.Println("Q1: born and died in the same city")
-	rows, err := db.Query(`
+	for b, err := range db.All(ctx, `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?who ?city WHERE {
   ?who y:wasBornIn ?city .
   ?who y:diedIn ?city .
-}`, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range rows {
-		fmt.Printf("  %s — %s\n", r["who"], r["city"])
+}`, nil) {
+		if err != nil {
+			log.Fatal(err)
+		}
+		who, _ := b.Get("who")
+		city, _ := b.Get("city")
+		fmt.Printf("  %s — %s\n", who.Value, city.Value)
 	}
 
 	// The paper's Figure 2 query (with its typos corrected to match the
 	// data): a complex 13-triplet pattern around London.
 	fmt.Println("\nQ2: the paper's Figure 2 query")
-	rows, err = db.Query(`
+	for b, err := range db.All(ctx, `
 PREFIX y: <http://dbpedia.org/ontology/>
 PREFIX x: <http://dbpedia.org/resource/>
 SELECT ?X0 ?X3 ?X5 WHERE {
@@ -78,12 +81,14 @@ SELECT ?X0 ?X3 ?X5 WHERE {
   ?X5 y:hasName "MCA_Band" .
   ?X5 y:foundedIn "1994" .
   ?X3 y:livedIn x:United_States .
-}`, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range rows {
-		fmt.Printf("  X0=%s X3=%s X5=%s\n", r["X0"], r["X3"], r["X5"])
+}`, nil) {
+		if err != nil {
+			log.Fatal(err)
+		}
+		x0, _ := b.Get("X0")
+		x3, _ := b.Get("X3")
+		x5, _ := b.Get("X5")
+		fmt.Printf("  X0=%s X3=%s X5=%s\n", x0.Value, x3.Value, x5.Value)
 	}
 
 	// Counting without enumerating.
@@ -99,7 +104,7 @@ SELECT * WHERE { ?a y:livedIn ?b }`, nil)
 	// the multigraph model, and a single-occurrence object variable binds
 	// it as a typed term through the cursor API.
 	fmt.Println("\nQ4: literal bindings via the typed cursor")
-	cur, err := db.QueryContext(context.Background(), `
+	cur, err := db.QueryContext(ctx, `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?band ?name WHERE { ?band y:hasName ?name }`, nil)
 	if err != nil {
@@ -118,7 +123,7 @@ SELECT ?band ?name WHERE { ?band y:hasName ?name }`, nil)
 	}
 
 	// ASK: existence without enumeration.
-	yes, err := db.Ask(`
+	yes, err := db.AskContext(ctx, `
 PREFIX y: <http://dbpedia.org/ontology/>
 PREFIX x: <http://dbpedia.org/resource/>
 ASK { x:Music_Band y:foundedIn "1994" }`, nil)

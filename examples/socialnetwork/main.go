@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -64,6 +65,7 @@ func main() {
 	st := db.Stats()
 	fmt.Printf("social graph: %d triples, %d vertices, %d edge types\n\n",
 		st.Triples, st.Vertices, st.EdgeTypes)
+	ctx := context.Background()
 
 	// A star query: engaged Londoners — they follow someone, like a post,
 	// belong to a group, and live in London. The satellite factorization
@@ -87,11 +89,11 @@ SELECT * WHERE {
 	// The same count enumerated row by row, for comparison.
 	start = time.Now()
 	enumerated := 0
-	if err := db.QueryIter(star, nil, func(amber.Row) bool {
+	for _, err := range db.All(ctx, star, nil) {
+		if err != nil {
+			log.Fatal(err)
+		}
 		enumerated++
-		return true
-	}); err != nil {
-		log.Fatal(err)
 	}
 	fmt.Printf("            enumeration of the same %d rows took %s\n\n",
 		enumerated, time.Since(start).Round(time.Microsecond))
@@ -106,13 +108,15 @@ SELECT ?u ?v ?w WHERE {
   ?post sn:postedBy ?w .
   ?u sn:likes ?post .
 } LIMIT 5`
-	rows, err := db.Query(path, &amber.QueryOptions{Timeout: 10 * time.Second})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("influence chains (first 5):")
-	for _, r := range rows {
-		fmt.Printf("  %s → %s → %s\n", short(r["u"]), short(r["v"]), short(r["w"]))
+	for b, err := range db.All(ctx, path, &amber.QueryOptions{Timeout: 10 * time.Second}) {
+		if err != nil {
+			log.Fatal(err)
+		}
+		u, _ := b.Get("u")
+		v, _ := b.Get("v")
+		w, _ := b.Get("w")
+		fmt.Printf("  %s → %s → %s\n", short(u.Value), short(v.Value), short(w.Value))
 	}
 }
 

@@ -42,7 +42,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
   ?student <http://swat.cse.lehigh.edu/onto/univ-bench.owl#advisor> ?prof .
   ?student <http://swat.cse.lehigh.edu/onto/univ-bench.owl#memberOf> ?dept .
 }`
-	out, err := db.ExplainAnalyze(q, nil)
+	out, err := db.ExplainAnalyzeContext(t.Context(), q, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 func TestExplainAnalyzeReportsActualFrontiers(t *testing.T) {
 	db := lubmDB(t)
 	const q = `SELECT ?s ?c WHERE { ?s <http://swat.cse.lehigh.edu/onto/univ-bench.owl#takesCourse> ?c . }`
-	out, err := db.ExplainAnalyze(q, &QueryOptions{Limit: 5})
+	out, err := db.ExplainAnalyzeContext(t.Context(), q, "", &QueryOptions{Limit: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

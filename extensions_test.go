@@ -12,18 +12,18 @@ func TestDistinctSemantics(t *testing.T) {
 	// ?who has two wasBornIn/diedIn... project only the city of birth of
 	// people who lived somewhere: Nolan→England, Amy→US, Blake→US gives
 	// two distinct ?b values.
-	plain, err := db.Query(`
+	plain, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
-SELECT ?b WHERE { ?a y:livedIn ?b }`, nil)
+SELECT ?b WHERE { ?a y:livedIn ?b }`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain) != 3 {
 		t.Fatalf("plain rows = %d, want 3", len(plain))
 	}
-	distinct, err := db.Query(`
+	distinct, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
-SELECT DISTINCT ?b WHERE { ?a y:livedIn ?b }`, nil)
+SELECT DISTINCT ?b WHERE { ?a y:livedIn ?b }`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ SELECT DISTINCT ?b WHERE { ?a y:livedIn ?b }`, nil)
 
 func TestUnionSemantics(t *testing.T) {
 	db := openDB(t)
-	rows, err := db.Query(`
+	rows, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?p WHERE {
   { ?p y:wasBornIn ?c } UNION { ?p y:diedIn ?c }
-}`, nil)
+}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ SELECT ?p WHERE {
 		t.Fatalf("union rows = %d, want 3", len(rows))
 	}
 	// With DISTINCT on ?p: Nolan, Amy.
-	rows, err = db.Query(`
+	rows, err = collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT DISTINCT ?p WHERE {
   { ?p y:wasBornIn ?c } UNION { ?p y:diedIn ?c }
-}`, nil)
+}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ SELECT DISTINCT ?p WHERE {
 
 func TestUnionUnboundVariables(t *testing.T) {
 	db := openDB(t)
-	rows, err := db.Query(`
+	rows, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?p ?band WHERE {
   { ?p y:wasMarriedTo ?x } UNION { ?p y:wasPartOf ?band }
-}`, nil)
+}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,35 +75,35 @@ SELECT ?p ?band WHERE {
 	}
 	sawUnbound := false
 	for _, r := range rows {
-		if r["band"] == "" {
+		if _, ok := r["band"]; !ok {
 			sawUnbound = true
 		}
 	}
 	if !sawUnbound {
-		t.Error("expected ?band unbound (empty) in the first branch's row")
+		t.Error("expected ?band unbound in the first branch's row")
 	}
 }
 
 func TestFilterEqAndNe(t *testing.T) {
 	db := openDB(t)
-	rows, err := db.Query(`
+	rows, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a ?b WHERE {
   ?a y:livedIn ?b .
   FILTER (?b = <http://dbpedia.org/resource/United_States>)
-}`, nil)
+}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("eq-filtered rows = %d, want 2", len(rows))
 	}
-	rows, err = db.Query(`
+	rows, err = collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a ?b WHERE {
   ?a y:livedIn ?b .
   FILTER (?b != <http://dbpedia.org/resource/United_States>)
-}`, nil)
+}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +115,13 @@ SELECT ?a ?b WHERE {
 func TestFilterVarToVar(t *testing.T) {
 	db := openDB(t)
 	// Pairs living in the same place, excluding self-pairs.
-	rows, err := db.Query(`
+	rows, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a ?b WHERE {
   ?a y:livedIn ?c .
   ?b y:livedIn ?c .
   FILTER (?a != ?b)
-}`, nil)
+}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,28 +133,28 @@ SELECT ?a ?b WHERE {
 
 func TestFilterRegexAndStrStarts(t *testing.T) {
 	db := openDB(t)
-	rows, err := db.Query(`
+	rows, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a WHERE {
   ?a y:livedIn ?b .
   FILTER regex(?a, "Winehouse")
-}`, nil)
+}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 {
 		t.Fatalf("regex rows = %d, want 1", len(rows))
 	}
-	rows, err = db.Query(`
+	rows, err = collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a WHERE {
   ?a y:wasBornIn ?b .
   FILTER strstarts(str(?a), "http://dbpedia.org/resource/C")
-}`, nil)
+}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0]["a"] != "http://dbpedia.org/resource/Christopher_Nolan" {
+	if len(rows) != 1 || rows[0]["a"].Value != "http://dbpedia.org/resource/Christopher_Nolan" {
 		t.Fatalf("strstarts rows = %v", rows)
 	}
 }
@@ -164,13 +164,13 @@ func TestOffsetPagination(t *testing.T) {
 	q := `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a ?b WHERE { ?a y:livedIn ?b }`
-	all, err := db.Query(q, nil)
+	all, err := collect(db.All(t.Context(), q, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pages []Row
+	var pages []map[string]Term
 	for off := 0; off < len(all); off++ {
-		page, err := db.Query(q+" OFFSET "+itoa(off)+" LIMIT 1", nil)
+		page, err := collect(db.All(t.Context(), q+" OFFSET "+itoa(off)+" LIMIT 1", nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b }`
 		pages = append(pages, page[0])
 	}
 	// Pagination must cover exactly the full result set.
-	key := func(r Row) string { return r["a"] + "|" + r["b"] }
+	key := func(r map[string]Term) string { return r["a"].Value + "|" + r["b"].Value }
 	var wantKeys, gotKeys []string
 	for _, r := range all {
 		wantKeys = append(wantKeys, key(r))
@@ -196,7 +196,7 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b }`
 		}
 	}
 	// Offset beyond the result set yields nothing.
-	page, err := db.Query(q+" OFFSET 99", nil)
+	page, err := collect(db.All(t.Context(), q+" OFFSET 99", nil))
 	if err != nil || len(page) != 0 {
 		t.Errorf("beyond-end page = %v, %v", page, err)
 	}
@@ -220,9 +220,9 @@ SELECT ?p WHERE { { ?p y:wasBornIn ?c } UNION { ?p y:diedIn ?c } }`, nil)
 
 func TestExtensionTimeout(t *testing.T) {
 	db := openDB(t)
-	_, err := db.Query(`
+	_, err := collect(db.All(t.Context(), `
 PREFIX y: <http://dbpedia.org/ontology/>
-SELECT DISTINCT ?b WHERE { ?a y:livedIn ?b }`, &QueryOptions{Timeout: -1})
+SELECT DISTINCT ?b WHERE { ?a y:livedIn ?b }`, &QueryOptions{Timeout: -1}))
 	if err != ErrTimeout {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}

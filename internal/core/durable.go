@@ -135,23 +135,6 @@ func (s *Store) CloseWAL() error {
 	return nil
 }
 
-// DetachWAL syncs, closes and detaches the log: the store reverts to a
-// purely in-memory one and mutations proceed unlogged. Benchmarks use
-// this to measure durability cost against the same store.
-func (s *Store) DetachWAL() error {
-	d := s.dur.Swap(nil)
-	if d == nil {
-		return nil
-	}
-	d.cpMu.Lock()
-	defer d.cpMu.Unlock()
-	d.closed.Store(true)
-	if err := d.log.Close(); err != nil {
-		return fmt.Errorf("%w: %w", ErrDurability, err)
-	}
-	return nil
-}
-
 // SyncWAL forces an fsync of the log, whatever the policy — the explicit
 // durability barrier for SyncEvery / SyncNever stores. A store without a
 // WAL returns nil.

@@ -209,7 +209,7 @@ SELECT ?p WHERE {
 
 func TestExplain(t *testing.T) {
 	s := newStore(t)
-	out, err := s.Explain(`
+	out, err := s.ExplainQuery(plan.Default(), parse(t, `
 PREFIX y: <http://dbpedia.org/ontology/>
 PREFIX x: <http://dbpedia.org/resource/>
 SELECT ?X0 ?X1 ?X3 ?X5 WHERE {
@@ -226,7 +226,7 @@ SELECT ?X0 ?X1 ?X3 ?X5 WHERE {
   ?X5 y:hasName "MCA_Band" .
   ?X5 y:foundedIn "1994" .
   ?X3 y:livedIn x:United_States .
-}`)
+}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,20 +251,17 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b }`)
 
 func TestExplainUnsatAndErrors(t *testing.T) {
 	s := newStore(t)
-	out, err := s.Explain(`PREFIX y: <http://dbpedia.org/ontology/> SELECT ?a ?b WHERE { ?a y:isMarriedTo ?b }`)
+	out, err := s.ExplainQuery(plan.Default(), parse(t, `PREFIX y: <http://dbpedia.org/ontology/> SELECT ?a ?b WHERE { ?a y:isMarriedTo ?b }`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "UNSATISFIABLE") {
 		t.Errorf("unsat not reported:\n%s", out)
 	}
-	if _, err := s.Explain(`SELEKT`); err == nil {
-		t.Error("parse error not surfaced")
-	}
-	out, err = s.Explain(`
+	out, err = s.ExplainQuery(plan.Default(), parse(t, `
 PREFIX y: <http://dbpedia.org/ontology/>
 PREFIX x: <http://dbpedia.org/resource/>
-SELECT DISTINCT ?a WHERE { x:London y:isPartOf x:England . ?a y:livedIn ?b }`)
+SELECT DISTINCT ?a WHERE { x:London y:isPartOf x:England . ?a y:livedIn ?b }`))
 	if err != nil {
 		t.Fatal(err)
 	}

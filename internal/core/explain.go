@@ -13,16 +13,6 @@ import (
 	"repro/internal/sparql"
 )
 
-// Explain renders the planner's view of query text with the default
-// (cost-based) planner; see ExplainQuery.
-func (s *Store) Explain(src string) (string, error) {
-	pq, err := sparql.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	return s.ExplainQuery(plan.Default(), pq)
-}
-
 // ExplainQuery renders the engine's execution view of a parsed query under
 // the given planner: the core/satellite decomposition, the chosen matching
 // order, the per-vertex constraints, and — for every core vertex — the

@@ -47,22 +47,6 @@ type Config struct {
 	// statistics-driven) or "heuristic" (the paper's static Section 5.3
 	// ordering), so runs under both are comparable.
 	Planner string
-	// WriteRatio is the write fraction of the churn experiment's mixed
-	// read/write workload (0 = read-only); WriteBatch is the triples per
-	// write batch (0 = 64). Only RunChurn consumes them.
-	WriteRatio float64
-	WriteBatch int
-	// Fsync, when non-empty, attaches a write-ahead log (in a temporary
-	// directory) to the churn run's store with the given policy —
-	// "always", "never" or "interval=<duration>" — so the write-latency
-	// cost of each durability policy is measurable. Only RunChurn
-	// consumes it.
-	Fsync string
-	// Writers is the churn experiment's concurrent writer count: 0 or 1
-	// keeps the single-threaded interleaved loop; W > 1 runs W writer
-	// goroutines flat-out against concurrent readers, measuring durable
-	// write throughput and commit grouping. Only RunChurn consumes it.
-	Writers int
 }
 
 // DefaultConfig returns the laptop-scale defaults.
@@ -164,8 +148,7 @@ func (d *Dataset) RunQuery(name EngineName, q *sparql.Query, timeout time.Durati
 	switch name {
 	case AMbER:
 		// PreparedQuery pins one MVCC snapshot for plan + execution, so
-		// the measurement stays correct under concurrent compaction
-		// (the churn experiment mutates the store mid-run).
+		// the measurement stays correct under concurrent compaction.
 		g, buildErr := d.Amber.PrepareQueryWith(d.planner(), q)
 		if buildErr != nil {
 			return false, 0, 0

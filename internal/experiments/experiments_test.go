@@ -181,36 +181,3 @@ func TestFmtHelpers(t *testing.T) {
 		t.Errorf("fmtBytes = %q", got)
 	}
 }
-
-// TestChurnWithFsync exercises the durable churn mode: the run attaches a
-// throwaway WAL, logs every write, and restores the store afterwards.
-func TestChurnWithFsync(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.WriteRatio = 0.5
-	cfg.WriteBatch = 8
-	cfg.Fsync = "interval=10ms"
-	d := buildLUBM(t, cfg)
-	before := d.Amber.Snapshot().Delta.NumTriples()
-	res := RunChurn(d, workload.Star, cfg)
-	if res.DurabilityErr != "" {
-		t.Fatalf("WAL setup failed: %s", res.DurabilityErr)
-	}
-	if res.Fsync != cfg.Fsync {
-		t.Fatalf("Fsync = %q, want %q", res.Fsync, cfg.Fsync)
-	}
-	if res.Writes > 0 && res.WALBytes == 0 {
-		t.Errorf("writes ran but WAL recorded no bytes: %+v", res)
-	}
-	if d.Amber.DurabilityInfo().Enabled {
-		t.Error("WAL still attached after the run")
-	}
-	// The generator dedupes emitted triples at the source, so the initial
-	// build and any post-compaction rebuild agree exactly.
-	if after := d.Amber.Snapshot().Delta.NumTriples(); after != before {
-		t.Errorf("store not restored: %d triples, want %d", after, before)
-	}
-	out := FormatChurn(res)
-	if !strings.Contains(out, "durability: fsync=") {
-		t.Errorf("FormatChurn missing durability line:\n%s", out)
-	}
-}

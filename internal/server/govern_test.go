@@ -123,7 +123,7 @@ func TestGovernedExecutionPerKind(t *testing.T) {
 
 			t.Run("timeout", func(t *testing.T) {
 				s, ts := newTestServer(t, data, Config{})
-				r := k.send(ts.URL, "timeout", "-1ms")
+				r := k.send(ts.URL, "timeout", "1ns")
 				wantStatus, wantTimeouts := http.StatusNoContent, uint64(0)
 				if k.bounded {
 					wantStatus, wantTimeouts = http.StatusServiceUnavailable, 1

@@ -422,11 +422,12 @@ func (s *Server) readParams(r *http.Request) (queryParams, error) {
 	if v := get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil {
-			if ms, merr := strconv.Atoi(v); merr == nil {
-				d = time.Duration(ms) * time.Millisecond
-			} else {
-				return p, errorf(http.StatusBadRequest, "invalid timeout %q", v)
-			}
+			var ms int
+			ms, err = strconv.Atoi(v)
+			d = time.Duration(ms) * time.Millisecond
+		}
+		if err != nil || d < 0 {
+			return p, errorf(http.StatusBadRequest, "invalid timeout %q", v)
 		}
 		if d > s.cfg.MaxTimeout {
 			d = s.cfg.MaxTimeout
@@ -815,7 +816,12 @@ func (s *Server) runQuery(ex *execution, st *dbState, key string, params *queryP
 	var writeErr error
 	var serialize time.Duration
 	loopStart := time.Now()
-	err := prep.QueryIterContext(ex.ctx, &params.opts, func(b amber.Binding) bool {
+	var err error
+	for b, qerr := range prep.All(ex.ctx, &params.opts) {
+		if qerr != nil {
+			err = qerr
+			break
+		}
 		m := b.Map()
 		if collecting {
 			if len(collected) < s.cfg.MaxCacheRows {
@@ -829,13 +835,12 @@ func (s *Server) runQuery(ex *execution, st *dbState, key string, params *queryP
 			writeErr = sw.Row(m)
 		}
 		if writeErr != nil {
-			return false
+			break
 		}
 		serialize += time.Since(rowStart)
 		ex.rows++
 		w.meter.AddRows(1)
-		return true
-	})
+	}
 	// The loop interleaves engine work and row writes; attribute the
 	// write share to "serialize" and the rest to "execute".
 	tr.AddSpan("execute", time.Since(loopStart)-serialize)

@@ -275,6 +275,30 @@ func TestTimeoutZeroKeepsDefault(t *testing.T) {
 	if p.opts.Timeout != 7*time.Second {
 		t.Errorf("timeout=0 yields %v, want the 7s default", p.opts.Timeout)
 	}
+
+	// A negative timeout is a malformed request (400), not a query that
+	// timed out (503) — and the verdict must not depend on whether the
+	// result is already cached.
+	s, ts := newTestServer(t, townData, Config{})
+	for _, cache := range []string{"cold", "warm"} {
+		if cache == "warm" {
+			if resp, body := get(t, queryURL(ts.URL, knowsQuery), nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("warming query: status %d: %s", resp.StatusCode, body)
+			}
+		}
+		for _, v := range []string{"-1s", "-100"} {
+			for _, extra := range [][]string{nil, {"explain", "analyze"}} {
+				resp, body := get(t, queryURL(ts.URL, knowsQuery, append([]string{"timeout", v}, extra...)...), nil)
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "invalid timeout") {
+					t.Errorf("%s cache, timeout=%s %v: status %d, want 400 invalid timeout: %s",
+						cache, v, extra, resp.StatusCode, body)
+				}
+			}
+		}
+	}
+	if st := s.Stats(); st.Timeouts != 0 {
+		t.Errorf("timeouts counter = %d after rejected requests, want 0", st.Timeouts)
+	}
 }
 
 func TestCacheDisabled(t *testing.T) {
@@ -288,9 +312,9 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestTimeoutMapsTo503(t *testing.T) {
 	s, ts := newTestServer(t, townData, Config{})
-	// A negative timeout yields an already-expired deadline: the engine
-	// reports timeout before producing any row.
-	resp, body := get(t, queryURL(ts.URL, knowsQuery, "timeout", "-1ms"), nil)
+	// A one-nanosecond timeout has expired by the time the engine checks
+	// it: the engine reports timeout before producing any row.
+	resp, body := get(t, queryURL(ts.URL, knowsQuery, "timeout", "1ns"), nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
 	}

@@ -80,6 +80,38 @@ func TestTypedJSONResults(t *testing.T) {
 	}
 }
 
+// TestCacheHitBodyMatchesMiss: a result served from the cache is
+// byte-identical to the streamed response that filled it, in every
+// format, across a typed literal, a language-tagged literal and a
+// variable a UNION branch leaves unbound. The cache key ignores the
+// format, so each format gets a fresh server to observe its own miss.
+func TestCacheHitBodyMatchesMiss(t *testing.T) {
+	q := `SELECT ?s ?v ?w WHERE {
+		{ ?s <http://p/age> ?v } UNION { ?s <http://p/greet> ?v } UNION { ?s <http://p/knows> ?w }
+	}`
+	for _, format := range []string{"json", "xml", "csv", "tsv"} {
+		_, ts := newTestServer(t, typedData, Config{})
+		u := queryURL(ts.URL, q, "format", format)
+		var bodies [2]string
+		for i, want := range []string{"miss", "hit"} {
+			resp, body := get(t, u, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", format, want, resp.StatusCode, body)
+			}
+			if got := resp.Header.Get("X-Cache"); got != want {
+				t.Fatalf("%s: X-Cache = %q, want %q", format, got, want)
+			}
+			bodies[i] = body
+		}
+		if bodies[0] != bodies[1] {
+			t.Errorf("%s: cache hit differs from miss.\nmiss:\n%s\nhit:\n%s", format, bodies[0], bodies[1])
+		}
+		if !strings.Contains(bodies[0], "42") || !strings.Contains(bodies[0], "hi") {
+			t.Errorf("%s: body lacks the literals:\n%s", format, bodies[0])
+		}
+	}
+}
+
 func TestAskOverHTTP(t *testing.T) {
 	s, ts := newTestServer(t, typedData, Config{})
 	resp, body := get(t, queryURL(ts.URL, `ASK { ?s <http://p/greet> "hi"@en }`), nil)

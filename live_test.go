@@ -18,7 +18,7 @@ import (
 // countQ counts rows of a query, failing the test on error.
 func countQ(t *testing.T, db *DB, q string) int {
 	t.Helper()
-	rows, err := db.Query(q, nil)
+	rows, err := collect(db.All(t.Context(), q, nil))
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
@@ -76,14 +76,14 @@ func TestUpdateNewEntities(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A 2-hop query entirely over overlay-new vertices and predicates.
-	rows, err := db.Query(`SELECT ?a ?c WHERE {
+	rows, err := collect(db.All(t.Context(), `SELECT ?a ?c WHERE {
 		?a <http://new/follows> ?b .
 		?b <http://new/follows> ?c .
-	}`, nil)
+	}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0]["a"] != "http://new/p1" || rows[0]["c"] != "http://new/p3" {
+	if len(rows) != 1 || rows[0]["a"].Value != "http://new/p1" || rows[0]["c"].Value != "http://new/p3" {
 		t.Fatalf("rows = %v", rows)
 	}
 	// Attribute on a new vertex via the overlay A index.
@@ -125,7 +125,7 @@ func TestMutateAndPreparedRevalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := p.Query(nil)
+	rows, err := collect(p.All(t.Context(), nil))
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("prepared baseline = %d rows, err %v", len(rows), err)
 	}
@@ -138,7 +138,7 @@ func TestMutateAndPreparedRevalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err = p.Query(nil)
+	rows, err = collect(p.All(t.Context(), nil))
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("prepared after mutate = %d rows, err %v", len(rows), err)
 	}
@@ -212,7 +212,7 @@ func TestPlannerStatsRefreshOnCompaction(t *testing.T) {
 	if n := countQ(t, db, q); n != 200 {
 		t.Fatalf("post-compaction rows = %d, want 200", n)
 	}
-	out, err := db.Explain(q)
+	out, err := db.ExplainPlanner(q, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +233,14 @@ func TestSnapshotRoundTripUnderMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	uri := func(k string, n int) string { return fmt.Sprintf("http://%s/%d", k, n) }
 	probe := func(db *DB, p string) []string {
-		rows, err := db.Query(
-			fmt.Sprintf(`SELECT ?a ?b WHERE { ?a <%s> ?b . }`, p), nil)
+		rows, err := collect(db.All(t.Context(),
+			fmt.Sprintf(`SELECT ?a ?b WHERE { ?a <%s> ?b . }`, p), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := make([]string, 0, len(rows))
 		for _, r := range rows {
-			out = append(out, r["a"]+"→"+r["b"])
+			out = append(out, r["a"].Value+"→"+r["b"].Value)
 		}
 		sort.Strings(out)
 		return out
@@ -359,7 +359,7 @@ func TestConcurrentTorture(t *testing.T) {
 					return
 				default:
 				}
-				rows, err := db.Query(q, nil)
+				rows, err := collect(db.All(t.Context(), q, nil))
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return

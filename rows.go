@@ -23,46 +23,17 @@ import (
 //	}
 //	if err := rows.Err(); err != nil { ... }
 //
-// Execution runs in a background goroutine that the cursor pulls from;
-// Close cancels it, so abandoning a large result set does not leak work.
+// The cursor pulls from Prepared.All; Close stops the execution, so
+// abandoning a large result set does not leak work.
 type Rows struct {
-	vars   []string
-	parent context.Context // the caller's context, for Close's error triage
-	cancel context.CancelFunc
-	ch     chan Binding
-	errc   chan error
+	vars []string
+	next func() (Binding, error, bool)
+	stop func()
 
-	cur      Binding
-	started  bool
-	err      error
-	finished bool
-	closed   bool
-}
-
-// queryRows starts the producer goroutine for one execution.
-func queryRows(ctx context.Context, p *Prepared, opts *QueryOptions) *Rows {
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	r := &Rows{
-		vars:   p.cp.Projection(),
-		parent: parent,
-		cancel: cancel,
-		ch:     make(chan Binding),
-		errc:   make(chan error, 1),
-	}
-	go func() {
-		qerr := p.each(ctx, opts, func(b Binding) bool {
-			select {
-			case r.ch <- b:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-		r.errc <- qerr
-		close(r.ch)
-	}()
-	return r
+	cur     Binding
+	started bool
+	err     error
+	done    bool
 }
 
 // Vars returns the projected variable names in SELECT order.
@@ -71,25 +42,17 @@ func (r *Rows) Vars() []string { return r.vars }
 // Next advances to the next row, reporting false at the end of the
 // result set or on error (consult Err to distinguish).
 func (r *Rows) Next() bool {
-	if r.finished || r.closed {
+	if r.done {
 		return false
 	}
-	b, ok := <-r.ch
-	if !ok {
-		r.finish()
+	b, err, ok := r.next()
+	if !ok || err != nil {
+		r.err = err
+		r.Close() //nolint:errcheck // the error is r.err, reported by Err
 		return false
 	}
 	r.cur, r.started = b, true
 	return true
-}
-
-// finish collects the producer's verdict; called once at end of stream.
-func (r *Rows) finish() {
-	if r.finished {
-		return
-	}
-	r.finished = true
-	r.err = <-r.errc
 }
 
 // Binding returns the current row. It is only valid after a true Next.
@@ -128,28 +91,18 @@ func (r *Rows) Scan(dest ...any) error {
 	return nil
 }
 
-// Err returns the error that ended iteration, if any. Close-induced
-// cancellation is not an error; a parent-context cancellation is.
+// Err returns the error that ended iteration, if any. Stopping early
+// through Close is not an error; a cancellation of the caller's context
+// is.
 func (r *Rows) Err() error { return r.err }
 
-// Close cancels the execution and releases the cursor. It is idempotent
-// and safe to call at any point; rows already read remain valid.
+// Close stops the execution and releases the cursor. It is idempotent
+// and safe to call at any point; rows already read remain valid. It
+// returns Err.
 func (r *Rows) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	r.cancel()
-	// Drain so the producer's send never blocks, then collect its verdict.
-	for range r.ch {
-	}
-	r.finish()
-	// The cancellation this Close just triggered is not a query failure —
-	// but a cancellation of the caller's own context is, and must survive
-	// Close (the caller may check Err or Close's return to decide whether
-	// the rows it read were the complete result set).
-	if errors.Is(r.err, context.Canceled) && r.parent.Err() == nil {
-		r.err = nil
+	if !r.done {
+		r.done = true
+		r.stop()
 	}
 	return r.err
 }
@@ -163,21 +116,11 @@ func (r *Rows) Close() error {
 // addition to any context deadline (the tighter bound wins) and maps to
 // ErrTimeout.
 func (db *DB) QueryContext(ctx context.Context, sparqlText string, opts *QueryOptions) (*Rows, error) {
-	p, err := db.PrepareContext(ctx, sparqlText)
+	p, err := db.Prepare(sparqlText)
 	if err != nil {
 		return nil, err
 	}
 	return p.QueryContext(ctx, opts)
-}
-
-// PrepareContext parses and prepares a query for repeated execution; see
-// Prepare. The context only gates preparation (parsing and planning are
-// CPU-bound and quick); pass the per-execution context to QueryContext.
-func (db *DB) PrepareContext(ctx context.Context, sparqlText string) (*Prepared, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return db.Prepare(sparqlText)
 }
 
 // QueryContext executes the prepared query and returns a cursor; see
@@ -186,7 +129,8 @@ func (p *Prepared) QueryContext(ctx context.Context, opts *QueryOptions) (*Rows,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return queryRows(ctx, p, opts), nil
+	next, stop := iter.Pull2(p.All(ctx, opts))
+	return &Rows{vars: p.cp.Projection(), next: next, stop: stop}, nil
 }
 
 // All returns the query's solutions as a Go 1.23 range-over-func
@@ -199,26 +143,28 @@ func (p *Prepared) QueryContext(ctx context.Context, opts *QueryOptions) (*Rows,
 //
 // A non-nil error is yielded at most once, as the final element. Breaking
 // out of the loop stops execution immediately — no goroutine or cursor
-// needs closing.
+// needs closing. Each row costs one allocation (its terms slice). Every
+// row-producing surface, the HTTP server included, runs through All.
 func (p *Prepared) All(ctx context.Context, opts *QueryOptions) iter.Seq2[Binding, error] {
 	return func(yield func(Binding, error) bool) {
+		vars := p.cp.Projection()
 		stopped := false
-		err := p.each(ctx, opts, func(b Binding) bool {
-			if !yield(b, nil) {
+		err := p.cp.Execute(opts.engineOptions(ctx), func(sol core.Solution) bool {
+			if !yield(Binding{vars: vars, index: p.index, terms: sol}, nil) {
 				stopped = true
 				return false
 			}
 			return true
 		})
 		if err != nil && !stopped {
-			yield(Binding{}, err)
+			yield(Binding{}, mapExecErr(err))
 		}
 	}
 }
 
 // All is the range-over-func form of QueryContext; see Prepared.All.
 func (db *DB) All(ctx context.Context, sparqlText string, opts *QueryOptions) iter.Seq2[Binding, error] {
-	p, err := db.PrepareContext(ctx, sparqlText)
+	p, err := db.Prepare(sparqlText)
 	if err != nil {
 		return func(yield func(Binding, error) bool) {
 			yield(Binding{}, err)
@@ -227,53 +173,26 @@ func (db *DB) All(ctx context.Context, sparqlText string, opts *QueryOptions) it
 	return p.All(ctx, opts)
 }
 
-// each streams typed rows to fn, stopping early when fn returns false.
-// It is the common core of every row-producing execution surface.
-func (p *Prepared) each(ctx context.Context, opts *QueryOptions, fn func(Binding) bool) error {
-	vars := p.cp.Projection()
-	err := p.cp.Execute(opts.engineOptions(ctx), func(sol core.Solution) bool {
-		return fn(Binding{vars: vars, index: p.index, terms: sol})
-	})
-	return mapExecErr(err)
-}
-
-// QueryIterContext streams typed rows to fn, stopping early when fn
-// returns false. Each row costs one allocation (its terms slice); this
-// is the path the HTTP server uses.
-func (p *Prepared) QueryIterContext(ctx context.Context, opts *QueryOptions, fn func(Binding) bool) error {
-	return p.each(ctx, opts, fn)
-}
-
 // ---- ASK ----------------------------------------------------------------
 
 // IsAsk reports whether the prepared query is an ASK query. Execution
 // entry points still work on one (it behaves as a SELECT with an empty
-// projection); Ask is the intended way to run it.
+// projection); AskContext is the intended way to run it.
 func (p *Prepared) IsAsk() bool { return p.cp.Query().Ask }
 
-// Ask reports whether the query has at least one solution. The engine
-// short-circuits after the first match (a count with limit one), so ASK
-// on a huge result set is cheap. Any query form is accepted, not only
-// ASK syntax.
-func (p *Prepared) Ask(opts *QueryOptions) (bool, error) {
-	return p.AskContext(context.Background(), opts)
-}
-
-// AskContext is Ask with cancellation; see QueryContext for context
-// semantics.
+// AskContext reports whether the query has at least one solution. The
+// engine short-circuits after the first match (a count with limit one),
+// so ASK on a huge result set is cheap. Any query form is accepted, not
+// only ASK syntax. See QueryContext for context semantics.
 func (p *Prepared) AskContext(ctx context.Context, opts *QueryOptions) (bool, error) {
 	ok, err := p.cp.Ask(opts.engineOptions(ctx))
 	return ok, mapExecErr(err)
 }
 
-// Ask parses and runs a query as an existence check; see Prepared.Ask.
-func (db *DB) Ask(sparqlText string, opts *QueryOptions) (bool, error) {
-	return db.AskContext(context.Background(), sparqlText, opts)
-}
-
-// AskContext is Ask with cancellation.
+// AskContext parses and runs a query as an existence check; see
+// Prepared.AskContext.
 func (db *DB) AskContext(ctx context.Context, sparqlText string, opts *QueryOptions) (bool, error) {
-	p, err := db.PrepareContext(ctx, sparqlText)
+	p, err := db.Prepare(sparqlText)
 	if err != nil {
 		return false, err
 	}

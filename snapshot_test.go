@@ -26,11 +26,11 @@ SELECT ?who ?where WHERE {
   ?who y:wasBornIn ?where .
   ?who y:diedIn ?where .
 }`
-	a, err := db.Query(q, nil)
+	a, err := collect(db.All(t.Context(), q, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db2.Query(q, nil)
+	b, err := collect(db2.All(t.Context(), q, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,17 +52,12 @@ func (db *DB) Stats() Stats {
 	}
 }
 
-// Explain renders the planner's execution view of a query: core/satellite
-// decomposition, the chosen matching order, per-vertex constraints, and
-// estimated vs. actual candidate-set sizes for every core vertex, under
-// the default cost-based planner. The format is human-oriented and not
-// stable.
-func (db *DB) Explain(sparqlText string) (string, error) {
-	return db.ExplainPlanner(sparqlText, "")
-}
-
-// ExplainPlanner is Explain with an explicit planner: "cost" (the
-// default) or "heuristic" (the paper's static Section 5.3 ordering).
+// ExplainPlanner renders the planner's execution view of a query:
+// core/satellite decomposition, the chosen matching order, per-vertex
+// constraints, and estimated vs. actual candidate-set sizes for every
+// core vertex. planner is "cost" (the default, also chosen by "") or
+// "heuristic" (the paper's static Section 5.3 ordering). The format is
+// human-oriented and not stable.
 func (db *DB) ExplainPlanner(sparqlText, planner string) (string, error) {
 	pl, ok := plan.ByName(planner)
 	if !ok {
@@ -75,19 +70,13 @@ func (db *DB) ExplainPlanner(sparqlText, planner string) (string, error) {
 	return db.store.ExplainQuery(pl, pq)
 }
 
-// ExplainAnalyze executes the query and renders, per core-vertex
+// ExplainAnalyzeContext executes the query and renders, per core-vertex
 // matching level, the planner's estimated candidate-set size against
 // the frontier the engine actually enumerated, plus the engine's effort
-// counters — EXPLAIN's estimates validated by a real run. opts bounds
-// the execution exactly as in QueryContext (a timed-out run returns
-// ErrTimeout and no report). The format is human-oriented and not
-// stable.
-func (db *DB) ExplainAnalyze(sparqlText string, opts *QueryOptions) (string, error) {
-	return db.ExplainAnalyzeContext(context.Background(), sparqlText, "", opts)
-}
-
-// ExplainAnalyzeContext is ExplainAnalyze with cancellation and an
-// explicit planner name ("" = cost-based).
+// counters — EXPLAIN's estimates validated by a real run. ctx and opts
+// bound the execution exactly as in QueryContext (a timed-out run
+// returns ErrTimeout and no report); planner is as in ExplainPlanner.
+// The format is human-oriented and not stable.
 func (db *DB) ExplainAnalyzeContext(ctx context.Context, sparqlText, planner string, opts *QueryOptions) (string, error) {
 	pl, ok := plan.ByName(planner)
 	if !ok {

@@ -62,9 +62,9 @@ func (b Binding) Vars() []string { return b.vars }
 func (b Binding) Len() int { return len(b.vars) }
 
 // Get returns the term bound to the named variable. ok is false when the
-// variable is unbound in this row (or not projected at all) — unlike the
-// legacy Row map, an unbound variable is distinguishable from a literal
-// whose lexical form is empty.
+// variable is unbound in this row (or not projected at all), so an
+// unbound variable is distinguishable from a literal whose lexical form
+// is empty.
 func (b Binding) Get(name string) (t Term, ok bool) {
 	i, found := b.index[name]
 	if !found {

@@ -75,7 +75,7 @@ func TestLiteralBindings(t *testing.T) {
 // literal objects binds both through one variable.
 func TestMixedPredicate(t *testing.T) {
 	db := openTyped(t)
-	rows, err := db.Query(`SELECT ?v WHERE { <http://x/bob> <http://p/mixed> ?v }`, nil)
+	rows, err := collect(db.All(t.Context(), `SELECT ?v WHERE { <http://x/bob> <http://p/mixed> ?v }`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMixedPredicate(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, r := range rows {
-		seen[r["v"]] = true
+		seen[r["v"].Value] = true
 	}
 	if !seen["http://x/alice"] || !seen["both"] {
 		t.Errorf("mixed bindings = %v", seen)
@@ -96,14 +96,14 @@ func TestMixedPredicate(t *testing.T) {
 // into core matching.
 func TestLiteralJoinVariablesStayVertices(t *testing.T) {
 	db := openTyped(t)
-	rows, err := db.Query(`SELECT ?v WHERE {
+	rows, err := collect(db.All(t.Context(), `SELECT ?v WHERE {
 		<http://x/bob> <http://p/mixed> ?v .
 		?v <http://p/knows> <http://x/bob> .
-	}`, nil)
+	}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0]["v"] != "http://x/alice" {
+	if len(rows) != 1 || rows[0]["v"].Value != "http://x/alice" {
 		t.Errorf("join rows = %v", rows)
 	}
 }
@@ -251,7 +251,7 @@ func TestAsk(t *testing.T) {
 		{`ASK { ?s <http://p/greet> "hi" }`, false},
 	}
 	for _, c := range cases {
-		got, err := db.Ask(c.query, nil)
+		got, err := db.AskContext(t.Context(), c.query, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.query, err)
 		}
@@ -266,21 +266,8 @@ func TestAsk(t *testing.T) {
 	if !p.IsAsk() {
 		t.Error("IsAsk = false for ASK query")
 	}
-	if ok, err := p.Ask(nil); err != nil || !ok {
+	if ok, err := p.AskContext(t.Context(), nil); err != nil || !ok {
 		t.Errorf("prepared Ask = %v, %v", ok, err)
-	}
-}
-
-// TestLegacyRowFlattening: the old Row surface keeps working, flattening
-// typed literals to their lexical form and unbound variables to "".
-func TestLegacyRowFlattening(t *testing.T) {
-	db := openTyped(t)
-	rows, err := db.Query(`SELECT ?v WHERE { <http://x/alice> <http://p/age> ?v }`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0]["v"] != "42" {
-		t.Errorf("legacy rows = %v", rows)
 	}
 }
 
@@ -295,7 +282,7 @@ func TestTypedTermsSurviveSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.Ask(`ASK { ?s <http://p/age> "42"^^<http://www.w3.org/2001/XMLSchema#integer> }`, nil)
+	got, err := loaded.AskContext(t.Context(), `ASK { ?s <http://p/age> "42"^^<http://www.w3.org/2001/XMLSchema#integer> }`, nil)
 	if err != nil || !got {
 		t.Errorf("typed ask after snapshot round trip = %v, %v", got, err)
 	}
@@ -364,26 +351,26 @@ func TestFilterEqualityAcrossPredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Query(`SELECT ?o ?u WHERE {
+	rows, err := collect(db.All(t.Context(), `SELECT ?o ?u WHERE {
 		<http://x/s> <http://p/a> ?o .
 		<http://x/t> <http://p/b> ?u .
 		FILTER (?o = ?u)
-	}`, nil)
+	}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0]["o"] != "42" || rows[0]["u"] != "42" {
+	if len(rows) != 1 || rows[0]["o"].Value != "42" || rows[0]["u"].Value != "42" {
 		t.Errorf("cross-predicate equality rows = %v, want one 42/42 row", rows)
 	}
-	ne, err := db.Query(`SELECT ?o ?u WHERE {
+	ne, err := collect(db.All(t.Context(), `SELECT ?o ?u WHERE {
 		<http://x/s> <http://p/a> ?o .
 		<http://x/t> <http://p/b> ?u .
 		FILTER (?o != ?u)
-	}`, nil)
+	}`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ne) != 1 || ne[0]["u"] != "43" {
+	if len(ne) != 1 || ne[0]["u"].Value != "43" {
 		t.Errorf("cross-predicate inequality rows = %v, want one 42/43 row", ne)
 	}
 }
@@ -414,7 +401,7 @@ func TestExplicitXSDStringNormalizes(t *testing.T) {
 	if err := db.Mutate([]Triple{explicit}, nil); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := db.Ask(`ASK { <http://x/s2> <http://p/q> "v" }`, nil)
+	ok, err := db.AskContext(t.Context(), `ASK { <http://x/s2> <http://p/q> "v" }`, nil)
 	if err != nil || !ok {
 		t.Errorf("explicit xsd:string not found as plain literal: %v, %v", ok, err)
 	}
@@ -433,7 +420,7 @@ func TestAskShortCircuits(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plain single-pattern query with 500 solutions.
-	yes, err := db.Ask(`ASK { ?a <http://p/t> ?b }`, nil)
+	yes, err := db.AskContext(t.Context(), `ASK { ?a <http://p/t> ?b }`, nil)
 	if err != nil || !yes {
 		t.Fatalf("Ask = %v, %v", yes, err)
 	}
