@@ -177,9 +177,9 @@ func (db *DB) CountParallel(sparqlText string, opts *QueryOptions, workers int) 
 // Prepared is a query parsed and translated once against a DB, ready to
 // execute many times. Preparation covers SPARQL parsing, query-multigraph
 // construction for every UNION branch, and FILTER compilation — the hot
-// path of repeated execution (a server's cached plan, a benchmark's inner
-// loop) skips all of it. A Prepared is tied to the DB that produced it
-// and, like the DB, is safe for concurrent use.
+// path of repeated execution (a benchmark's inner loop, a library
+// caller's repeated query) skips all of it. A Prepared is tied to the DB
+// that produced it and, like the DB, is safe for concurrent use.
 type Prepared struct {
 	cp    *core.PreparedQuery
 	index map[string]int // projection name → position, shared by every row

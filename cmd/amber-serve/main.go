@@ -51,7 +51,7 @@
 // with -follow=<primary-url> plus its own -wal-dir: it bootstraps
 // (snapshot resync if needed), tails the primary's WAL, and serves reads
 // at an observable staleness (X-Epoch on every read; X-Min-Epoch waits
-// up to -min-epoch-wait for read-your-writes). Followers answer updates
+// up to 2s for read-your-writes). Followers answer updates
 // with 421 pointing at the primary and ignore SIGHUP (their state is
 // defined by the stream, not a source file).
 package main
@@ -95,12 +95,9 @@ func main() {
 		snapshot = flag.String("snapshot", "", "binary snapshot to load instead of -data")
 
 		cacheSize = flag.Int("cache", 256, "result cache entries (-1 disables)")
-		cacheRows = flag.Int("cache-rows", 10000, "max rows per cached result")
-		planCache = flag.Int("plan-cache", 1024, "prepared-plan cache entries (-1 disables)")
 		maxConc   = flag.Int("max-concurrent", 0, "max concurrent query executions (0 = 2×GOMAXPROCS)")
 		queueWait = flag.Duration("queue-wait", 100*time.Millisecond, "how long a request may wait for an execution slot")
-		timeout   = flag.Duration("timeout", 60*time.Second, "default per-query time constraint")
-		maxTime   = flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested timeouts")
+		timeout   = flag.Duration("timeout", 60*time.Second, "default per-query time constraint (client-requested timeouts are capped at the larger of this and 5m)")
 
 		shutdownGrace = flag.Duration("shutdown-grace", 15*time.Second, "how long to drain connections on shutdown")
 
@@ -110,15 +107,13 @@ func main() {
 		walDir = flag.String("wal-dir", "", "write-ahead log directory: log updates before acknowledging and replay them on start/reload (empty = in-memory updates)")
 		fsync  = flag.String("fsync", "always", "WAL fsync policy: always, never, or interval=<duration> (with -wal-dir)")
 
-		follow       = flag.String("follow", "", "run as a read-only replication follower of this primary base URL (requires -wal-dir for the local replica state)")
-		followerID   = flag.String("follower-id", "", "follower identity in the primary's ack registry (default hostname:waldir)")
-		replRetain   = flag.Uint64("repl-retain-seqs", 1<<20, "max WAL records a lagging follower may pin against checkpoint truncation (primary side)")
-		minEpochWait = flag.Duration("min-epoch-wait", 2*time.Second, "max wait for an X-Min-Epoch read to reach the requested freshness")
+		follow     = flag.String("follow", "", "run as a read-only replication follower of this primary base URL (requires -wal-dir for the local replica state)")
+		followerID = flag.String("follower-id", "", "follower identity in the primary's ack registry (default hostname:waldir)")
+		replRetain = flag.Uint64("repl-retain-seqs", 1<<20, "max WAL records a lagging follower may pin against checkpoint truncation (primary side)")
 
 		slowQuery    = flag.Duration("slow-query", 0, "log queries at least this slow as JSON lines (0 disables)")
 		slowQueryLog = flag.String("slow-query-log", "", "slow-query log file (default stderr; appended)")
 		slowQueryMax = flag.Int64("slow-query-log-max-bytes", 0, "rotate the slow-query log file to .1 past this size (0 = never)")
-		traceBuffer  = flag.Int("trace-buffer", 128, "recent request traces kept for /debug/traces (-1 disables)")
 		debugAddr    = flag.String("debug-addr", "", "separate listen address for net/http/pprof (keep it private; empty disables)")
 
 		adminAddr  = flag.String("admin-addr", "", "separate private listen address for the governance surface: /debug/queries plus ungated query cancellation (empty disables)")
@@ -129,18 +124,13 @@ func main() {
 
 	cfg := server.Config{
 		CacheSize:      *cacheSize,
-		MaxCacheRows:   *cacheRows,
-		PlanCacheSize:  *planCache,
 		MaxConcurrent:  *maxConc,
 		QueueWait:      *queueWait,
 		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTime,
 		AllowLoad:      *allowLoad,
 		SlowQuery:      *slowQuery,
-		TraceBuffer:    *traceBuffer,
 		AdminToken:     *adminToken,
 		MaxQueryVisits: *maxVisits,
-		MinEpochWait:   *minEpochWait,
 	}
 	if *slowQuery > 0 && *slowQueryLog != "" {
 		f, err := obs.OpenRotatingFile(*slowQueryLog, *slowQueryMax)

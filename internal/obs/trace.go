@@ -379,18 +379,15 @@ type TraceRing struct {
 	n    int
 }
 
-// NewTraceRing builds a ring of the given capacity (≤0 disables it; Add
-// becomes a no-op and Snapshot returns nil).
+// NewTraceRing builds a ring of the given capacity, which must be
+// positive.
 func NewTraceRing(capacity int) *TraceRing {
-	if capacity <= 0 {
-		return &TraceRing{}
-	}
 	return &TraceRing{buf: make([]*Trace, capacity)}
 }
 
 // Add records a trace.
 func (r *TraceRing) Add(t *Trace) {
-	if r == nil || len(r.buf) == 0 || t == nil {
+	if r == nil || t == nil {
 		return
 	}
 	r.mu.Lock()

@@ -96,17 +96,17 @@ type Follower struct {
 	db     *amber.DB
 	cursor uint64 // last applied primary sequence
 
-	appliedEpoch    atomic.Uint64 // primary-comparable epoch (Record.Epoch)
-	primaryLastSeq  atomic.Uint64
-	primaryNano     atomic.Int64 // primary clock at last heartbeat
-	connected       atomic.Bool
-	reconnects      atomic.Uint64
-	resyncs         atomic.Uint64
-	appliedRecs     atomic.Uint64
-	appliedBytes    atomic.Uint64
-	lastAckSeq      atomic.Uint64
-	lastAckAt       atomic.Int64
-	localReopens    atomic.Uint64
+	appliedEpoch   atomic.Uint64 // primary-comparable epoch (Record.Epoch)
+	primaryLastSeq atomic.Uint64
+	primaryNano    atomic.Int64 // primary clock at last heartbeat
+	connected      atomic.Bool
+	reconnects     atomic.Uint64
+	resyncs        atomic.Uint64
+	appliedRecs    atomic.Uint64
+	appliedBytes   atomic.Uint64
+	lastAckSeq     atomic.Uint64
+	lastAckAt      atomic.Int64
+	localReopens   atomic.Uint64
 
 	epochMu sync.Mutex
 	epochCh chan struct{} // closed and replaced whenever progress lands

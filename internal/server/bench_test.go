@@ -55,25 +55,11 @@ func BenchmarkServerCached(b *testing.B) {
 }
 
 // BenchmarkServerUncached measures the handler path with result caching
-// disabled: every request goes through admission, the plan cache, and a
-// full engine execution plus streaming serialization.
+// disabled: every request goes through admission, a re-parse and
+// query-multigraph build, and a full engine execution plus streaming
+// serialization.
 func BenchmarkServerUncached(b *testing.B) {
 	s := benchServer(b, Config{CacheSize: -1})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, benchRequest(benchQuery))
-		if rec.Code != http.StatusOK {
-			b.Fatal(rec.Code)
-		}
-	}
-}
-
-// BenchmarkServerColdPlan additionally defeats the plan cache, forcing a
-// re-parse and query-multigraph build per request — the true cold path.
-func BenchmarkServerColdPlan(b *testing.B) {
-	s := benchServer(b, Config{CacheSize: -1, PlanCacheSize: -1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -307,21 +307,6 @@ func TestDebugTraces(t *testing.T) {
 	}
 }
 
-func TestTraceBufferDisabled(t *testing.T) {
-	_, ts := newTestServer(t, townData, Config{TraceBuffer: -1})
-	get(t, queryURL(ts.URL, knowsQuery), nil)
-	_, body := get(t, ts.URL+"/debug/traces", nil)
-	var out struct {
-		Traces []obs.TraceView `json:"traces"`
-	}
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, body)
-	}
-	if len(out.Traces) != 0 {
-		t.Errorf("disabled buffer returned %d traces", len(out.Traces))
-	}
-}
-
 func TestExplainAnalyzeEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, townData, Config{})
 

@@ -69,8 +69,6 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.state.Load().gen) })
 	r.GaugeFunc("amber_result_cache_entries", "Materialized result sets currently cached.",
 		func() float64 { return float64(s.state.Load().results.Len()) })
-	r.GaugeFunc("amber_plan_cache_entries", "Prepared plans currently cached.",
-		func() float64 { return float64(s.state.Load().plans.Len()) })
 
 	genF := func(f func(amber.GenerationStats) float64) func() float64 {
 		return func() float64 { return f(s.state.Load().db.Generation()) }

@@ -10,12 +10,8 @@
 //   - a bounded LRU cache of materialized results, keyed on normalized
 //     query text plus result-shaping options plus the database epoch (so
 //     a live update can never serve stale rows), serves repeat queries
-//     without touching the engine;
-//   - a bounded LRU of prepared plans (amber.Prepared, which embeds the
-//     per-branch plan.Plan matching orders and precomputed candidate
-//     constraints) lets cache-missed repeats skip parsing, translation
-//     and planning; the cache lives inside the per-generation dbState, so
-//     plans never outlive the database they were planned against;
+//     without touching the engine; a miss parses, plans and matches
+//     afresh, as the paper's online stage does once per query;
 //   - ?explain=1 (optionally with planner=cost|heuristic) returns the
 //     query's matching plan — estimated vs. actual candidate
 //     cardinalities per core vertex — instead of executing it;
@@ -24,7 +20,7 @@
 //   - per-query timeouts map to 503, malformed queries to 400;
 //   - Swap atomically replaces the underlying database for zero-downtime
 //     snapshot reload — in-flight queries finish against the database
-//     they started on, and both caches roll over with the swap.
+//     they started on, and the result cache rolls over with the swap.
 //
 // Endpoints: the SPARQL endpoint at "/" and "/sparql", liveness at
 // "/healthz", readiness at "/readyz", live serving counters plus
@@ -61,12 +57,6 @@ type Config struct {
 	// CacheSize bounds the result cache, in entries. Default 256;
 	// negative disables result caching.
 	CacheSize int
-	// MaxCacheRows caps how many rows a single cached result may hold;
-	// larger results are served streaming and never cached. Default 10000.
-	MaxCacheRows int
-	// PlanCacheSize bounds the prepared-plan cache, in entries. Default
-	// 1024; negative disables plan caching.
-	PlanCacheSize int
 	// MaxConcurrent caps concurrent engine executions. Default
 	// 2×GOMAXPROCS.
 	MaxConcurrent int
@@ -76,11 +66,9 @@ type Config struct {
 	QueueWait time.Duration
 	// DefaultTimeout bounds each query's execution when the request
 	// carries no timeout parameter. Default 60s (the paper's constraint).
+	// Client-requested timeouts are capped at 5m, or at DefaultTimeout
+	// when that is larger.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested timeouts. Default 5m.
-	MaxTimeout time.Duration
-	// MaxQueryLength bounds accepted query text, in bytes. Default 1MiB.
-	MaxQueryLength int
 	// AllowLoad permits LOAD operations in update requests. Off by
 	// default: LOAD reads local files, which an unauthenticated client
 	// must not be able to do.
@@ -93,10 +81,6 @@ type Config struct {
 	// SlowQueryOut receives slow-query records. Defaults to os.Stderr
 	// when SlowQuery is set.
 	SlowQueryOut io.Writer
-	// TraceBuffer bounds the /debug/traces ring of recent request traces.
-	// Default 128; negative disables the ring (the endpoint serves an
-	// empty list).
-	TraceBuffer int
 	// AdminToken, when set, enables POST /admin/queries/{id}/cancel on
 	// the public listener for requests carrying the token (X-Admin-Token
 	// or bearer Authorization header). Without it the public cancel
@@ -114,14 +98,27 @@ type Config struct {
 	// Follower, when set, puts the server in read-only follower mode:
 	// updates answer 421 Misdirected Request with the primary's endpoint
 	// in Location, reads stamp X-Epoch with the follower's applied epoch,
-	// and X-Min-Epoch requests wait (bounded by MinEpochWait) for the
-	// follower to catch up before answering.
+	// and X-Min-Epoch requests wait (at most 2s) for the follower to
+	// catch up before answering.
 	Follower ReplFollower
-	// MinEpochWait bounds how long an X-Min-Epoch read may wait for the
-	// follower to reach the requested epoch before answering 503.
-	// Default 2s.
-	MinEpochWait time.Duration
 }
+
+// Fixed serving limits.
+const (
+	// maxCacheRows caps how many rows a single cached result may hold;
+	// larger results are served streaming and never cached.
+	maxCacheRows = 10000
+	// maxQueryLength bounds accepted query and update text, in bytes.
+	maxQueryLength = 1 << 20
+	// maxTimeout caps client-requested timeouts, unless
+	// Config.DefaultTimeout is larger: no client gets less than the default.
+	maxTimeout = 5 * time.Minute
+	// minEpochWait bounds how long an X-Min-Epoch read on a follower waits
+	// for the requested epoch before answering 503.
+	minEpochWait = 2 * time.Second
+	// traceBuffer is how many recent request traces /debug/traces keeps.
+	traceBuffer = 128
+)
 
 // ReplPrimary is the replication-primary surface the server mounts; see
 // internal/repl.Primary. Defined as an interface so the server package
@@ -143,16 +140,11 @@ type ReplFollower interface {
 }
 
 func (c Config) withDefaults() Config {
-	def := func(v *int, d int) {
-		if *v == 0 {
-			*v = d
-		} else if *v < 0 {
-			*v = 0
-		}
+	if c.CacheSize == 0 {
+		c.CacheSize = 256
+	} else if c.CacheSize < 0 {
+		c.CacheSize = 0
 	}
-	def(&c.CacheSize, 256)
-	def(&c.MaxCacheRows, 10000)
-	def(&c.PlanCacheSize, 1024)
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
 	}
@@ -162,18 +154,8 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 60 * time.Second
 	}
-	if c.MaxTimeout == 0 {
-		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.MaxQueryLength <= 0 {
-		c.MaxQueryLength = 1 << 20
-	}
-	def(&c.TraceBuffer, 128)
 	if c.SlowQuery > 0 && c.SlowQueryOut == nil {
 		c.SlowQueryOut = os.Stderr
-	}
-	if c.MinEpochWait == 0 {
-		c.MinEpochWait = 2 * time.Second
 	}
 	return c
 }
@@ -187,14 +169,13 @@ type cachedResult struct {
 	boolVal bool
 }
 
-// dbState bundles a database generation with its caches. Swapping the
-// database swaps the whole state, so cached plans and results can never
-// outlive the dictionaries they were built against, and in-flight
-// requests keep a consistent view.
+// dbState bundles a database generation with its result cache. Swapping
+// the database swaps the whole state, so cached results can never outlive
+// the dictionaries they were built against, and in-flight requests keep a
+// consistent view.
 type dbState struct {
 	db      *amber.DB
 	gen     uint64
-	plans   *lruCache[*amber.Prepared]
 	results *lruCache[*cachedResult]
 }
 
@@ -202,23 +183,8 @@ func newDBState(db *amber.DB, cfg Config, gen uint64) *dbState {
 	return &dbState{
 		db:      db,
 		gen:     gen,
-		plans:   newLRU[*amber.Prepared](cfg.PlanCacheSize),
 		results: newLRU[*cachedResult](cfg.CacheSize),
 	}
-}
-
-// prepare resolves a plan through the plan cache. key is the normalized
-// query text.
-func (st *dbState) prepare(key, query string) (*amber.Prepared, error) {
-	if p, ok := st.plans.Get(key); ok {
-		return p, nil
-	}
-	p, err := st.db.Prepare(query)
-	if err != nil {
-		return nil, err
-	}
-	st.plans.Put(key, p)
-	return p, nil
 }
 
 // testHookExecute, when non-nil, is invoked with the raw query text
@@ -267,7 +233,7 @@ func New(db *amber.DB, cfg Config) *Server {
 	}
 	s.sem = make(chan struct{}, s.cfg.MaxConcurrent)
 	s.state.Store(newDBState(db, s.cfg, 0))
-	s.traces = obs.NewTraceRing(s.cfg.TraceBuffer)
+	s.traces = obs.NewTraceRing(traceBuffer)
 	s.slowLog = obs.NewSlowLog(s.cfg.SlowQueryOut, s.cfg.SlowQuery)
 	s.inflight = obs.NewInflight()
 	s.ready.Store(true)
@@ -301,8 +267,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // DB returns the currently served database.
 func (s *Server) DB() *amber.DB { return s.state.Load().db }
 
-// Swap atomically replaces the served database and rolls both caches
-// over to the new generation. In-flight queries finish against the
+// Swap atomically replaces the served database and rolls the result
+// cache over to the new generation. In-flight queries finish against the
 // database they started on. It returns the new generation number.
 func (s *Server) Swap(db *amber.DB) uint64 {
 	gen := s.gen.Add(1)
@@ -321,6 +287,10 @@ func (e *httpError) Error() string { return e.msg }
 func errorf(status int, format string, args ...any) *httpError {
 	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
 }
+
+// errTooLarge answers query or update text over maxQueryLength, whichever
+// way the request carried it.
+var errTooLarge = errorf(http.StatusRequestEntityTooLarge, "query exceeds %d bytes", maxQueryLength)
 
 // writeError emits a JSON error body carrying the request ID (also
 // echoed in the X-Request-Id header), so a client-side error report can
@@ -361,8 +331,12 @@ func (s *Server) readQuery(r *http.Request) (text string, isUpdate bool, err err
 		}
 		switch mt {
 		case "", "application/x-www-form-urlencoded":
-			r.Body = http.MaxBytesReader(nil, r.Body, int64(s.cfg.MaxQueryLength)+4096)
+			r.Body = http.MaxBytesReader(nil, r.Body, maxQueryLength+4096)
 			if err := r.ParseForm(); err != nil {
+				var tooLarge *http.MaxBytesError
+				if errors.As(err, &tooLarge) {
+					return "", false, errTooLarge
+				}
 				return "", false, errorf(http.StatusBadRequest, "malformed form body: %v", err)
 			}
 			if u := r.PostForm.Get("update"); u != "" {
@@ -374,7 +348,7 @@ func (s *Server) readQuery(r *http.Request) (text string, isUpdate bool, err err
 			}
 			return q, false, nil
 		case "application/sparql-query", "application/sparql-update":
-			body, err := io.ReadAll(io.LimitReader(r.Body, int64(s.cfg.MaxQueryLength)+1))
+			body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryLength+1))
 			if err != nil {
 				return "", false, errorf(http.StatusBadRequest, "reading body: %v", err)
 			}
@@ -429,9 +403,7 @@ func (s *Server) readParams(r *http.Request) (queryParams, error) {
 		if err != nil || d < 0 {
 			return p, errorf(http.StatusBadRequest, "invalid timeout %q", v)
 		}
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
+		d = min(d, max(maxTimeout, s.cfg.DefaultTimeout))
 		if d == 0 {
 			// timeout=0 ("no timeout") would let a query hold an execution
 			// slot forever; the server always bounds execution.
@@ -687,11 +659,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-Id", reqID)
 
 	query, isUpdate, err := s.readQuery(r)
-	if err == nil {
-		if len(query) > s.cfg.MaxQueryLength {
-			err = errorf(http.StatusRequestEntityTooLarge,
-				"query exceeds %d bytes", s.cfg.MaxQueryLength)
-		}
+	if err == nil && len(query) > maxQueryLength {
+		err = errTooLarge
 	}
 	if err == nil && isUpdate {
 		s.handleUpdate(w, r, st, query, reqID)
@@ -743,8 +712,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	norm := normalizeQuery(query)
-	key := cacheKey(norm, &params.opts, st.db.Epoch())
+	key := cacheKey(normalizeQuery(query), &params.opts, st.db.Epoch())
 
 	// Cached results are served without touching the engine, so they
 	// bypass admission control entirely.
@@ -769,7 +737,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.govern(w, r, st, "query", reqID, query, params.opts.Timeout,
-		func() (*amber.Prepared, error) { return st.prepare(norm, query) },
+		func() (*amber.Prepared, error) { return st.db.Prepare(query) },
 		func(ex *execution) error { return s.runQuery(ex, st, key, &params) })
 }
 
@@ -811,8 +779,8 @@ func (s *Server) runQuery(ex *execution, st *dbState, key string, params *queryP
 		began = true
 		return sw.Begin(vars)
 	}
+	// collected goes nil once the result outgrows maxCacheRows.
 	collected := make([]map[string]amber.Term, 0, 64)
-	collecting := s.cfg.MaxCacheRows > 0
 	var writeErr error
 	var serialize time.Duration
 	loopStart := time.Now()
@@ -823,11 +791,11 @@ func (s *Server) runQuery(ex *execution, st *dbState, key string, params *queryP
 			break
 		}
 		m := b.Map()
-		if collecting {
-			if len(collected) < s.cfg.MaxCacheRows {
+		if collected != nil {
+			if len(collected) < maxCacheRows {
 				collected = append(collected, m)
 			} else {
-				collecting, collected = false, nil
+				collected = nil
 			}
 		}
 		rowStart := time.Now()
@@ -858,7 +826,7 @@ func (s *Server) runQuery(ex *execution, st *dbState, key string, params *queryP
 	case writeErr != nil:
 		return errClientGone // mid-stream; nothing useful to do
 	}
-	if collecting {
+	if collected != nil {
 		st.results.Put(key, &cachedResult{vars: vars, rows: collected})
 	}
 	return nil
@@ -875,7 +843,7 @@ func (s *Server) servedEpoch(st *dbState) uint64 {
 }
 
 // gateMinEpoch enforces the X-Min-Epoch request header: on a follower it
-// waits (bounded by MinEpochWait) for replication to reach the epoch and
+// waits (bounded by minEpochWait) for replication to reach the epoch and
 // reloads the served state afterwards — a resync may have swapped the
 // database object under us — answering 503 (with Retry-After) when the
 // wait expires. A primary is never stale, so it only sanity-checks.
@@ -889,10 +857,10 @@ func (s *Server) gateMinEpoch(r *http.Request, st *dbState) (*dbState, error) {
 		return st, errorf(http.StatusBadRequest, "malformed X-Min-Epoch %q", h)
 	}
 	if f := s.cfg.Follower; f != nil {
-		if !f.WaitEpoch(r.Context(), min, s.cfg.MinEpochWait) {
+		if !f.WaitEpoch(r.Context(), min, minEpochWait) {
 			return st, errorf(http.StatusServiceUnavailable,
 				"follower at epoch %d has not reached %d within %s",
-				f.AppliedEpoch(), min, s.cfg.MinEpochWait)
+				f.AppliedEpoch(), min, minEpochWait)
 		}
 		return s.state.Load(), nil
 	}
@@ -934,10 +902,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, st *dbStat
 // plus every option that shapes the rows, plus the database epoch — a
 // live update bumps the epoch, so stale cached rows become unreachable
 // instead of being served. The timeout is deliberately excluded — it
-// bounds execution, not the result. The plan cache is keyed on the
-// normalized text alone: a cached amber.Prepared revalidates its plan
-// against the current epoch internally, so plans survive updates while
-// results do not.
+// bounds execution, not the result.
 func cacheKey(normalizedQuery string, opts *amber.QueryOptions, epoch uint64) string {
 	return normalizedQuery + "\x00limit=" + strconv.Itoa(opts.Limit) +
 		"\x00epoch=" + strconv.FormatUint(epoch, 10)
@@ -1012,7 +977,10 @@ type StatsResponse struct {
 	InFlight        int64  `json:"in_flight"`
 
 	ResultCacheEntries int `json:"result_cache_entries"`
-	PlanCacheEntries   int `json:"plan_cache_entries"`
+	// PlanCacheEntries is always 0: the server prepares every cache-missed
+	// query afresh. The field stays because /stats clients parse the
+	// plan_cache_entries key and the benchmark harness compiles against it.
+	PlanCacheEntries int `json:"plan_cache_entries"`
 
 	P50Millis float64 `json:"p50_ms"`
 	P99Millis float64 `json:"p99_ms"`
@@ -1172,7 +1140,6 @@ func (s *Server) Stats() StatsResponse {
 		ParseErrors:        s.met.parseErrors.Load(),
 		InFlight:           s.met.inFlight.Load(),
 		ResultCacheEntries: st.results.Len(),
-		PlanCacheEntries:   st.plans.Len(),
 		P50Millis:          float64(p50) / float64(time.Millisecond),
 		P99Millis:          float64(p99) / float64(time.Millisecond),
 		Durability:         durabilitySection(st.db),

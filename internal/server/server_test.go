@@ -256,10 +256,68 @@ func TestCacheHitMiss(t *testing.T) {
 	if st.CacheHits < 2 || st.CacheMisses < 2 {
 		t.Errorf("stats: hits=%d misses=%d, want ≥2 each", st.CacheHits, st.CacheMisses)
 	}
-	// Distinct limits produce distinct result-cache entries, but the plan
-	// depends only on query text: exactly one plan for all of the above.
-	if st.ResultCacheEntries < 2 || st.PlanCacheEntries != 1 {
-		t.Errorf("stats: result entries=%d plan entries=%d, want ≥2 and exactly 1", st.ResultCacheEntries, st.PlanCacheEntries)
+	// Distinct limits produce distinct result-cache entries; plans are
+	// never cached, so plan_cache_entries stays 0.
+	if st.ResultCacheEntries < 2 || st.PlanCacheEntries != 0 {
+		t.Errorf("stats: result entries=%d plan entries=%d, want ≥2 and 0", st.ResultCacheEntries, st.PlanCacheEntries)
+	}
+}
+
+// TestResultOverRowCapStreamsUncached checks that a result one row over
+// maxCacheRows reaches the client in full on every request and is never
+// cached.
+func TestResultOverRowCapStreamsUncached(t *testing.T) {
+	var data strings.Builder
+	for i := 0; i <= maxCacheRows; i++ {
+		fmt.Fprintf(&data, "<http://r/s%d> <http://r/p> <http://r/o> .\n", i)
+	}
+	s, ts := newTestServer(t, data.String(), Config{})
+	const q = `SELECT ?s WHERE { ?s <http://r/p> <http://r/o> . }`
+	before := s.Stats().ResultCacheEntries
+	for _, attempt := range []string{"first", "second"} {
+		resp, body := get(t, queryURL(ts.URL, q, "format", "csv"), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s request: status %d", attempt, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Cache"); got != "miss" {
+			t.Errorf("%s request X-Cache = %q, want miss", attempt, got)
+		}
+		seen := make(map[string]bool)
+		for _, line := range strings.Split(strings.TrimSpace(body), "\n")[1:] {
+			seen[strings.TrimSpace(line)] = true
+		}
+		for i := 0; i <= maxCacheRows; i++ {
+			if row := fmt.Sprintf("http://r/s%d", i); !seen[row] {
+				t.Fatalf("%s request: row %s missing from %d distinct rows", attempt, row, len(seen))
+			}
+		}
+		if len(seen) != maxCacheRows+1 {
+			t.Errorf("%s request: %d distinct rows, want %d", attempt, len(seen), maxCacheRows+1)
+		}
+	}
+	if after := s.Stats().ResultCacheEntries; after != before {
+		t.Errorf("result_cache_entries %d → %d, want unchanged", before, after)
+	}
+}
+
+// TestOversizedTextIs413 sends query and update text one byte over the
+// length limit and at 2 MiB, in every binding that carries a body; each
+// must answer 413.
+func TestOversizedTextIs413(t *testing.T) {
+	_, ts := newTestServer(t, townData, Config{})
+	for _, n := range []int{maxQueryLength + 1, 2 << 20} {
+		text := strings.Repeat("a", n)
+		for name, req := range map[string]struct{ contentType, body string }{
+			"form query":  {"application/x-www-form-urlencoded", "query=" + text},
+			"form update": {"application/x-www-form-urlencoded", "update=" + text},
+			"raw query":   {"application/sparql-query", text},
+			"raw update":  {"application/sparql-update", text},
+		} {
+			resp, body := post(t, ts.URL+"/sparql", req.contentType, req.body)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(body, "query exceeds") {
+				t.Errorf("%s of %d bytes: status %d, want 413: %s", name, n, resp.StatusCode, body)
+			}
+		}
 	}
 }
 
@@ -298,6 +356,30 @@ func TestTimeoutZeroKeepsDefault(t *testing.T) {
 	}
 	if st := s.Stats(); st.Timeouts != 0 {
 		t.Errorf("timeouts counter = %d after rejected requests, want 0", st.Timeouts)
+	}
+}
+
+// TestTimeoutCap checks that a client-requested timeout is capped at
+// maxTimeout, or at DefaultTimeout when that is larger, so no client gets
+// less time than one that sends no timeout at all.
+func TestTimeoutCap(t *testing.T) {
+	for _, c := range []struct {
+		def   time.Duration
+		param string
+		want  time.Duration
+	}{
+		{10 * time.Minute, "8m", 8 * time.Minute},
+		{10 * time.Minute, "1h", 10 * time.Minute},
+		{0, "1h", 5 * time.Minute},
+	} {
+		s := New(openDB(t, townData), Config{DefaultTimeout: c.def})
+		p, err := s.readParams(httptest.NewRequest(http.MethodGet, "/sparql?timeout="+c.param, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.opts.Timeout != c.want {
+			t.Errorf("DefaultTimeout %v, timeout=%s: got %v, want %v", c.def, c.param, p.opts.Timeout, c.want)
+		}
 	}
 }
 
