@@ -17,6 +17,8 @@ package dict
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/rdf"
 )
@@ -56,6 +58,8 @@ type StringDict struct {
 }
 
 // Intern returns the id for s, assigning the next dense id on first sight.
+// A new key is copied, so the dictionary never pins the buffer s was cut
+// from (an N-Triples line, a snapshot body).
 func (d *StringDict) Intern(s string) uint32 {
 	if id, ok := d.ids[s]; ok {
 		return id
@@ -63,10 +67,21 @@ func (d *StringDict) Intern(s string) uint32 {
 	if d.ids == nil {
 		d.ids = make(map[string]uint32)
 	}
+	s = strings.Clone(s)
 	id := uint32(len(d.values))
 	d.ids[s] = id
 	d.values = append(d.values, s)
 	return id
+}
+
+// Reserve makes room for n more strings, so interning a known count does
+// not regrow the value slice or rehash the map. The map is presized only
+// while the dictionary is still empty.
+func (d *StringDict) Reserve(n int) {
+	if d.ids == nil {
+		d.ids = make(map[string]uint32, n)
+	}
+	d.values = slices.Grow(d.values, n)
 }
 
 // Lookup returns the id for s without interning.
@@ -136,6 +151,8 @@ type AttrDict struct {
 }
 
 // Intern returns the id for a, assigning the next dense id on first sight.
+// A new tuple's strings are copied, as in StringDict.Intern; its predicate
+// is shared with the earlier attributes of the same predicate.
 func (d *AttrDict) Intern(a Attribute) AttrID {
 	if id, ok := d.ids[a]; ok {
 		return id
@@ -144,6 +161,12 @@ func (d *AttrDict) Intern(a Attribute) AttrID {
 		d.ids = make(map[Attribute]AttrID)
 		d.byPred = make(map[string][]AttrID)
 	}
+	if same := d.byPred[a.Predicate]; len(same) > 0 {
+		a.Predicate = d.values[same[0]].Predicate
+	} else {
+		a.Predicate = strings.Clone(a.Predicate)
+	}
+	a.Lexical, a.Datatype, a.Lang = strings.Clone(a.Lexical), strings.Clone(a.Datatype), strings.Clone(a.Lang)
 	id := AttrID(len(d.values))
 	d.ids[a] = id
 	d.values = append(d.values, a)
@@ -151,6 +174,15 @@ func (d *AttrDict) Intern(a Attribute) AttrID {
 	// sorted by construction.
 	d.byPred[a.Predicate] = append(d.byPred[a.Predicate], id)
 	return id
+}
+
+// Reserve makes room for n more attributes, as StringDict.Reserve does.
+func (d *AttrDict) Reserve(n int) {
+	if d.ids == nil {
+		d.ids = make(map[Attribute]AttrID, n)
+		d.byPred = make(map[string][]AttrID)
+	}
+	d.values = slices.Grow(d.values, n)
 }
 
 // Lookup returns the id for a without interning.

@@ -4,8 +4,10 @@ import (
 	"repro/internal/rdf"
 
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestStringDictInternIsIdempotent(t *testing.T) {
@@ -149,5 +151,52 @@ func TestInternInjectiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInternCopiesKeys: an interned value never aliases the caller's
+// string, so a dictionary does not pin the line or buffer a key was cut
+// from. Attributes of one predicate share a single predicate copy.
+func TestInternCopiesKeys(t *testing.T) {
+	line := "<http://x/a> <http://y/p> \"v1\" , \"v2\"@en ."
+	cut := func(s string) string { i := strings.Index(line, s); return line[i : i+len(s)] }
+	within := func(s string) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(line)))
+		return len(s) > 0 && p >= lo && p < lo+uintptr(len(line))
+	}
+
+	var sd StringDict
+	if v := sd.Value(sd.Intern(cut("http://x/a"))); within(v) {
+		t.Errorf("StringDict value %q aliases the caller's string", v)
+	}
+	var ad AttrDict
+	a1 := ad.Value(ad.Intern(Attribute{Predicate: cut("http://y/p"), Lexical: cut("v1")}))
+	a2 := ad.Value(ad.Intern(Attribute{Predicate: cut("http://y/p"), Lexical: cut("v2"), Lang: cut("en")}))
+	for _, s := range []string{a1.Predicate, a1.Lexical, a2.Predicate, a2.Lexical, a2.Lang} {
+		if within(s) {
+			t.Errorf("AttrDict field %q aliases the caller's string", s)
+		}
+	}
+	if unsafe.StringData(a1.Predicate) != unsafe.StringData(a2.Predicate) {
+		t.Error("attributes of one predicate hold separate predicate copies")
+	}
+}
+
+// TestReserve: a reserved dictionary interns like a fresh one.
+func TestReserve(t *testing.T) {
+	var sd StringDict
+	sd.Reserve(3)
+	var ad AttrDict
+	ad.Reserve(2)
+	for i, s := range []string{"a", "b", "a"} {
+		if got, want := sd.Intern(s), uint32(i%2); got != want {
+			t.Errorf("Intern(%q) = %d, want %d", s, got, want)
+		}
+		if got, want := ad.Intern(Attribute{Predicate: "p", Lexical: s}), AttrID(i%2); got != want {
+			t.Errorf("attribute Intern(%q) = %d, want %d", s, got, want)
+		}
+	}
+	if got := ad.PredicateAttrs("p"); len(got) != 2 {
+		t.Errorf("PredicateAttrs = %v", got)
 	}
 }

@@ -2,10 +2,14 @@ package multigraph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"math"
+	"unsafe"
 
 	"repro/internal/dict"
 	"repro/internal/rdf"
@@ -22,363 +26,336 @@ import (
 //	vertex dictionary:    count, then len-prefixed strings
 //	edge-type dictionary: count, then len-prefixed strings
 //	attribute dictionary: count, then per attribute
-//	           version 1: (predicate, literal) string pairs
-//	           version 2: (predicate, lexical, datatype, lang) tuples
+//	           (predicate, lexical, datatype, lang) string tuples
 //	numTriples
 //	adjacency: per vertex: out-degree, then per neighbour:
 //	           target id, type count, delta-encoded sorted type ids
 //	attributes: per vertex: count, delta-encoded sorted attribute ids
 //	crc32 (IEEE, fixed 4-byte little endian) over everything prior
 //
-// Version 2 carries typed literals; writers always emit it. Version 1
-// snapshots (written before the typed-term model) still open: their folded
-// literal strings load as plain literals, exactly as they were stored.
+// Version 2 carries typed literals. Version 1 (folded, untyped literals)
+// is refused: rebuild such a snapshot from its N-Triples source.
 const (
-	snapshotMagic      = "AMBG"
-	snapshotVersion    = 2
-	snapshotVersionOld = 1
+	snapshotMagic   = "AMBG"
+	snapshotVersion = 2
 )
 
-// crcWriter tees written bytes into a CRC.
-type crcWriter struct {
+// encoder writes snapshot fields through a bufio.Writer, which keeps the
+// first write error and reports it from Flush.
+type encoder struct {
 	w   *bufio.Writer
-	crc uint32
+	buf [binary.MaxVarintLen64]byte
 }
 
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
-	return cw.w.Write(p)
+func (e *encoder) uvarint(v uint64) { e.w.Write(binary.AppendUvarint(e.buf[:0], v)) }
+
+func (e *encoder) str(s string) {
+	e.uvarint(uint64(len(s)))
+	e.w.WriteString(s)
 }
 
-func (cw *crcWriter) uvarint(v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := cw.Write(buf[:n])
-	return err
-}
-
-func (cw *crcWriter) str(s string) error {
-	if err := cw.uvarint(uint64(len(s))); err != nil {
-		return err
+// writeIDs writes a sorted id list as deltas.
+func writeIDs[T ~uint32](e *encoder, list []T) {
+	prev := uint64(0)
+	for _, id := range list {
+		e.uvarint(uint64(id) - prev)
+		prev = uint64(id)
 	}
-	_, err := cw.Write([]byte(s))
-	return err
 }
 
 // Encode writes the graph snapshot to w.
 func (g *Graph) Encode(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	cw := &crcWriter{w: bw}
-	if _, err := cw.Write([]byte(snapshotMagic)); err != nil {
-		return err
-	}
-	if _, err := cw.Write([]byte{snapshotVersion}); err != nil {
-		return err
-	}
+	crc := crc32.NewIEEE()
+	e := &encoder{w: bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)}
+	e.w.WriteString(snapshotMagic)
+	e.w.WriteByte(snapshotVersion)
 	// Dictionaries.
-	if err := cw.uvarint(uint64(g.Dicts.Vertices.Len())); err != nil {
-		return err
-	}
+	e.uvarint(uint64(g.Dicts.Vertices.Len()))
 	for i := 0; i < g.Dicts.Vertices.Len(); i++ {
-		if err := cw.str(g.Dicts.Vertices.Value(uint32(i))); err != nil {
-			return err
-		}
+		e.str(g.Dicts.Vertices.Value(uint32(i)))
 	}
-	if err := cw.uvarint(uint64(g.Dicts.EdgeTypes.Len())); err != nil {
-		return err
-	}
+	e.uvarint(uint64(g.Dicts.EdgeTypes.Len()))
 	for i := 0; i < g.Dicts.EdgeTypes.Len(); i++ {
-		if err := cw.str(g.Dicts.EdgeTypes.Value(uint32(i))); err != nil {
-			return err
-		}
+		e.str(g.Dicts.EdgeTypes.Value(uint32(i)))
 	}
-	if err := cw.uvarint(uint64(g.Dicts.Attrs.Len())); err != nil {
-		return err
-	}
+	e.uvarint(uint64(g.Dicts.Attrs.Len()))
 	for i := 0; i < g.Dicts.Attrs.Len(); i++ {
 		a := g.Dicts.Attr(dict.AttrID(i))
-		if err := cw.str(a.Predicate); err != nil {
-			return err
-		}
-		if err := cw.str(a.Lexical); err != nil {
-			return err
-		}
-		if err := cw.str(a.Datatype); err != nil {
-			return err
-		}
-		if err := cw.str(a.Lang); err != nil {
-			return err
-		}
+		e.str(a.Predicate)
+		e.str(a.Lexical)
+		e.str(a.Datatype)
+		e.str(a.Lang)
 	}
-	if err := cw.uvarint(uint64(g.numTriples)); err != nil {
-		return err
-	}
+	e.uvarint(uint64(g.numTriples))
 	// Adjacency (out side only; the in side is reconstructed).
-	for v := 0; v < g.NumVertices(); v++ {
-		adj := g.out[v]
-		if err := cw.uvarint(uint64(len(adj))); err != nil {
-			return err
-		}
+	for _, adj := range g.out {
+		e.uvarint(uint64(len(adj)))
 		for _, nb := range adj {
-			if err := cw.uvarint(uint64(nb.V)); err != nil {
-				return err
-			}
-			if err := cw.uvarint(uint64(len(nb.Types))); err != nil {
-				return err
-			}
-			prev := uint64(0)
-			for _, t := range nb.Types {
-				if err := cw.uvarint(uint64(t) - prev); err != nil {
-					return err
-				}
-				prev = uint64(t)
-			}
+			e.uvarint(uint64(nb.V))
+			e.uvarint(uint64(len(nb.Types)))
+			writeIDs(e, nb.Types)
 		}
 	}
 	// Attributes.
-	for v := 0; v < g.NumVertices(); v++ {
-		as := g.attrs[v]
-		if err := cw.uvarint(uint64(len(as))); err != nil {
-			return err
-		}
-		prev := uint64(0)
-		for _, a := range as {
-			if err := cw.uvarint(uint64(a) - prev); err != nil {
-				return err
-			}
-			prev = uint64(a)
-		}
+	for _, as := range g.attrs {
+		e.uvarint(uint64(len(as)))
+		writeIDs(e, as)
 	}
-	// Trailer CRC (not itself CRC'd).
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], cw.crc)
-	if _, err := bw.Write(tail[:]); err != nil {
+	// Trailer CRC over everything flushed so far.
+	if err := e.w.Flush(); err != nil {
 		return err
 	}
-	return bw.Flush()
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return err
 }
 
-// crcReader tees read bytes into a CRC.
-type crcReader struct {
-	r   *bufio.Reader
-	crc uint32
-}
-
-func (cr *crcReader) ReadByte() (byte, error) {
-	b, err := cr.r.ReadByte()
-	if err == nil {
-		cr.crc = crc32.Update(cr.crc, crc32.IEEETable, []byte{b})
-	}
-	return b, err
-}
-
-func (cr *crcReader) full(p []byte) error {
-	if _, err := io.ReadFull(cr.r, p); err != nil {
-		return err
-	}
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, p)
-	return nil
-}
-
-func (cr *crcReader) uvarint() (uint64, error) {
-	return binary.ReadUvarint(cr)
-}
-
-func (cr *crcReader) str(max uint64) (string, error) {
-	n, err := cr.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > max {
-		return "", fmt.Errorf("multigraph: string length %d exceeds sanity bound", n)
-	}
-	buf := make([]byte, n)
-	if err := cr.full(buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-// maxStr bounds dictionary string lengths against corrupted input.
-const maxStr = 1 << 24
-
-// Decode reads a graph snapshot written by Encode.
+// Decode reads a graph snapshot written by Encode. The snapshot is read
+// whole into one buffer and its trailer CRC checked before anything is
+// decoded, so peak memory is about the snapshot's size plus the graph's.
+// Bytes after the trailer are an error: a snapshot file holds one snapshot.
 func Decode(r io.Reader) (*Graph, error) {
-	cr := &crcReader{r: bufio.NewReaderSize(r, 1<<20)}
-	head := make([]byte, len(snapshotMagic)+1)
-	if err := cr.full(head); err != nil {
-		return nil, fmt.Errorf("multigraph: reading snapshot header: %w", err)
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("multigraph: reading snapshot: %w", err)
 	}
-	if string(head[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("multigraph: bad snapshot magic %q", head[:len(snapshotMagic)])
+	head := len(snapshotMagic) + 1
+	if len(data) < head+4 {
+		return nil, fmt.Errorf("multigraph: snapshot of %d bytes is too short", len(data))
 	}
-	version := head[len(snapshotMagic)]
-	if version != snapshotVersion && version != snapshotVersionOld {
-		return nil, fmt.Errorf("multigraph: unsupported snapshot version %d (this build reads versions %d and %d; rebuild the snapshot with Save)",
-			version, snapshotVersionOld, snapshotVersion)
+	if string(data[:len(snapshotMagic)]) != snapshotMagic {
+		return nil, fmt.Errorf("multigraph: bad snapshot magic %q", data[:len(snapshotMagic)])
 	}
+	if version := data[len(snapshotMagic)]; version != snapshotVersion {
+		return nil, fmt.Errorf("multigraph: unsupported snapshot version %d (this build reads version %d); rebuild the snapshot from the N-Triples source",
+			version, snapshotVersion)
+	}
+	body := data[:len(data)-4]
+	if got, want := binary.LittleEndian.Uint32(data[len(body):]), crc32.ChecksumIEEE(body); got != want {
+		return nil, fmt.Errorf("multigraph: snapshot checksum mismatch (got %08x, want %08x)", got, want)
+	}
+	d := &decoder{body: body, text: unsafe.String(unsafe.SliceData(body), len(body)), pos: head}
+	g, err := d.graph()
+	if err == nil && d.pos != len(body) {
+		return nil, fmt.Errorf("multigraph: %d bytes after the snapshot's last section", len(body)-d.pos)
+	}
+	return g, err
+}
+
+// readAll reads r to EOF into one buffer, sized up front when r knows its
+// length: a file from Stat, as os.ReadFile does, or a bytes.Reader or
+// bytes.Buffer from Len.
+func readAll(r io.Reader) ([]byte, error) {
+	size := 0
+	switch r := r.(type) {
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
+	case interface{ Len() int }:
+		size = r.Len()
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// decoder walks a CRC-checked snapshot body. text views body as a string
+// (body is never written), so dictionary strings are cut from it without
+// a copy and the dictionaries copy each one once, when they intern it.
+type decoder struct {
+	body []byte
+	text string
+	pos  int
+	err  error // first failure; later reads return zero values
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	if d.pos < len(d.body) && d.body[d.pos] < 0x80 { // one byte: most ids, deltas and counts
+		d.pos++
+		return uint64(d.body[d.pos-1])
+	}
+	v, n := binary.Uvarint(d.body[d.pos:])
+	if n <= 0 {
+		d.err = fmt.Errorf("multigraph: bad varint at snapshot offset %d", d.pos)
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+// count reads a count of items that each take at least size bytes, and
+// fails when the rest of the body cannot hold them: no count sizes an
+// allocation beyond what the input can fill.
+func (d *decoder) count(size int, what string) int {
+	n := d.uvarint()
+	if n > uint64(d.left()/size) {
+		d.fail("multigraph: %s %d exceeds the %d snapshot bytes left", what, n, d.left())
+		return 0
+	}
+	return int(n)
+}
+
+func (d *decoder) left() int { return len(d.body) - d.pos }
+
+func (d *decoder) str() string {
+	n := d.count(1, "string length")
+	s := d.text[d.pos : d.pos+n]
+	d.pos += n
+	return s
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+}
+
+// readIDs decodes a delta-encoded, strictly ascending list of ids below n.
+func readIDs[T ~uint32](d *decoder, out []T, n int, what string) {
+	acc := uint64(0)
+	for i := range out {
+		delta := d.uvarint()
+		if (i > 0 && delta == 0) || delta >= uint64(n)-acc {
+			d.fail("multigraph: %s ids not ascending below %d", what, n)
+			return
+		}
+		acc += delta
+		out[i] = T(acc)
+	}
+}
+
+// Slab sizes, in elements, for the adjacency and attribute lists. Each
+// list is cut from a shared slab rather than allocated on its own; a slab
+// is never larger than the bytes left could fill.
+const (
+	neighborSlab = 1 << 12
+	idSlab       = 1 << 14
+)
+
+// carve cuts an n-element, capacity-capped slice from *slab, starting a
+// new slab of max(n, size) elements when the current one is full.
+func carve[T any](slab *[]T, n, size int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(n, size))
+	}
+	l := len(*slab)
+	*slab = (*slab)[:l+n]
+	return (*slab)[l : l+n : l+n]
+}
+
+// graph decodes everything after the header; on error it returns no graph.
+func (d *decoder) graph() (*Graph, error) {
 	g := &Graph{}
-	// Dictionaries: intern in id order, so dense ids are reproduced.
-	nV, err := cr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nV; i++ {
-		s, err := cr.str(maxStr)
-		if err != nil {
-			return nil, err
-		}
-		if id := g.Dicts.InternVertex(s); uint64(id) != i {
-			return nil, fmt.Errorf("multigraph: duplicate vertex %q in snapshot", s)
+	// Dictionaries: intern in id order, so dense ids are reproduced. Every
+	// vertex takes at least three bytes: its IRI's length, its out-degree
+	// and its attribute count.
+	nV := d.count(3, "vertex count")
+	g.Dicts.Vertices.Reserve(nV)
+	for i := 0; i < nV && d.err == nil; i++ {
+		s := d.str()
+		if id := g.Dicts.InternVertex(s); int(id) != i {
+			d.fail("multigraph: duplicate vertex %q in snapshot", s)
 		}
 	}
-	nT, err := cr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nT; i++ {
-		s, err := cr.str(maxStr)
-		if err != nil {
-			return nil, err
-		}
-		if id := g.Dicts.InternEdgeType(s); uint64(id) != i {
-			return nil, fmt.Errorf("multigraph: duplicate edge type %q in snapshot", s)
+	nT := d.count(1, "edge-type count")
+	g.Dicts.EdgeTypes.Reserve(nT)
+	for i := 0; i < nT && d.err == nil; i++ {
+		s := d.str()
+		if id := g.Dicts.InternEdgeType(s); int(id) != i {
+			d.fail("multigraph: duplicate edge type %q in snapshot", s)
 		}
 	}
-	nA, err := cr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nA; i++ {
-		p, err := cr.str(maxStr)
-		if err != nil {
-			return nil, err
+	nA := d.count(4, "attribute count")
+	g.Dicts.Attrs.Reserve(nA)
+	for i := 0; i < nA && d.err == nil; i++ {
+		p, l, dt, lang := d.str(), d.str(), d.str(), d.str()
+		if dt != "" && lang != "" {
+			d.fail("multigraph: attribute %d has both datatype and language tag", i)
 		}
-		l, err := cr.str(maxStr)
-		if err != nil {
-			return nil, err
-		}
-		lit := rdf.NewLiteral(l)
-		if version >= 2 {
-			dt, err := cr.str(maxStr)
-			if err != nil {
-				return nil, err
-			}
-			lang, err := cr.str(maxStr)
-			if err != nil {
-				return nil, err
-			}
-			if dt != "" && lang != "" {
-				return nil, fmt.Errorf("multigraph: attribute %d has both datatype and language tag", i)
-			}
-			lit = rdf.Term{Kind: rdf.Literal, Value: l, Datatype: dt, Lang: lang}
-		}
-		if id := g.Dicts.InternAttr(p, lit); uint64(id) != i {
-			return nil, fmt.Errorf("multigraph: duplicate attribute <%s,%s> in snapshot", p, l)
+		lit := rdf.Term{Kind: rdf.Literal, Value: l, Datatype: dt, Lang: lang}
+		if id := g.Dicts.InternAttr(p, lit); d.err == nil && int(id) != i {
+			d.fail("multigraph: duplicate attribute <%s,%s> in snapshot", p, l)
 		}
 	}
-	numTriples, err := cr.uvarint()
-	if err != nil {
-		return nil, err
+	numTriples := d.uvarint()
+	if numTriples > math.MaxInt {
+		d.fail("multigraph: triple count %d out of range", numTriples)
 	}
 	g.numTriples = int(numTriples)
+	if d.err != nil {
+		return nil, d.err
+	}
 	// Adjacency.
 	g.out = make([][]Neighbor, nV)
 	g.in = make([][]Neighbor, nV)
 	g.attrs = make([][]dict.AttrID, nV)
 	inDeg := make([]int, nV)
-	for v := uint64(0); v < nV; v++ {
-		deg, err := cr.uvarint()
-		if err != nil {
-			return nil, err
+	var nbSlab []Neighbor
+	var typeSlab []dict.EdgeType
+	for v := 0; v < nV && d.err == nil; v++ {
+		// A neighbour takes at least three bytes: target, cardinality, type.
+		deg := d.count(3, "out-degree")
+		if deg == 0 {
+			continue
 		}
-		if deg > nV {
-			return nil, fmt.Errorf("multigraph: out-degree %d exceeds vertex count", deg)
-		}
-		adj := make([]Neighbor, 0, deg)
-		prevTarget := int64(-1)
-		for e := uint64(0); e < deg; e++ {
-			target, err := cr.uvarint()
-			if err != nil {
-				return nil, err
+		adj := carve(&nbSlab, deg, min(neighborSlab, d.left()/3))
+		prevTarget := -1
+		for e := range adj {
+			target := d.uvarint()
+			if target >= uint64(nV) {
+				d.fail("multigraph: edge target %d out of range", target)
+			} else if int(target) <= prevTarget {
+				d.fail("multigraph: adjacency of %d not sorted", v)
 			}
-			if target >= nV {
-				return nil, fmt.Errorf("multigraph: edge target %d out of range", target)
-			}
-			if int64(target) <= prevTarget {
-				return nil, fmt.Errorf("multigraph: adjacency of %d not sorted", v)
-			}
-			prevTarget = int64(target)
-			k, err := cr.uvarint()
-			if err != nil {
-				return nil, err
-			}
+			k := d.count(1, "multi-edge cardinality")
 			if k == 0 || k > nT {
-				return nil, fmt.Errorf("multigraph: bad multi-edge cardinality %d", k)
+				d.fail("multigraph: bad multi-edge cardinality %d", k)
 			}
-			types := make([]dict.EdgeType, k)
-			acc := uint64(0)
-			for ti := uint64(0); ti < k; ti++ {
-				d, err := cr.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				acc += d
-				if acc >= nT {
-					return nil, fmt.Errorf("multigraph: edge type %d out of range", acc)
-				}
-				types[ti] = dict.EdgeType(acc)
+			if d.err != nil {
+				return nil, d.err
 			}
-			adj = append(adj, Neighbor{V: dict.VertexID(target), Types: types})
+			prevTarget = int(target)
+			types := carve(&typeSlab, k, min(idSlab, d.left()))
+			readIDs(d, types, nT, "edge-type")
+			adj[e] = Neighbor{V: dict.VertexID(target), Types: types}
 			inDeg[target]++
-			g.numEdges++
 		}
 		g.out[v] = adj
+		g.numEdges += deg
 	}
-	for v := range g.in {
-		g.in[v] = make([]Neighbor, 0, inDeg[v])
+	if d.err != nil {
+		return nil, d.err
 	}
-	for v := uint64(0); v < nV; v++ {
-		for _, nb := range g.out[v] {
+	// In-lists share one array and fill in ascending source order, hence
+	// come out sorted.
+	ins := make([]Neighbor, 0, g.numEdges)
+	for v, n := range inDeg {
+		g.in[v] = ins[len(ins) : len(ins) : len(ins)+n]
+		ins = ins[:len(ins)+n]
+	}
+	for v, adj := range g.out {
+		for _, nb := range adj {
 			g.in[nb.V] = append(g.in[nb.V], Neighbor{V: dict.VertexID(v), Types: nb.Types})
 		}
 	}
-	// In-lists are built in ascending source order, hence already sorted.
 	// Attributes.
-	for v := uint64(0); v < nV; v++ {
-		k, err := cr.uvarint()
-		if err != nil {
-			return nil, err
-		}
+	var attrSlab []dict.AttrID
+	for v := 0; v < nV && d.err == nil; v++ {
+		k := d.count(1, "attribute count")
 		if k > nA {
-			return nil, fmt.Errorf("multigraph: attribute count %d exceeds dictionary", k)
+			d.fail("multigraph: attribute count %d exceeds dictionary", k)
 		}
-		if k == 0 {
+		if k == 0 || d.err != nil {
 			continue
 		}
-		as := make([]dict.AttrID, k)
-		acc := uint64(0)
-		for i := uint64(0); i < k; i++ {
-			d, err := cr.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			acc += d
-			if acc >= nA {
-				return nil, fmt.Errorf("multigraph: attribute id %d out of range", acc)
-			}
-			as[i] = dict.AttrID(acc)
-		}
-		g.attrs[v] = as
+		g.attrs[v] = carve(&attrSlab, k, min(idSlab, d.left()))
+		readIDs(d, g.attrs[v], nA, "attribute")
 	}
-	// Verify trailer CRC.
-	want := cr.crc
-	var tail [4]byte
-	if _, err := io.ReadFull(cr.r, tail[:]); err != nil {
-		return nil, fmt.Errorf("multigraph: reading snapshot checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
-		return nil, fmt.Errorf("multigraph: snapshot checksum mismatch (got %08x, want %08x)", got, want)
+	if d.err != nil {
+		return nil, d.err
 	}
 	return g, nil
 }

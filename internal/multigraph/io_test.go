@@ -1,10 +1,11 @@
 package multigraph
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -104,12 +105,7 @@ func TestSnapshotRoundTripRandom(t *testing.T) {
 }
 
 func TestSnapshotRejectsCorruption(t *testing.T) {
-	g := buildFigure1(t)
-	var buf bytes.Buffer
-	if err := g.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := figure1Snapshot(t)
 
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte{}, raw...)
@@ -126,19 +122,21 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		for _, cut := range []int{5, len(raw) / 2, len(raw) - 2} {
+		// Every proper prefix is an error, never a panic or a graph.
+		for cut := 0; cut < len(raw); cut++ {
 			if _, err := Decode(bytes.NewReader(raw[:cut])); err == nil {
-				t.Errorf("truncation at %d accepted", cut)
+				t.Errorf("truncation at %d of %d accepted", cut, len(raw))
 			}
 		}
 	})
 	t.Run("bit flip fails checksum", func(t *testing.T) {
-		// Flip a byte in the middle (adjacency area); either a structural
-		// validation or the CRC must reject it.
-		bad := append([]byte{}, raw...)
-		bad[len(bad)/2] ^= 0xff
-		if _, err := Decode(bytes.NewReader(bad)); err == nil {
-			t.Error("bit flip accepted")
+		// A flipped byte anywhere, trailer included, is an error.
+		for off := range raw {
+			bad := bytes.Clone(raw)
+			bad[off] ^= 0x5a
+			if _, err := Decode(bytes.NewReader(bad)); err == nil {
+				t.Errorf("byte flip at %d of %d accepted", off, len(raw))
+			}
 		}
 	})
 	t.Run("empty input", func(t *testing.T) {
@@ -162,95 +160,141 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// encodeV1 writes the pre-typed-term snapshot layout (version 1): the
-// attribute dictionary carries (predicate, literal) string pairs with no
-// datatype or language fields. Kept as a byte-level emitter so the
-// compatibility guarantee — old Save files still open — stays tested
-// after the writer moved to version 2.
-func encodeV1(t *testing.T, g *Graph) []byte {
+// reseal rewrites a snapshot's trailer CRC to match its body, so a test
+// reaches the decoder's structural checks instead of the checksum.
+func reseal(raw []byte) []byte {
+	body := raw[:len(raw)-4]
+	binary.LittleEndian.PutUint32(raw[len(body):], crc32.ChecksumIEEE(body))
+	return raw
+}
+
+// figure1Snapshot encodes the Figure-1 graph.
+func figure1Snapshot(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	cw := &crcWriter{w: bw}
-	write := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := cw.Write([]byte(snapshotMagic))
-	write(err)
-	_, err = cw.Write([]byte{snapshotVersionOld})
-	write(err)
-	write(cw.uvarint(uint64(g.Dicts.Vertices.Len())))
-	for i := 0; i < g.Dicts.Vertices.Len(); i++ {
-		write(cw.str(g.Dicts.Vertices.Value(uint32(i))))
-	}
-	write(cw.uvarint(uint64(g.Dicts.EdgeTypes.Len())))
-	for i := 0; i < g.Dicts.EdgeTypes.Len(); i++ {
-		write(cw.str(g.Dicts.EdgeTypes.Value(uint32(i))))
-	}
-	write(cw.uvarint(uint64(g.Dicts.Attrs.Len())))
-	for i := 0; i < g.Dicts.Attrs.Len(); i++ {
-		a := g.Dicts.Attr(dict.AttrID(i))
-		write(cw.str(a.Predicate))
-		write(cw.str(a.Lexical)) // v1 stored the folded lexical form here
-	}
-	write(cw.uvarint(uint64(g.numTriples)))
-	for v := 0; v < g.NumVertices(); v++ {
-		adj := g.out[v]
-		write(cw.uvarint(uint64(len(adj))))
-		for _, nb := range adj {
-			write(cw.uvarint(uint64(nb.V)))
-			write(cw.uvarint(uint64(len(nb.Types))))
-			prev := uint64(0)
-			for _, ty := range nb.Types {
-				write(cw.uvarint(uint64(ty) - prev))
-				prev = uint64(ty)
-			}
-		}
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		as := g.attrs[v]
-		write(cw.uvarint(uint64(len(as))))
-		prev := uint64(0)
-		for _, a := range as {
-			write(cw.uvarint(uint64(a) - prev))
-			prev = uint64(a)
-		}
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], cw.crc)
-	if _, err := bw.Write(tail[:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := buildFigure1(t).Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestDecodeVersion1Snapshot: snapshots written before the typed-term
-// dictionary still open; their folded literal strings load as plain
-// literals, exactly as stored.
+// TestDecodeVersion1Snapshot: a version-1 snapshot (untyped, folded
+// literals) is refused with an error naming the version and telling the
+// user to rebuild it from N-Triples, even when its checksum is intact.
 func TestDecodeVersion1Snapshot(t *testing.T) {
-	g, err := FromTriples([]rdf.Triple{
-		{S: rdf.NewIRI("http://x/a"), P: rdf.NewIRI("http://y/p"), O: rdf.NewIRI("http://x/b")},
-		{S: rdf.NewIRI("http://x/a"), P: rdf.NewIRI("http://y/q"), O: rdf.NewLiteral("folded@en")},
-	})
+	raw := figure1Snapshot(t)
+	raw[len(snapshotMagic)] = 1
+	_, err := Decode(bytes.NewReader(reseal(raw)))
+	if err == nil || !strings.Contains(err.Error(), "snapshot version 1") || !strings.Contains(err.Error(), "N-Triples") {
+		t.Errorf("Decode(v1) err = %v, want a refusal naming version 1 and N-Triples", err)
+	}
+}
+
+// TestDecodeRejectsTrailingBytes: a snapshot file holds exactly one
+// snapshot. Bytes after the trailer fail the checksum, and bytes after
+// the last section fail even under a checksum that covers them.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	raw := figure1Snapshot(t)
+	if _, err := Decode(bytes.NewReader(append(bytes.Clone(raw), 0))); err == nil {
+		t.Error("byte after the trailer accepted")
+	}
+	padded := append(bytes.Clone(raw[:len(raw)-4]), 0, 0, 0, 0, 0)
+	_, err := Decode(bytes.NewReader(reseal(padded)))
+	if err == nil || !strings.Contains(err.Error(), "1 bytes after") {
+		t.Errorf("byte after the last section: err = %v", err)
+	}
+}
+
+// TestDecodeRejectsStructuralDamage: under a valid checksum, every
+// structural check still holds. The snapshots are built by hand: two
+// vertices "a" and "b", edge types "p" and "q", no attributes, then the
+// given adjacency and attribute sections.
+func TestDecodeRejectsStructuralDamage(t *testing.T) {
+	build := func(sections ...uint64) []byte {
+		raw := []byte(snapshotMagic + "\x02\x02\x01a\x01b\x02\x01p\x01q\x00\x01")
+		for _, v := range sections {
+			raw = binary.AppendUvarint(raw, v)
+		}
+		return reseal(append(raw, 0, 0, 0, 0))
+	}
+	if g, err := Decode(bytes.NewReader(build(1, 1, 2, 0, 1, 0, 0, 0))); err != nil || g.NumEdges() != 1 {
+		t.Fatalf("valid hand-built snapshot: %v", err)
+	}
+	for name, sections := range map[string][]uint64{
+		"edge types not ascending": {1, 1, 2, 1, 0, 0, 0, 0},
+		"edge type out of range":   {1, 1, 1, 2, 0, 0, 0},
+		"target out of range":      {1, 2, 1, 0, 0, 0, 0},
+		"targets not ascending":    {2, 1, 1, 0, 0, 1, 0, 0, 0, 0},
+		"zero cardinality":         {1, 1, 0, 0, 0, 0},
+		"attribute out of range":   {0, 0, 1, 0, 0},
+		"missing attributes":       {0, 0, 0},
+	} {
+		if _, err := Decode(bytes.NewReader(build(sections...))); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestDecodeHugeCountsAllocateLittle: a header claiming 2⁴⁰ vertices or
+// attributes under a valid checksum fails before it sizes anything.
+func TestDecodeHugeCountsAllocateLittle(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		counts []uint64 // vertex, edge-type, attribute counts as far as given
+	}{
+		{"vertices", []uint64{1 << 40}},
+		{"attributes", []uint64{0, 0, 1 << 40}},
+	} {
+		raw := []byte(snapshotMagic + "\x02")
+		for _, n := range c.counts {
+			raw = binary.AppendUvarint(raw, n)
+		}
+		raw = reseal(append(raw, make([]byte, 4+4)...))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: count 2^40 accepted", c.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("%s: count 2^40 allocated %d bytes before failing", c.name, grew)
+		}
+	}
+}
+
+// TestDecodeAllocs bounds the allocations of decoding a fixed snapshot:
+// each dictionary string is allocated once, and the adjacency and
+// attribute lists come from a few shared slabs, not one allocation each.
+func TestDecodeAllocs(t *testing.T) {
+	raw := figure1Snapshot(t)
+	g, err := Decode(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := encodeV1(t, g)
-	got, err := Decode(bytes.NewReader(old))
-	if err != nil {
-		t.Fatalf("Decode(v1): %v", err)
+	strs := g.NumVertices() + g.NumEdgeTypes()
+	preds := map[string]bool{}
+	for i := 0; i < g.NumAttrs(); i++ {
+		a := g.Dicts.Attr(dict.AttrID(i))
+		preds[a.Predicate] = true
+		for _, s := range []string{a.Lexical, a.Datatype, a.Lang} {
+			if s != "" {
+				strs++
+			}
+		}
 	}
-	if got.NumVertices() != g.NumVertices() || got.NumTriples() != g.NumTriples() {
-		t.Errorf("v1 decode sizes: %d vertices %d triples", got.NumVertices(), got.NumTriples())
-	}
-	a := got.Dicts.Attr(0)
-	if a.Lexical != "folded@en" || a.Datatype != "" || a.Lang != "" {
-		t.Errorf("v1 attribute = %+v, want plain folded literal", a)
+	strs += len(preds)
+	// Beyond the strings: the graph and the read buffer, the dictionaries'
+	// maps and value slices, the three per-vertex list arrays, the in-list
+	// array and the slabs, plus a posting list per predicate.
+	bound := strs + 30 + len(preds)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Decode(bytes.NewReader(raw)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(bound) {
+		t.Errorf("Decode made %.0f allocations, want at most %d (%d dictionary strings)", allocs, bound, strs)
 	}
 }
 

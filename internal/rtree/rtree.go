@@ -292,7 +292,7 @@ func packLevel(ents []entry, leaf bool) *node {
 	if len(ents) <= maxEntries {
 		return &node{leaf: leaf, entries: ents}
 	}
-	sort.Slice(ents, func(i, j int) bool { return less(ents[i], ents[j]) })
+	sort.Sort(byCentre(ents))
 	nNodes := (len(ents) + maxEntries - 1) / maxEntries
 	nodes := make([]entry, 0, nNodes)
 	for start := 0; start < len(ents); start += maxEntries {
@@ -311,9 +311,17 @@ func packLevel(ents []entry, leaf bool) *node {
 	return packLevel(nodes, false)
 }
 
-// less orders entries lexicographically by box centre, giving STR-like
-// locality across dimensions.
-func less(a, b entry) bool {
+// byCentre orders entries lexicographically by box centre, then by id,
+// giving STR-like locality across dimensions. Less compares the entries in
+// place: a comparator that takes them by value (sort.Slice's closure,
+// slices.SortFunc's cmp) copies two 80-byte entries per comparison.
+type byCentre []entry
+
+func (s byCentre) Len() int      { return len(s) }
+func (s byCentre) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+
+func (s byCentre) Less(i, j int) bool {
+	a, b := &s[i], &s[j]
 	for d := 0; d < Dims; d++ {
 		ca := int64(a.min[d]) + int64(a.max[d])
 		cb := int64(b.min[d]) + int64(b.max[d])
