@@ -159,19 +159,7 @@ func (db *DB) Count(sparqlText string, opts *QueryOptions) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.Count(opts)
-}
-
-// CountParallel counts solutions using a pool of worker goroutines — the
-// parallel processing extension the paper's conclusion sketches. It
-// applies to queries in the core fragment; extension queries (DISTINCT,
-// FILTER, UNION, OFFSET) fall back to the sequential path.
-func (db *DB) CountParallel(sparqlText string, opts *QueryOptions, workers int) (uint64, error) {
-	p, err := db.Prepare(sparqlText)
-	if err != nil {
-		return 0, err
-	}
-	return p.CountParallel(opts, workers)
+	return p.Count(context.TODO(), opts)
 }
 
 // Prepared is a query parsed and translated once against a DB, ready to
@@ -214,14 +202,9 @@ func (p *Prepared) Projection() []string {
 // updates may re-plan, so successive calls can differ.
 func (p *Prepared) Shape() string { return p.cp.Shape() }
 
-// Count counts solutions of the prepared query; see DB.Count.
-func (p *Prepared) Count(opts *QueryOptions) (uint64, error) {
-	n, err := p.cp.Count(opts.engineOptions(nil))
-	return n, mapExecErr(err)
-}
-
-// CountParallel counts solutions with a worker pool; see DB.CountParallel.
-func (p *Prepared) CountParallel(opts *QueryOptions, workers int) (uint64, error) {
-	n, err := p.cp.CountPlanParallel(opts.engineOptions(nil), workers)
+// Count counts solutions of the prepared query; see DB.Count. ctx, when
+// non-nil, cancels the count and carries the caller's trace, as for All.
+func (p *Prepared) Count(ctx context.Context, opts *QueryOptions) (uint64, error) {
+	n, err := p.cp.Count(opts.engineOptions(ctx))
 	return n, mapExecErr(err)
 }

@@ -1,6 +1,7 @@
 package amber
 
 import (
+	"context"
 	"fmt"
 	"iter"
 	"os"
@@ -205,27 +206,6 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b }`, nil))
 	}
 }
 
-func TestCountParallelFacade(t *testing.T) {
-	db := openDB(t)
-	q := `
-PREFIX y: <http://dbpedia.org/ontology/>
-SELECT * WHERE { ?a y:livedIn ?b }`
-	n, err := db.CountParallel(q, nil, 4)
-	if err != nil || n != 3 {
-		t.Errorf("CountParallel = %d, %v; want 3", n, err)
-	}
-	// Extension query falls back to the sequential path.
-	n, err = db.CountParallel(`
-PREFIX y: <http://dbpedia.org/ontology/>
-SELECT DISTINCT ?b WHERE { ?a y:livedIn ?b }`, nil, 4)
-	if err != nil || n != 2 {
-		t.Errorf("CountParallel distinct = %d, %v; want 2", n, err)
-	}
-	if _, err := db.CountParallel(`SELEKT`, nil, 2); err == nil {
-		t.Error("parse error not surfaced")
-	}
-}
-
 func TestWithPrefixes(t *testing.T) {
 	db := openDB(t).WithPrefixes(map[string]string{
 		"y": "http://dbpedia.org/ontology/",
@@ -281,7 +261,7 @@ SELECT ?who ?where WHERE {
 			t.Errorf("run %d: rows = %v", i, rows)
 		}
 	}
-	n, err := p.Count(nil)
+	n, err := p.Count(t.Context(), nil)
 	if err != nil || n != 1 {
 		t.Errorf("Count = %d, %v", n, err)
 	}
@@ -290,7 +270,7 @@ SELECT ?who ?where WHERE {
 	}
 }
 
-func TestPreparedLimitAndParallelCount(t *testing.T) {
+func TestPreparedLimitAndCount(t *testing.T) {
 	db := openDB(t)
 	p, err := db.Prepare(`
 PREFIX y: <http://dbpedia.org/ontology/>
@@ -307,15 +287,26 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b } LIMIT 2`)
 	if err != nil || len(rows) != 1 {
 		t.Errorf("rows = %d, %v; want 1", len(rows), err)
 	}
-	n, err := p.Count(nil)
+	n, err := p.Count(t.Context(), nil)
 	if err != nil || n != 2 {
 		t.Errorf("Count = %d, %v; want 2", n, err)
 	}
-	for _, workers := range []int{1, 4} {
-		n, err := p.CountParallel(nil, workers)
-		if err != nil || n != 2 {
-			t.Errorf("CountParallel(%d) = %d, %v; want 2", workers, n, err)
-		}
+}
+
+// TestPreparedCountCancelled: Count polls its ctx like All, so a caller's
+// cancellation reaches the engine.
+func TestPreparedCountCancelled(t *testing.T) {
+	db := openDB(t)
+	p, err := db.Prepare(`
+PREFIX y: <http://dbpedia.org/ontology/>
+SELECT ?a ?b WHERE { ?a y:livedIn ?b }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	if n, err := p.Count(ctx, nil); err != context.Canceled {
+		t.Errorf("pre-cancelled Count = %d, %v; want context.Canceled", n, err)
 	}
 }
 

@@ -458,28 +458,6 @@ func BenchmarkAblation_EnumeratedCount(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_ParallelCount compares the serial counter with the
-// worker-pool version (the paper's future-work parallel engine) on the
-// same bounded complex query.
-func benchParallel(b *testing.B, workers int) {
-	d := dataset(b, "LUBM")
-	q := ablationBoundedQuery(b, d, workload.Complex, 20, 10_000_000)
-	qg, err := d.Amber.PrepareQuery(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := qg.CountPlanParallel(engine.Options{}, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_CountSerial(b *testing.B)     { benchParallel(b, 1) }
-func BenchmarkAblation_CountParallel4(b *testing.B)  { benchParallel(b, 4) }
-func BenchmarkAblation_CountParallel16(b *testing.B) { benchParallel(b, 16) }
-
 // BenchmarkAblation_SnapshotLoad compares loading a binary snapshot with
 // re-parsing the N-Triples source (the offline stage's two entry points).
 func BenchmarkAblation_SnapshotLoad(b *testing.B) {

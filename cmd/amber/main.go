@@ -9,6 +9,7 @@
 //	amber -data data.nt -query 'SELECT ?x WHERE { ... }'
 //	amber -data data.nt -queryfile q.rq -limit 10 -timeout 60s
 //	amber -data data.nt -query 'ASK { ... }'
+//	amber -data data.nt -count -query 'SELECT ...'
 //	amber -data data.nt -stats
 //	amber -data data.nt -verbose -query '...'   # structured trace on stderr
 package main
@@ -37,7 +38,6 @@ func main() {
 		limit     = flag.Int("limit", 0, "maximum result rows (0 = all)")
 		timeout   = flag.Duration("timeout", 60*time.Second, "per-query time constraint")
 		countOnly = flag.Bool("count", false, "print only the number of solutions")
-		workers   = flag.Int("workers", 1, "worker goroutines for -count (parallel engine)")
 		stats     = flag.Bool("stats", false, "print database statistics and exit")
 		verbose   = flag.Bool("verbose", false, "log load/query progress and a per-query execution trace to stderr")
 	)
@@ -49,13 +49,13 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	if err := run(logger, *dataPath, *snapshot, *saveSnap, *queryText, *queryFile, *limit, *timeout, *countOnly, *workers, *stats, *verbose); err != nil {
+	if err := run(logger, *dataPath, *snapshot, *saveSnap, *queryText, *queryFile, *limit, *timeout, *countOnly, *stats, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "amber:", err)
 		os.Exit(1)
 	}
 }
 
-func run(logger *slog.Logger, dataPath, snapshot, saveSnap, queryText, queryFile string, limit int, timeout time.Duration, countOnly bool, workers int, stats, verbose bool) error {
+func run(logger *slog.Logger, dataPath, snapshot, saveSnap, queryText, queryFile string, limit int, timeout time.Duration, countOnly bool, stats, verbose bool) error {
 	var (
 		db  *amber.DB
 		err error
@@ -147,12 +147,7 @@ func run(logger *slog.Logger, dataPath, snapshot, saveSnap, queryText, queryFile
 		return nil
 	}
 	if countOnly {
-		var n uint64
-		if workers > 1 {
-			n, err = prep.CountParallel(opts, workers)
-		} else {
-			n, err = prep.Count(opts)
-		}
+		n, err := prep.Count(ctx, opts)
 		if err != nil {
 			logTrace("error", 0)
 			return err

@@ -135,9 +135,6 @@ func TestCountHonoursQueryLimit(t *testing.T) {
 		if n, err := p.Count(engine.Options{}); err != nil || n != 2 {
 			t.Errorf("Count(%q) = %d, %v; want 2", src, n, err)
 		}
-		if n, err := p.CountPlanParallel(engine.Options{}, 4); err != nil || n != 2 {
-			t.Errorf("CountPlanParallel(%q) = %d, %v; want 2", src, n, err)
-		}
 		if n, err := p.Count(engine.Options{Limit: 1}); err != nil || n != 1 {
 			t.Errorf("Count(%q, Limit 1) = %d, %v; want 1", src, n, err)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dict"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rdf"
@@ -189,15 +188,9 @@ func (p *PreparedQuery) limit(opts engine.Options) int {
 }
 
 // Count counts solutions against one pinned snapshot, capped at the
-// execution's row limit; see CountPlanParallel.
+// execution's row limit. A plain query takes the factorized engine.Count;
+// an extension query enumerates rows.
 func (p *PreparedQuery) Count(opts engine.Options) (uint64, error) {
-	return p.CountPlanParallel(opts, 1)
-}
-
-// CountPlanParallel counts solutions with a pool of worker goroutines. A
-// plain query takes the factorized engine path (workers ≤ 1 is the
-// serial engine.Count); an extension query enumerates rows sequentially.
-func (p *PreparedQuery) CountPlanParallel(opts engine.Options, workers int) (uint64, error) {
 	if !p.plain {
 		var n uint64
 		err := p.Execute(opts, func(Solution) bool { n++; return true })
@@ -207,11 +200,15 @@ func (p *PreparedQuery) CountPlanParallel(opts engine.Options, workers int) (uin
 	if err != nil {
 		return 0, err
 	}
-	if opts.Meter == nil {
-		opts.Meter = obs.TraceFromContext(opts.Ctx).Meter()
-	}
+	tr := p.startTrace(sn, st, &opts)
 	opts.Limit = p.limit(opts)
-	return engine.CountParallel(sn.Reader(), st.branches[0].pl, opts, workers)
+	pl := st.branches[0].pl
+	var n uint64
+	err = traced(tr, 0, pl, opts, func(opts engine.Options) (err error) {
+		n, err = engine.Count(sn.Reader(), pl, opts)
+		return err
+	})
+	return n, err
 }
 
 // Ask reports whether the query has at least one solution, stopping the
@@ -246,13 +243,7 @@ func (p *PreparedQuery) Execute(opts engine.Options, yield func(Solution) bool) 
 	if err != nil {
 		return err
 	}
-	tr := obs.TraceFromContext(opts.Ctx)
-	if tr != nil && len(st.branches) > 0 {
-		tr.SetPlan(st.branches[0].pl.Planner, p.Shape(), planSummary(st.branches), sn.Epoch)
-	}
-	if opts.Meter == nil {
-		opts.Meter = tr.Meter()
-	}
+	tr := p.startTrace(sn, st, &opts)
 	pq := p.pq
 	limit := p.limit(opts)
 
@@ -304,37 +295,22 @@ func (p *PreparedQuery) Execute(opts engine.Options, yield func(Solution) bool) 
 		}
 		branch := &st.branches[bi]
 		filters := branch.filters
-		// A traced run uses per-branch engine stats (branches execute
-		// different plans, so their level records must not interleave),
-		// merged into the trace — and the caller's Stats — afterwards.
-		engBranch := engOpts
-		var bstats engine.Stats
-		if tr != nil {
-			engBranch.Stats = &bstats
-		}
-		err := engine.Stream(sn.Reader(), branch.pl, engBranch, func(asg []dict.VertexID) bool {
-			for _, f := range filters {
-				if !f(asg, res) {
-					return true
+		err := traced(tr, bi, branch.pl, engOpts, func(opts engine.Options) error {
+			return engine.Stream(sn.Reader(), branch.pl, opts, func(asg []dict.VertexID) bool {
+				for _, f := range filters {
+					if !f(asg, res) {
+						return true
+					}
 				}
-			}
-			sol := make(Solution, len(branch.proj))
-			for i, u := range branch.proj {
-				if u >= 0 {
-					sol[i] = BindingTerm(res, asg[u])
+				sol := make(Solution, len(branch.proj))
+				for i, u := range branch.proj {
+					if u >= 0 {
+						sol[i] = BindingTerm(res, asg[u])
+					}
 				}
-			}
-			return emit(sol)
+				return emit(sol)
+			})
 		})
-		if tr != nil {
-			traceBranch(tr, bi, branch.pl, &bstats)
-			if opts.Stats != nil {
-				opts.Stats.InitCandidates += bstats.InitCandidates
-				opts.Stats.Recursions += bstats.Recursions
-				opts.Stats.SatProbes += bstats.SatProbes
-				opts.Stats.Embeddings += bstats.Embeddings
-			}
-		}
 		if err != nil {
 			return err
 		}

@@ -148,16 +148,6 @@ SELECT ?a ?b WHERE { ?a y:livedIn ?b }`).Count(engine.Options{})
 	}
 }
 
-func TestCountPlanParallel(t *testing.T) {
-	p := prepare(t, newStore(t), `
-PREFIX y: <http://dbpedia.org/ontology/>
-SELECT ?a ?b WHERE { ?a y:livedIn ?b }`)
-	n, err := p.CountPlanParallel(engine.Options{}, 4)
-	if err != nil || n != 3 {
-		t.Errorf("CountPlanParallel = %d, %v", n, err)
-	}
-}
-
 // TestUnionBranchUnboundProjection: a UNION branch that lacks a projected
 // variable yields the zero Term at that variable's position.
 func TestUnionBranchUnboundProjection(t *testing.T) {

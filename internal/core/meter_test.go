@@ -95,9 +95,11 @@ SELECT ?p WHERE { ?p y:wasBornIn ?c . }`)
 	}
 }
 
-// TestCountParallelSharesMeter verifies the parallel path: workers flush
-// worker-local counters into the one shared meter.
-func TestCountParallelSharesMeter(t *testing.T) {
+// TestCountFillsMeter: a Count whose context carries a trace fills the
+// trace's meter and records the plan, the engine counters and the level
+// frontiers into it, as Execute does — the record amber -count -verbose
+// logs.
+func TestCountFillsMeter(t *testing.T) {
 	s := newStore(t)
 	pq, err := sparql.Parse(`
 PREFIX y: <http://dbpedia.org/ontology/>
@@ -109,8 +111,10 @@ SELECT ?p ?c WHERE { ?p y:wasBornIn ?c . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := obs.NewTraceID("count-test", "q")
 	meter := obs.NewResourceMeter()
-	n, err := p.CountPlanParallel(engine.Options{Meter: meter}, 4)
+	tr.SetMeter(meter)
+	n, err := p.Count(engine.Options{Ctx: obs.ContextWithTrace(context.Background(), tr)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +122,15 @@ SELECT ?p ?c WHERE { ?p y:wasBornIn ?c . }`)
 		t.Fatal("no embeddings")
 	}
 	if meter.Visits() == 0 {
-		t.Error("parallel workers flushed no visits")
+		t.Error("Count flushed no visits")
+	}
+	if tr.Shape() != "star" {
+		t.Errorf("trace shape = %q, want star", tr.Shape())
+	}
+	if e := tr.Engine(); e.Embeddings != n || e.Recursions == 0 {
+		t.Errorf("trace engine counters = %+v, want %d embeddings", e, n)
+	}
+	if len(tr.Levels()) == 0 {
+		t.Error("trace recorded no level frontiers")
 	}
 }

@@ -62,10 +62,39 @@ func planSummary(branches []preparedBranch) string {
 	return b.String()
 }
 
-// traceBranch copies one branch's engine counters and per-level
-// frontier records into the trace, pairing each level with the
-// planner's estimate for that position.
-func traceBranch(tr *obs.Trace, branchIdx int, pl *plan.Plan, st *engine.Stats) {
+// startTrace records the plan into the trace opts.Ctx carries, if any,
+// and hands the engine the trace's resource meter unless the caller
+// brought one. It returns the trace, nil when the run is untraced.
+func (p *PreparedQuery) startTrace(sn *Snapshot, st *preparedState, opts *engine.Options) *obs.Trace {
+	tr := obs.TraceFromContext(opts.Ctx)
+	if tr != nil && len(st.branches) > 0 {
+		tr.SetPlan(st.branches[0].pl.Planner, p.Shape(), planSummary(st.branches), sn.Epoch)
+	}
+	if opts.Meter == nil {
+		opts.Meter = tr.Meter()
+	}
+	return tr
+}
+
+// traced runs one branch's engine call. A traced run uses per-branch
+// engine stats (branches execute different plans, so their level records
+// must not interleave): its counters, and its per-level frontiers paired
+// with the planner's estimate for each position, go into the trace, and
+// the counters are merged into the caller's Stats.
+func traced(tr *obs.Trace, bi int, pl *plan.Plan, opts engine.Options, run func(engine.Options) error) error {
+	if tr == nil {
+		return run(opts)
+	}
+	var st engine.Stats
+	caller := opts.Stats
+	opts.Stats = &st
+	err := run(opts)
+	if caller != nil {
+		caller.InitCandidates += st.InitCandidates
+		caller.Recursions += st.Recursions
+		caller.SatProbes += st.SatProbes
+		caller.Embeddings += st.Embeddings
+	}
 	tr.AddEngine(obs.EngineCounters{
 		InitCandidates: st.InitCandidates,
 		Recursions:     st.Recursions,
@@ -73,7 +102,7 @@ func traceBranch(tr *obs.Trace, branchIdx int, pl *plan.Plan, st *engine.Stats) 
 		Embeddings:     st.Embeddings,
 	})
 	if len(st.Levels) == 0 {
-		return
+		return err
 	}
 	levels := make([]obs.Level, 0, len(st.Levels))
 	for _, l := range st.Levels {
@@ -82,7 +111,7 @@ func traceBranch(tr *obs.Trace, branchIdx int, pl *plan.Plan, st *engine.Stats) 
 			est = ests[l.Pos]
 		}
 		levels = append(levels, obs.Level{
-			Branch:     branchIdx,
+			Branch:     bi,
 			Component:  l.Component,
 			Pos:        l.Pos,
 			Var:        pl.Query.Vars[l.Vertex].Name,
@@ -92,4 +121,5 @@ func traceBranch(tr *obs.Trace, branchIdx int, pl *plan.Plan, st *engine.Stats) 
 		})
 	}
 	tr.AddLevels(levels)
+	return err
 }

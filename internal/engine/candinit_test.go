@@ -250,9 +250,9 @@ func TestSignatureFilterOnly(t *testing.T) {
 	}
 }
 
-// TestInitialCandidatesOnce: a run probes S at most once per component —
-// however often Stream re-enters a component, and with parallel workers —
-// and not at all for a component that is one constant-subject literal.
+// TestInitialCandidatesOnce: a Stream or Count run probes S at most once
+// per component — however often Stream re-enters a component — and not
+// at all for a component that is one constant-subject literal.
 func TestInitialCandidatesOnce(t *testing.T) {
 	for _, sc := range filterScenarios(t) {
 		for qi, q := range sc.queries {
@@ -276,10 +276,6 @@ func TestInitialCandidatesOnce(t *testing.T) {
 				},
 				"Count": func(r index.Reader) error {
 					_, err := Count(r, p, Options{})
-					return err
-				},
-				"CountParallel": func(r index.Reader) error {
-					_, err := CountParallel(r, p, Options{}, 4)
 					return err
 				},
 			}

@@ -6,11 +6,12 @@
 // per-vertex candidate constraints are planning decisions made by
 // internal/plan, not here.
 //
-// Two evaluation modes are offered. Stream enumerates embeddings one by
-// one, generating the Cartesian product of satellite candidate sets
-// lazily (GenEmb). Count returns the number of embeddings, exploiting the
-// factorized representation: a solution with satellite candidate sets of
-// sizes n1..nk contributes n1·…·nk embeddings without materializing them.
+// One recursion serves two evaluation modes. Stream enumerates embeddings
+// one by one, generating the Cartesian product of satellite candidate
+// sets lazily (GenEmb). Count returns the number of embeddings, exploiting
+// the factorized representation: a core solution with satellite candidate
+// sets of sizes n1..nk contributes n1·…·nk embeddings without
+// materializing them.
 package engine
 
 import (
@@ -47,10 +48,9 @@ type Options struct {
 	Stats *Stats
 	// Meter, when non-nil, receives live resource accounting: the match
 	// loop accumulates into matcher-local plain counters and flushes
-	// them into the meter's atomics at the deadline-poll cadence (and on
-	// join), so concurrent /debug/queries scrapes see fresh numbers
-	// without an atomic op per step. Unlike Stats, the meter IS shared
-	// with parallel workers — each worker flushes its own deltas.
+	// them into the meter's atomics at the deadline-poll cadence (and at
+	// the end of the run), so concurrent /debug/queries scrapes see
+	// fresh numbers without an atomic op per step.
 	Meter *obs.ResourceMeter
 }
 
@@ -129,10 +129,12 @@ type matcher struct {
 
 	steps    int
 	yielded  uint64
-	overlay  bool  // reader serves through a non-empty mutation overlay
-	stopped  bool  // yield refused or limit reached
-	expired  bool  // deadline passed or context done
-	abortErr error // why the search aborted (expired only)
+	count    uint64 // Count mode: embeddings of the current component
+	counting bool   // Count mode: core leaves tally instead of enumerating
+	overlay  bool   // reader serves through a non-empty mutation overlay
+	stopped  bool   // yield refused or limit reached
+	expired  bool   // deadline passed or context done
+	abortErr error  // why the search aborted (expired only)
 }
 
 // flushMeter pushes the accumulated resource deltas into the shared
@@ -230,13 +232,18 @@ func Count(r index.Reader, p *plan.Plan, opts Options) (uint64, error) {
 		}
 		return 1, nil
 	}
+	// Components share no query vertex, so the whole count is the product
+	// of the per-component counts: each component's search runs alone,
+	// its core leaves tallying instead of descending into the next one.
+	m.counting = true
 	total := uint64(1)
 	for ci := range p.Components {
-		c, err := m.countComponent(ci)
-		if err != nil {
-			return 0, err
+		m.count = 0
+		m.matchComponent(ci)
+		if m.expired {
+			return 0, m.abortErr
 		}
-		total = mulSat(total, c)
+		total = mulSat(total, m.count)
 		if total == 0 {
 			break
 		}
@@ -534,10 +541,9 @@ func (m *matcher) coreCandidates(unxt query.VertexID) []dict.VertexID {
 	return m.restrict(unxt, cand)
 }
 
-// ---- Stream mode -----------------------------------------------------
-
 // matchComponent runs AMbER-Algo (Algorithm 3) for component ci and, on
-// completion of all components, emits embeddings.
+// completion of all components, emits embeddings. In Count mode it
+// searches component ci alone.
 //
 //amber:hotloop
 func (m *matcher) matchComponent(ci int) {
@@ -564,8 +570,9 @@ func (m *matcher) matchComponent(ci int) {
 	}
 }
 
-// homomorphicMatch is Algorithm 4 in stream mode: extend the match to core
-// vertex comp.Core[pos].
+// homomorphicMatch is Algorithm 4: extend the match to core vertex
+// comp.Core[pos]. Stream and Count share it; they differ only at the
+// leaf, once per core solution.
 //
 //amber:hotloop
 func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int) {
@@ -576,9 +583,19 @@ func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int) {
 		m.stats.Recursions++
 	}
 	if pos == len(comp.Core) {
-		// All cores matched: expand this component's satellites, then move
-		// to the next component.
-		m.enumerateSatellites(ci, comp.AllSatellites(), 0)
+		// All cores matched. Counting adds the product of the satellite
+		// set sizes without materializing it; streaming expands the
+		// satellites, then moves to the next component.
+		sats := comp.AllSatellites()
+		if m.counting {
+			prod := uint64(1)
+			for _, us := range sats {
+				prod = mulSat(prod, uint64(len(m.satSets[us])))
+			}
+			m.count = addSat(m.count, prod)
+			return
+		}
+		m.enumerateSatellites(ci, sats, 0)
 		return
 	}
 	unxt := comp.Core[pos]
@@ -635,83 +652,6 @@ func (m *matcher) emit() {
 	if m.limit > 0 && m.yielded >= uint64(m.limit) {
 		m.stopped = true
 	}
-}
-
-// ---- Count mode ------------------------------------------------------
-
-// countComponent counts the embeddings contributed by one component as the
-// sum over core solutions of the product of satellite set sizes.
-//
-//amber:hotloop
-func (m *matcher) countComponent(ci int) (uint64, error) {
-	total := uint64(0)
-	for _, vinit := range m.initialCandidates(ci) {
-		sub, err := m.countFromInitial(ci, vinit)
-		if err != nil {
-			return 0, err
-		}
-		total = addSat(total, sub)
-	}
-	return total, nil
-}
-
-// countFromInitial counts the embeddings of component ci rooted at one
-// initial candidate vinit: the loop body of the serial count, and the unit
-// of work CountParallel hands its workers (whose master computed CandInit
-// once against the immutable, shared plan).
-//
-//amber:hotloop
-func (m *matcher) countFromInitial(ci int, vinit dict.VertexID) (uint64, error) {
-	comp := &m.p.Components[ci]
-	uinit := comp.Core[0]
-	if m.checkDeadline() {
-		return 0, m.abortErr
-	}
-	if !m.matchSatellites(uinit, vinit, comp.Satellites[uinit]) {
-		return 0, nil
-	}
-	m.asg[uinit] = vinit
-	m.matched[uinit] = true
-	n, err := m.countMatch(ci, comp, 1)
-	m.matched[uinit] = false
-	return n, err
-}
-
-// countMatch mirrors homomorphicMatch in count mode.
-//
-//amber:hotloop
-func (m *matcher) countMatch(ci int, comp *plan.ComponentPlan, pos int) (uint64, error) {
-	if m.checkDeadline() {
-		return 0, m.abortErr
-	}
-	if m.stats != nil {
-		m.stats.Recursions++
-	}
-	if pos == len(comp.Core) {
-		prod := uint64(1)
-		for _, us := range comp.AllSatellites() {
-			prod = mulSat(prod, uint64(len(m.satSets[us])))
-		}
-		return prod, nil
-	}
-	unxt := comp.Core[pos]
-	total := uint64(0)
-	cand := m.coreCandidates(unxt)
-	m.recordLevel(ci, pos, len(cand))
-	for _, vnxt := range cand {
-		if !m.matchSatellites(unxt, vnxt, comp.Satellites[unxt]) {
-			continue
-		}
-		m.asg[unxt] = vnxt
-		m.matched[unxt] = true
-		sub, err := m.countMatch(ci, comp, pos+1)
-		m.matched[unxt] = false
-		if err != nil {
-			return 0, err
-		}
-		total = addSat(total, sub)
-	}
-	return total, nil
 }
 
 // addSat and mulSat are saturating uint64 arithmetic: embedding counts can

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dict"
 	"repro/internal/index"
 	"repro/internal/multigraph"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rdf"
@@ -646,7 +647,7 @@ func TestMidRunDeadline(t *testing.T) {
 }
 
 // TestLimitDuringSatelliteEnumeration: the limit must interrupt a large
-// Cartesian product of satellite sets.
+// Cartesian product of satellite sets, which Count never enumerates.
 func TestLimitDuringSatelliteEnumeration(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 40; i++ {
@@ -669,32 +670,44 @@ func TestLimitDuringSatelliteEnumeration(t *testing.T) {
 	if got != 7 {
 		t.Errorf("limited stream = %d, want 7", got)
 	}
-	// Count must report the full product regardless.
-	if n, _ := Count(f.rd(), qg, Options{}); n != 1600 {
-		t.Errorf("Count = %d, want 1600", n)
+	// Count must report the full product regardless, and factorized: it
+	// multiplies the satellite set sizes at the core leaf, so its search
+	// visits the one hub candidate, not the 1600 combinations.
+	meter := obs.NewResourceMeter()
+	if n, err := Count(f.rd(), qg, Options{Meter: meter}); err != nil || n != 1600 {
+		t.Errorf("Count = %d, %v; want 1600", n, err)
+	}
+	if v := meter.Visits(); v == 0 || v > 16 {
+		t.Errorf("Count took %d search steps; the factorized count takes a handful, enumeration 1600+", v)
 	}
 }
 
-// TestParallelDeadlineMidRun: the parallel counter respects a deadline
-// that expires while workers are active.
-func TestParallelDeadlineMidRun(t *testing.T) {
+// TestCountDeadlineMidRun: a deadline that expires while Count's core
+// search is running aborts it. Every vertex of a 4-clique query is a core
+// vertex, and over 60 mutually linked data vertices the search has
+// 60·59·58·57 ≈ 11.7M core solutions, far more than fit in the deadline.
+func TestCountDeadlineMidRun(t *testing.T) {
 	var sb strings.Builder
-	for i := 0; i < 80; i++ {
-		for j := 0; j < 80; j++ {
-			fmt.Fprintf(&sb, "<http://x/l%d> <http://y/p> <http://x/r%d> .\n", i, j)
+	for i := 0; i < 60; i++ {
+		for j := 0; j < 60; j++ {
+			if i != j {
+				fmt.Fprintf(&sb, "<http://v/%d> <http://p/t> <http://v/%d> .\n", i, j)
+			}
 		}
 	}
 	f := load(t, sb.String())
-	qg := f.query(t, `SELECT * WHERE {
-  ?a <http://y/p> ?b . ?b2 <http://y/p> ?c . ?c2 <http://y/p> ?d .
+	p := f.query(t, `SELECT * WHERE {
+  ?a <http://p/t> ?b . ?a <http://p/t> ?c . ?a <http://p/t> ?d .
+  ?b <http://p/t> ?c . ?b <http://p/t> ?d . ?c <http://p/t> ?d .
 }`)
-	_, err := CountParallel(f.rd(), qg, Options{Deadline: time.Now().Add(3 * time.Millisecond)}, 4)
+	start := time.Now()
+	_, err := Count(f.rd(), p, Options{Deadline: time.Now().Add(5 * time.Millisecond)})
+	elapsed := time.Since(start)
 	if err != ErrDeadlineExceeded {
-		// The search may legitimately finish if the machine is fast; only a
-		// wrong error value is a failure.
-		if err != nil {
-			t.Fatalf("unexpected error %v", err)
-		}
+		t.Fatalf("err = %v, want mid-run deadline", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("deadline far overshot: %s", elapsed)
 	}
 }
 
@@ -731,10 +744,6 @@ func TestLiteralSatelliteStream(t *testing.T) {
 	n, err := Count(f.rd(), p, Options{})
 	if err != nil || n != 2 {
 		t.Errorf("Count = %d, %v; want 2", n, err)
-	}
-	np, err := CountParallel(f.rd(), p, Options{}, 4)
-	if err != nil || np != n {
-		t.Errorf("CountParallel = %d, %v; want %d", np, err, n)
 	}
 }
 
@@ -776,8 +785,5 @@ func TestContextCancellationAborts(t *testing.T) {
 	cancel2()
 	if _, err := Count(f.rd(), p, Options{Ctx: ctx2}); err != context.Canceled {
 		t.Errorf("pre-cancelled Count err = %v", err)
-	}
-	if _, err := CountParallel(f.rd(), p, Options{Ctx: ctx2}, 4); err != context.Canceled {
-		t.Errorf("pre-cancelled CountParallel err = %v", err)
 	}
 }

@@ -42,8 +42,7 @@ func skewedFixture(tb testing.TB, seed int64) (*multigraph.Graph, *index.Index, 
 // TestPlannerEquivalence is the planner-correctness property: for
 // generated workloads over a skewed power-law graph, the cost-based and
 // heuristic matching orders must produce identical Count results — order
-// affects speed, never answers. Serial and parallel counts must agree
-// under both planners too.
+// affects speed, never answers.
 func TestPlannerEquivalence(t *testing.T) {
 	g, ix, triples := skewedFixture(t, 42)
 	gen := workload.NewGenerator(triples, 7, workload.DefaultConfig())
@@ -67,11 +66,6 @@ func TestPlannerEquivalence(t *testing.T) {
 				if cost != heur {
 					t.Fatalf("%v size %d: cost-based count %d != heuristic count %d\nquery:\n%s",
 						kind, size, cost, heur, q)
-				}
-				par, err := CountParallel(index.NewReader(g, ix), plan.CostBased().Plan(qg, index.NewReader(g, ix)), opts, 4)
-				if err == nil && par != cost {
-					t.Fatalf("%v size %d: parallel count %d != serial %d\nquery:\n%s",
-						kind, size, par, cost, q)
 				}
 				checked++
 			}

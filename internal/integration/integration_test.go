@@ -1,8 +1,8 @@
 // Package integration exercises the complete system end to end: generated
 // corpora flow through the RDF parser, the multigraph builder, the index
 // ensemble, the query compiler and all three engines, with the snapshot
-// layer and the parallel counter in the loop. The triple store serves as
-// the ground-truth oracle throughout.
+// layer in the loop. The triple store serves as the ground-truth oracle
+// throughout.
 package integration
 
 import (
@@ -137,34 +137,6 @@ func TestWorkloadEquivalence(t *testing.T) {
 					t.Fatalf("%v/%d query %d: workload generator produced empty result", kind, size, i)
 				}
 			}
-		}
-	}
-}
-
-// TestParallelEquivalenceOnWorkload: the parallel counter agrees with the
-// serial one on realistic workloads.
-func TestParallelEquivalenceOnWorkload(t *testing.T) {
-	setup(t)
-	gen := workload.NewGenerator(corpus.triples, 321, workload.DefaultConfig())
-	for i := 0; i < 10; i++ {
-		q, ok := gen.Generate(workload.Complex, 8)
-		if !ok {
-			t.Fatal("generation failed")
-		}
-		qg, err := corpus.amber.PrepareQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := qg.Count(engine.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := qg.CountPlanParallel(engine.Options{}, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par != serial {
-			t.Fatalf("query %d: parallel=%d serial=%d\n%s", i, par, serial, q)
 		}
 	}
 }

@@ -564,8 +564,7 @@ func (s *Server) govern(w http.ResponseWriter, r *http.Request, st *dbState, kin
 		}
 	}
 
-	// pprof goroutine labels: CPU samples of this request's handler — and
-	// of any parallel workers it spawns, which inherit the labels — carry
+	// pprof goroutine labels: CPU samples of this request's handler carry
 	// its request id and shape, so a -debug-addr profile attributes time
 	// to specific queries.
 	labels := []string{"request_id", reqID}

@@ -142,7 +142,7 @@ func TestMutateAndPreparedRevalidation(t *testing.T) {
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("prepared after mutate = %d rows, err %v", len(rows), err)
 	}
-	n, err := p.Count(nil)
+	n, err := p.Count(t.Context(), nil)
 	if err != nil || n != 3 {
 		t.Fatalf("prepared count = %d, err %v", n, err)
 	}

@@ -446,7 +446,7 @@ func TestAskShortCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := sel.Count(nil)
+	n, err := sel.Count(t.Context(), nil)
 	if err != nil || n != 500 {
 		t.Fatalf("Count = %d, %v; want 500", n, err)
 	}
