@@ -13,7 +13,8 @@
 //	    'query=SELECT ?s WHERE { ?s <http://p> <http://o> . }'
 //
 // Mutate it with SPARQL 1.1 Update (INSERT DATA, DELETE DATA, CLEAR,
-// LOAD); queries keep running and never see partial updates:
+// LOAD); every update, CLEAR included, joins one commit queue, and
+// queries keep running and never see partial updates:
 //
 //	curl 'http://localhost:8080/sparql' --data-urlencode \
 //	    'update=INSERT DATA { <http://s> <http://p> <http://o2> . }'
@@ -26,17 +27,18 @@
 // the checkpointed snapshot in -wal-dir supersedes -data/-snapshot as the
 // base.
 //
-// Signals: SIGINT/SIGTERM drain in-flight requests and exit; SIGHUP
-// reloads the data file or snapshot and hot-swaps it in without dropping
-// in-flight queries (with -wal-dir, logged live updates are replayed on
-// top; without it they are discarded with a warning).
+// Signals: SIGINT/SIGTERM drain in-flight requests for up to 15s and
+// exit; SIGHUP reloads the data file or snapshot and hot-swaps it in
+// without dropping in-flight queries (with -wal-dir, logged live updates
+// are replayed on top; without it they are discarded with a warning).
 //
 // Observability: /metrics serves Prometheus text exposition, /stats a
 // JSON summary, /debug/traces the most recent request traces, and
 // /debug/queries the in-flight query table with live resource counters.
-// -slow-query logs slow requests as JSON lines (rotated at
-// -slow-query-log-max-bytes), and -debug-addr starts a separate
-// pprof-only listener (keep it off the public address).
+// -slow-query logs slow requests as JSON lines (-slow-query-log appends
+// to a file; rotate it with logrotate's copytruncate), and -debug-addr
+// starts a separate pprof-only listener (keep it off the public
+// address).
 //
 // Governance: POST /admin/queries/{id}/cancel kills an in-flight query.
 // On the public listener it requires -admin-token; -admin-addr starts a
@@ -70,10 +72,13 @@ import (
 	"time"
 
 	amber "repro"
-	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/server"
 )
+
+// shutdownGrace is how long SIGINT/SIGTERM wait for in-flight requests
+// to drain before the server closes.
+const shutdownGrace = 15 * time.Second
 
 // pprofMux serves the net/http/pprof handlers on an explicit mux, so the
 // debug listener exposes profiling and nothing else (in particular not
@@ -99,8 +104,6 @@ func main() {
 		queueWait = flag.Duration("queue-wait", 100*time.Millisecond, "how long a request may wait for an execution slot")
 		timeout   = flag.Duration("timeout", 60*time.Second, "default per-query time constraint (client-requested timeouts are capped at the larger of this and 5m)")
 
-		shutdownGrace = flag.Duration("shutdown-grace", 15*time.Second, "how long to drain connections on shutdown")
-
 		compactAt = flag.Int("compact-threshold", 0, "delta entries (adds+tombstones) that trigger background compaction (0 = default 8192, negative disables)")
 		allowLoad = flag.Bool("allow-load", false, "permit LOAD <file> in update requests (reads server-local files)")
 
@@ -113,7 +116,6 @@ func main() {
 
 		slowQuery    = flag.Duration("slow-query", 0, "log queries at least this slow as JSON lines (0 disables)")
 		slowQueryLog = flag.String("slow-query-log", "", "slow-query log file (default stderr; appended)")
-		slowQueryMax = flag.Int64("slow-query-log-max-bytes", 0, "rotate the slow-query log file to .1 past this size (0 = never)")
 		debugAddr    = flag.String("debug-addr", "", "separate listen address for net/http/pprof (keep it private; empty disables)")
 
 		adminAddr  = flag.String("admin-addr", "", "separate private listen address for the governance surface: /debug/queries plus ungated query cancellation (empty disables)")
@@ -133,7 +135,9 @@ func main() {
 		MaxQueryVisits: *maxVisits,
 	}
 	if *slowQuery > 0 && *slowQueryLog != "" {
-		f, err := obs.OpenRotatingFile(*slowQueryLog, *slowQueryMax)
+		// O_APPEND keeps every write at the file's current end, so an
+		// external logrotate copytruncate needs no signal to this process.
+		f, err := os.OpenFile(*slowQueryLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "amber-serve: opening slow-query log:", err)
 			os.Exit(1)
@@ -144,7 +148,7 @@ func main() {
 
 	src := source{data: *dataPath, snapshot: *snapshot, walDir: *walDir, fsync: *fsync}
 	rep := replConfig{follow: *follow, followerID: *followerID, retainSeqs: *replRetain}
-	if err := run(*addr, *debugAddr, *adminAddr, src, *compactAt, cfg, *shutdownGrace, rep); err != nil {
+	if err := run(*addr, *debugAddr, *adminAddr, src, *compactAt, cfg, rep); err != nil {
 		fmt.Fprintln(os.Stderr, "amber-serve:", err)
 		os.Exit(1)
 	}
@@ -200,7 +204,7 @@ func (s source) open() (*amber.DB, error) {
 	return db, nil
 }
 
-func run(addr, debugAddr, adminAddr string, src source, compactAt int, cfg server.Config, grace time.Duration, rep replConfig) error {
+func run(addr, debugAddr, adminAddr string, src source, compactAt int, cfg server.Config, rep replConfig) error {
 	start := time.Now()
 	var (
 		db       *amber.DB
@@ -336,8 +340,8 @@ func run(addr, debugAddr, adminAddr string, src source, compactAt int, cfg serve
 				}
 				continue
 			}
-			log.Printf("%s received, draining for up to %s", sig, grace)
-			ctx, cancel := context.WithTimeout(context.Background(), grace)
+			log.Printf("%s received, draining for up to %s", sig, shutdownGrace)
+			ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 			err := httpSrv.Shutdown(ctx)
 			cancel()
 			srv.DB().Close() //nolint:errcheck // final WAL sync; nothing to do on error

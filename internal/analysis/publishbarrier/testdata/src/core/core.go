@@ -49,6 +49,18 @@ func (l *liveState) checkWithoutReturn(sn *Snapshot, rec []byte) {
 	l.snap.Store(sn) // want "snapshot published while the error of WAL barrier Append is unchecked"
 }
 
+// twoBranchUnchecked: either append may fail, and nothing checks werr.
+func (l *liveState) twoBranchUnchecked(sn *Snapshot, recs [][]byte, external bool) {
+	var werr error
+	if external {
+		_, werr = l.log.AppendExternal(recs)
+	} else {
+		_, werr = l.log.AppendBatchNoSync(recs)
+	}
+	_ = werr
+	l.snap.Store(sn) // want "snapshot published while the error of WAL barrier AppendBatchNoSync is unchecked"
+}
+
 // ---- compliant code ----------------------------------------------------
 
 func (l *liveState) commit(sn *Snapshot, rec []byte) error {
@@ -67,6 +79,22 @@ func (l *liveState) groupCommit(sn *Snapshot, recs [][]byte) error {
 		return err
 	}
 	if werr := <-syncErr; werr != nil {
+		return werr
+	}
+	l.snap.Store(sn)
+	return nil
+}
+
+// twoBranchCommit is the commit shape from live.go: one of two appends
+// binds werr, and one check covers both.
+func (l *liveState) twoBranchCommit(sn *Snapshot, recs [][]byte, external bool) error {
+	var werr error
+	if external {
+		_, werr = l.log.AppendExternal(recs)
+	} else {
+		_, werr = l.log.AppendBatchNoSync(recs)
+	}
+	if werr != nil {
 		return werr
 	}
 	l.snap.Store(sn)

@@ -14,5 +14,8 @@ func (l *Log) Append(rec []byte) (uint64, error) { return 0, nil }
 // AppendBatchNoSync is the group-commit barrier.
 func (l *Log) AppendBatchNoSync(recs [][]byte) (uint64, error) { return 0, nil }
 
+// AppendExternal is the replication barrier.
+func (l *Log) AppendExternal(recs [][]byte) (uint64, error) { return 0, nil }
+
 // Stats is not a barrier.
 func (l *Log) Stats() int { return 0 }

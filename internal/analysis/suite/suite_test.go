@@ -141,6 +141,17 @@ func TestSeededRegressions(t *testing.T) {
 		return
 	}`)
 
+	// Regression 3: publish a commit group without waiting for the
+	// overlapped fsync's result, acknowledging writes the disk may lack.
+	mutate(t, dir, "internal/core/live.go",
+		`	if syncErr != nil {
+		if werr := <-syncErr; werr != nil {
+			l.mu.Unlock()
+			return fmt.Errorf("%w: %w", ErrDurability, werr)
+		}
+	}
+`, ``)
+
 	pkgs, err := analysis.Load(dir, "./...")
 	if err != nil {
 		t.Fatalf("loading mutated tree: %v", err)
@@ -151,8 +162,9 @@ func TestSeededRegressions(t *testing.T) {
 	}
 
 	expect := map[string]string{
-		"errdurability": "without ErrDurability",
-		"hotloop":       "homomorphicMatch recurses but never polls",
+		"errdurability":  "without ErrDurability",
+		"hotloop":        "homomorphicMatch recurses but never polls",
+		"publishbarrier": "snapshot published while the error of WAL barrier Sync is unchecked",
 	}
 	for analyzer, substr := range expect {
 		found := false

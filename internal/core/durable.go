@@ -65,7 +65,7 @@ type durable struct {
 	log            *wal.Log
 	dir            string
 	autoCheckpoint bool
-	syncAlways     bool // fsync=always: commitGroup owns the sync barrier
+	syncAlways     bool // fsync=always: commit owns the sync barrier
 	baseLoaded     bool // pre-WAL base state exists (see WALOptions.BaseLoaded)
 
 	cpMu   sync.Mutex   // serializes Checkpoint with Close/Detach
@@ -85,9 +85,9 @@ func (s *Store) AttachWAL(dir string, o WALOptions) (int, error) {
 	if s.dur.Load() != nil {
 		return 0, errors.New("core: store already has a write-ahead log attached")
 	}
-	// Replay goes through storeConsumer — the same consumer a replication
-	// follower feeds with records arriving over the network — so the one
-	// apply path is covered by both the crash-point sweep and the
+	// Replay goes through storeConsumer into commit — the function local
+	// writes and a replication follower's records commit through — so the
+	// one apply path is covered by both the crash-point sweep and the
 	// replication tests.
 	walOpts := wal.Options{
 		Policy:       o.Policy,

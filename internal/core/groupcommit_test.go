@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func waitUntil(t *testing.T, l *liveState, what string, cond func() bool) {
 
 // TestMutateGroupCommitForcedGroup deterministically forces a multi-batch
 // commit group: the test holds the writer lock so the leader blocks in
-// commitGroup, seven followers enqueue behind it, and releasing the lock
+// commit, seven followers enqueue behind it, and releasing the lock
 // commits them as one group — one WAL append span, one fsync, one
 // published snapshot covering all seven.
 func TestMutateGroupCommitForcedGroup(t *testing.T) {
@@ -48,8 +49,8 @@ func TestMutateGroupCommitForcedGroup(t *testing.T) {
 		errs <- s.Mutate([]rdf.Triple{tri("http://g/s0", "http://g/p", "http://g/o0")}, nil)
 	}()
 	// The leader has drained its own batch and is blocked on l.mu inside
-	// commitGroup once it is leading with an empty queue.
-	waitUntil(t, l, "leader to block in commitGroup", func() bool {
+	// commit once it is leading with an empty queue.
+	waitUntil(t, l, "leader to block in commit", func() bool {
 		return l.leading && len(l.queue) == 0
 	})
 	for i := 1; i < 8; i++ {
@@ -110,6 +111,90 @@ func TestMutateGroupCommitForcedGroup(t *testing.T) {
 	if got := triples(s2); got != 8 {
 		t.Errorf("recovered store has %d triples, want 8", got)
 	}
+}
+
+// TestMutateGroupCommitClearInGroup puts a Clear inside a commit group:
+// with the leader blocked in commit, three batches, a Clear and two more
+// batches queue behind it and commit as one group of six, in queue
+// order. The Clear wipes the leader's batch and the three before it, so
+// exactly the last two batches survive, live and after a reopen.
+func TestMutateGroupCommitClearInGroup(t *testing.T) {
+	dir := t.TempDir()
+	s := newEmpty(t)
+	if _, err := s.AttachWAL(dir, WALOptions{}); err != nil { // fsync=always
+		t.Fatal(err)
+	}
+	l := &s.live
+	before := s.Snapshot()
+
+	batch := func(i int) rdf.Triple {
+		return tri(fmt.Sprintf("http://c/s%d", i), "http://c/p", fmt.Sprintf("http://c/o%d", i))
+	}
+	l.mu.Lock()
+	errs := make(chan error, 7)
+	go func() { errs <- s.Mutate([]rdf.Triple{tri("http://c/lead", "http://c/p", "http://c/o")}, nil) }()
+	waitUntil(t, l, "leader to block in commit", func() bool {
+		return l.leading && len(l.queue) == 0
+	})
+	ops := []func() error{
+		func() error { return s.Mutate([]rdf.Triple{batch(0)}, nil) },
+		func() error { return s.Mutate([]rdf.Triple{batch(1)}, nil) },
+		func() error { return s.Mutate([]rdf.Triple{batch(2)}, nil) },
+		s.Clear,
+		func() error { return s.Mutate([]rdf.Triple{batch(3)}, nil) },
+		func() error { return s.Mutate([]rdf.Triple{batch(4)}, nil) },
+	}
+	for i, op := range ops {
+		go func() { errs <- op() }()
+		// One at a time, so the queue holds the operations in this order.
+		waitUntil(t, l, fmt.Sprintf("operation %d to enqueue", i), func() bool { return len(l.queue) == i+1 })
+	}
+	l.mu.Unlock()
+	for range 7 {
+		if err := <-errs; err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+	}
+
+	wi := s.WriteInfo()
+	if wi.Groups != 2 || wi.MaxGroupSize != 6 || wi.Batches != 7 {
+		t.Errorf("WriteInfo groups=%d max=%d batches=%d, want the leader's group of 1 and one group of 6",
+			wi.Groups, wi.MaxGroupSize, wi.Batches)
+	}
+	after := s.Snapshot()
+	if got := after.Epoch - before.Epoch; got != 1+6 {
+		t.Errorf("epoch rose by %d, want 7 (1 for the leader's batch, 6 for the group)", got)
+	}
+	if got := after.Gen - before.Gen; got != 1 {
+		t.Errorf("generation rose by %d, want 1 (the Clear)", got)
+	}
+	want := []string{batch(3).String(), batch(4).String()}
+	slices.Sort(want)
+	if got := tripleSet(s); !slices.Equal(got, want) {
+		t.Errorf("store holds %v, want the last two batches %v", got, want)
+	}
+
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newEmpty(t)
+	if _, err := s2.AttachWAL(dir, WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tripleSet(s2); !slices.Equal(got, want) {
+		t.Errorf("reopened store holds %v, want %v", got, want)
+	}
+}
+
+// tripleSet lists the store's visible triples, sorted.
+func tripleSet(s *Store) []string {
+	var out []string
+	s.Snapshot().Delta.Triples(func(t rdf.Triple) bool {
+		out = append(out, t.String())
+		return true
+	})
+	slices.Sort(out)
+	return out
 }
 
 // TestMutateGroupCommitTorture: N concurrent writers against a durable
@@ -198,7 +283,7 @@ func TestStoreCrashPointRecoveryGroupCommit(t *testing.T) {
 			tri("http://c/lead2", "http://c/p", "http://c/o"),
 		}, nil)
 	}()
-	waitUntil(t, l, "leader to block in commitGroup", func() bool {
+	waitUntil(t, l, "leader to block in commit", func() bool {
 		return l.leading && len(l.queue) == 0
 	})
 	for i := 0; i < followers; i++ {

@@ -25,20 +25,13 @@ const DefaultCompactThreshold = 8192
 // more than versionsPerEntry × threshold retained versions.
 const versionsPerEntry = 8
 
-// mutation is one applied write batch, kept in the replay log so a
-// compaction built off-lock can catch up with writes that landed while
-// it was rebuilding.
-type mutation struct {
-	adds, dels []rdf.Triple
-}
-
-// commitReq is one writer's batch waiting on the commit queue. done is
-// closed once the batch has been durably committed (or failed), with err
-// carrying the outcome.
+// commitReq is one writer's record waiting on the commit queue. done is
+// closed once the record has been durably committed (or failed), with
+// err carrying the outcome.
 type commitReq struct {
-	adds, dels []rdf.Triple
-	err        error
-	done       chan struct{}
+	rec  wal.Record
+	err  error
+	done chan struct{}
 }
 
 // liveState is the MVCC machinery of a Store: the atomically swapped
@@ -47,15 +40,16 @@ type commitReq struct {
 type liveState struct {
 	snap atomic.Pointer[Snapshot]
 
-	mu         sync.Mutex // serializes mutations, clears and swap-ins
-	log        []mutation // batches applied while a compaction is rebuilding
-	compacting bool       // guarded by mu; one compaction at a time
+	mu         sync.Mutex   // serializes commits and compaction swap-ins
+	log        []wal.Record // mutations committed while a compaction is rebuilding
+	compacting bool         // guarded by mu; one compaction at a time
 
-	// Group commit: concurrent Mutate callers enqueue their batches; the
-	// first becomes the leader and commits everything queued as one group
-	// (one WAL append span, one fsync, one published snapshot), then
-	// re-drains until the queue is empty. qmu only guards the queue — it
-	// is never held across a commit, so enqueueing never blocks on I/O.
+	// Group commit: concurrent Mutate and Clear callers enqueue their
+	// records; the first becomes the leader and commits everything queued
+	// as one group (one WAL append span, one fsync, one published
+	// snapshot), then re-drains until the queue is empty. qmu only guards
+	// the queue — it is never held across a commit, so enqueueing never
+	// blocks on I/O.
 	qmu     sync.Mutex
 	queue   []*commitReq
 	leading bool
@@ -108,7 +102,8 @@ type GenerationInfo struct {
 	Generation uint64
 	// DeltaAdds and DeltaTombstones size the uncompacted overlay.
 	DeltaAdds, DeltaTombstones int
-	// Updates counts applied mutation batches since the store opened.
+	// Updates counts applied records (mutation batches and clears) since
+	// the store opened, whichever path committed them.
 	Updates uint64
 	// Compactions counts completed compactions; LastCompaction is the
 	// wall-clock duration of the most recent one (zero if none ran).
@@ -148,7 +143,8 @@ const groupSizeBuckets = len(GroupSizeBounds) + 1
 // copy-on-write behaviour: the quantities behind the server's /stats
 // "write_path" section and the write-path /metrics.
 type WriteInfo struct {
-	// Batches counts mutation batches committed through the write path.
+	// Batches counts records committed through the write path: one per
+	// Mutate batch, and a Clear counts as one.
 	Batches uint64
 	// Groups counts commit groups: each is one WAL append span (one fsync
 	// under fsync=always) and one published snapshot covering every batch
@@ -229,25 +225,35 @@ func (s *Store) Mutate(adds, dels []rdf.Triple) error {
 		return nil
 	}
 	// Validate before enqueueing: a malformed triple must fail only its
-	// own caller, never a whole commit group, and commitGroup relies on
-	// Apply being infallible for validated input (the shared overlay
-	// cannot roll back a half-applied group).
-	for _, t := range dels {
-		if err := delta.Validate(t); err != nil {
-			return err
-		}
+	// own caller, never a whole commit group.
+	r := wal.Record{Kind: wal.KindMutation, Adds: adds, Dels: dels}
+	if err := validateRecord(r); err != nil {
+		return err
 	}
-	for _, t := range adds {
-		if err := delta.Validate(t); err != nil {
-			return err
-		}
-	}
+	return s.submit(r)
+}
+
+// Clear atomically replaces the store's contents with an empty
+// generation (SPARQL `CLEAR DEFAULT` / `CLEAR ALL`). It joins the commit
+// queue like a Mutate batch, so it is logged, ordered and published with
+// the batches around it; an in-flight compaction detects the generation
+// change and discards its result. A log failure leaves the contents
+// untouched.
+func (s *Store) Clear() error {
+	return s.submit(wal.Record{Kind: wal.KindClear})
+}
+
+// submit enqueues one validated record and returns once the group that
+// carries it has committed. The first writer to find no leader drains
+// the queue, committing everything queued as one group, until the queue
+// is empty.
+func (s *Store) submit(r wal.Record) error {
 	l := &s.live
-	req := &commitReq{adds: adds, dels: dels, done: make(chan struct{})}
+	req := &commitReq{rec: r, done: make(chan struct{})}
 	l.qmu.Lock()
 	l.queue = append(l.queue, req)
 	if l.leading {
-		// A leader is draining the queue; it will commit this batch in an
+		// A leader is draining the queue; it will commit this record in an
 		// upcoming group and close done.
 		l.qmu.Unlock()
 		<-req.done
@@ -258,26 +264,48 @@ func (s *Store) Mutate(adds, dels []rdf.Triple) error {
 		group := l.queue
 		l.queue = nil
 		l.qmu.Unlock()
-		s.commitGroup(group)
+		recs := make([]wal.Record, len(group))
+		for i, q := range group {
+			recs[i] = q.rec
+		}
+		err := s.commit(recs, logLocal)
+		for _, q := range group {
+			q.err = err
+			close(q.done)
+		}
 		l.qmu.Lock()
 	}
 	l.leading = false
 	l.qmu.Unlock()
-	<-req.done // own batch was part of a group this leader committed
+	<-req.done // own record was part of a group this leader committed
 	return req.err
 }
 
-// commitGroup commits queued batches as one unit under the writer lock:
-// one WAL append span (one fsync) covering every batch, the batches
-// applied to the overlay in order, and one snapshot publish. The epoch
-// still advances once per batch, so epoch-keyed caches behave exactly as
-// if the batches had committed individually.
-func (s *Store) commitGroup(group []*commitReq) {
+// logMode says how commit logs its records.
+type logMode int
+
+const (
+	// logLocal assigns epochs and appends to the local log (Mutate, Clear).
+	logLocal logMode = iota
+	// logExternal appends records that carry the primary's sequences
+	// (a follower's ApplyReplicated).
+	logExternal
+	// logNone logs nothing: the records come from the log (replay).
+	logNone
+)
+
+// commit is the store's only write path: it logs recs per mode, applies
+// them in order to a copy of the current snapshot, and publishes the
+// result once. Mutate, Clear, WAL replay and follower apply all go
+// through it. The records must be validated (see validateRecord). The
+// epoch advances once per record, so epoch-keyed caches behave exactly
+// as if the records had committed individually.
+func (s *Store) commit(recs []wal.Record, mode logMode) error {
 	l := &s.live
 	l.mu.Lock()
 	cur := l.snap.Load()
 
-	// Write-ahead discipline at group granularity: every batch reaches
+	// Write-ahead discipline at group granularity: every record reaches
 	// the log before any of them is applied, and stable storage before
 	// any of them is acknowledged. Applying before logging would risk
 	// publishing overlay state the log never saw (the shared overlay
@@ -285,29 +313,26 @@ func (s *Store) commitGroup(group []*commitReq) {
 	// with applying the group — both must finish before the publish, but
 	// neither needs the other — so a commit costs max(fsync, apply)
 	// instead of their sum. On an append failure the whole group fails
-	// and nothing changes. On an fsync failure the overlay has applied
-	// the group but it is never published: readers keep the pre-group
-	// snapshot, and the failed sync closed the log, so every later
-	// durable write fails before it could touch the overlay.
+	// and nothing changes. On an fsync failure the group is applied but
+	// never published: readers keep the pre-group snapshot, and the
+	// failed sync closed the log, so every later durable write fails
+	// before it could touch the overlay.
 	var syncErr chan error
-	if d := s.dur.Load(); d != nil {
-		recs := make([]wal.Record, len(group))
-		for i, req := range group {
-			recs[i] = wal.Record{
-				Kind: wal.KindMutation, Epoch: cur.Epoch + uint64(i) + 1,
-				Adds: req.adds, Dels: req.dels,
+	if d := s.dur.Load(); d != nil && mode != logNone {
+		var werr error
+		if mode == logExternal {
+			_, werr = d.log.AppendExternal(recs)
+		} else {
+			for i := range recs {
+				recs[i].Epoch = cur.Epoch + uint64(i) + 1
 			}
+			_, werr = d.log.AppendBatchNoSync(recs)
 		}
-		if _, werr := d.log.AppendBatchNoSync(recs); werr != nil {
-			err := fmt.Errorf("%w: %w", ErrDurability, werr)
+		if werr != nil {
 			l.mu.Unlock()
-			for _, req := range group {
-				req.err = err
-				close(req.done)
-			}
-			return
+			return fmt.Errorf("%w: %w", ErrDurability, werr)
 		}
-		if d.syncAlways {
+		if mode == logLocal && d.syncAlways {
 			syncErr = make(chan error, 1)
 			go func() { syncErr <- d.log.Sync() }()
 			// Yield so the syncer reaches its fsync syscall now: once it is
@@ -317,148 +342,99 @@ func (s *Store) commitGroup(group []*commitReq) {
 		}
 	}
 
-	nv := cur.Delta
-	epoch := cur.Epoch
-	for _, req := range group {
-		next, err := nv.Apply(req.adds, req.dels)
-		if err != nil {
-			// Unreachable: batches were validated before enqueueing and nv
-			// is always the newest view. Fail the batch rather than panic.
-			req.err = err
-			continue
+	next := *cur
+	var retired []*delta.View
+	for _, r := range recs {
+		if r.Kind == wal.KindClear {
+			retired = append(retired, next.Delta)
+			g := (&multigraph.Builder{}).Build()
+			ix := index.Build(g)
+			next.Graph, next.Index, next.Delta = g, ix, delta.NewView(g, ix)
+			next.Gen++
+			next.Build = BuildStats{
+				DatabaseBytes: estimateGraphBytes(g),
+				IndexBytes:    estimateIndexBytes(ix),
+			}
+		} else {
+			nv, err := next.Delta.Apply(r.Adds, r.Dels)
+			if err != nil {
+				l.mu.Unlock()
+				return err // unreachable for validated records
+			}
+			next.Delta = nv
 		}
-		nv = next
-		epoch++
+		next.Epoch++
 	}
 	if syncErr != nil {
 		if werr := <-syncErr; werr != nil {
-			err := fmt.Errorf("%w: %w", ErrDurability, werr)
 			l.mu.Unlock()
-			for _, req := range group {
-				req.err = err
-				close(req.done)
-			}
-			return
+			return fmt.Errorf("%w: %w", ErrDurability, werr)
 		}
 	}
-	if l.compacting {
-		// The replay log only exists to let an in-flight rebuild catch
-		// up; when no compaction is running, the snapshot itself is the
-		// durable state and logging would grow without bound. Deferred
-		// until the group is known durable: a batch that was never
-		// acknowledged must not reach the rebuilt generation.
-		for _, req := range group {
-			if req.err != nil {
-				continue
-			}
-			l.log = append(l.log, mutation{
-				adds: append([]rdf.Triple(nil), req.adds...),
-				dels: append([]rdf.Triple(nil), req.dels...),
+	// The catch-up log only exists to let an in-flight rebuild see writes
+	// that land while it runs; when no compaction is running, the
+	// snapshot itself is the durable state. Maintained only once the group
+	// is known durable: a record that was never acknowledged must not
+	// reach the rebuilt generation. A clear voids the rebuild, so it
+	// empties the log.
+	for _, r := range recs {
+		switch {
+		case r.Kind == wal.KindClear:
+			l.log = nil
+		case l.compacting:
+			l.log = append(l.log, wal.Record{
+				Kind: r.Kind,
+				Adds: append([]rdf.Triple(nil), r.Adds...),
+				Dels: append([]rdf.Triple(nil), r.Dels...),
 			})
 		}
 	}
-	if epoch != cur.Epoch {
-		l.snap.Store(&Snapshot{
-			Graph: cur.Graph, Index: cur.Index, Delta: nv,
-			Epoch: epoch, Gen: cur.Gen, Build: cur.Build,
-		})
-		l.updates.Add(epoch - cur.Epoch)
-		l.recordGroup(uint64(len(group)))
+	for _, v := range retired {
+		l.retireDelta(v)
 	}
-	var done chan struct{}
-	if th := l.compactThreshold.Load(); th > 0 && !l.compacting &&
-		(int64(nv.Size()) >= th || int64(nv.Versions()) >= versionsPerEntry*th) {
-		l.compacting = true
-		done = make(chan struct{})
-		l.compactDone = done
+	l.snap.Store(&next)
+	l.updates.Add(uint64(len(recs)))
+	if mode == logLocal {
+		l.recordGroup(uint64(len(recs)))
 	}
+	done := l.claimCompactionLocked(false)
 	l.mu.Unlock()
-	for _, req := range group {
-		close(req.done)
-	}
 	if done != nil {
-		go func() {
-			// compactDone stays set (and done open) until the checkpoint
-			// has run, so WaitCompaction observers see the whole cycle.
-			defer func() {
-				close(done)
-				l.mu.Lock()
-				if l.compactDone == done {
-					l.compactDone = nil
-				}
-				l.mu.Unlock()
-			}()
-			if s.runCompaction() == nil { // error unreachable for validated batches
-				s.maybeAutoCheckpoint()
-			}
-		}()
+		go s.runClaimedCompaction(done) //nolint:errcheck // unreachable for validated records
 	}
-}
-
-// Clear atomically replaces the store's contents with an empty
-// generation (SPARQL `CLEAR DEFAULT` / `CLEAR ALL`). An in-flight
-// compaction detects the generation change and discards its result.
-// On a durable store the clear is logged first; a log failure leaves
-// the contents untouched.
-func (s *Store) Clear() error {
-	l := &s.live
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return s.clearLocked(true)
-}
-
-// clearLocked is Clear's body; logIt=false is the replication/replay
-// path, where the clear is already in the log (local or the primary's).
-// Caller holds l.mu.
-func (s *Store) clearLocked(logIt bool) error {
-	g := (&multigraph.Builder{}).Build()
-	ix := index.Build(g)
-	l := &s.live
-	cur := l.snap.Load()
-	if logIt {
-		if d := s.dur.Load(); d != nil {
-			if _, err := d.log.Append(wal.Record{Kind: wal.KindClear, Epoch: cur.Epoch + 1}); err != nil {
-				return fmt.Errorf("%w: %w", ErrDurability, err)
-			}
-		}
-	}
-	l.retireDelta(cur.Delta)
-	l.snap.Store(&Snapshot{
-		Graph: g, Index: ix, Delta: delta.NewView(g, ix),
-		Epoch: cur.Epoch + 1, Gen: cur.Gen + 1,
-		Build: BuildStats{
-			DatabaseBytes: estimateGraphBytes(g),
-			IndexBytes:    estimateIndexBytes(ix),
-		},
-	})
-	l.log = nil
-	l.updates.Add(1)
 	return nil
 }
 
-// Compact synchronously rebuilds base+delta into a fresh generation and
-// swaps it in, refreshing the index ensemble and planner statistics. If
-// a background compaction is already running it waits for that one
-// instead. Compacting an empty overlay is a no-op.
-func (s *Store) Compact() error {
-	l := &s.live
-	l.mu.Lock()
+// claimCompactionLocked claims the compaction slot and returns the
+// cycle's done channel, or nil when a compaction is already running or
+// none is due. Without force a compaction is due once the overlay has
+// outgrown the threshold; with force (Compact) whenever the overlay is
+// non-empty. The caller must release l.mu and then run
+// runClaimedCompaction(done). Caller holds l.mu.
+func (l *liveState) claimCompactionLocked(force bool) chan struct{} {
 	if l.compacting {
-		done := l.compactDone
-		l.mu.Unlock()
-		if done != nil {
-			<-done
-		}
 		return nil
 	}
-	if l.snap.Load().Delta.Empty() {
-		l.mu.Unlock()
+	nv := l.snap.Load().Delta
+	if force {
+		if nv.Empty() {
+			return nil
+		}
+	} else if th := l.compactThreshold.Load(); th <= 0 ||
+		(int64(nv.Size()) < th && int64(nv.Versions()) < versionsPerEntry*th) {
 		return nil
 	}
 	l.compacting = true
-	done := make(chan struct{})
-	l.compactDone = done
-	l.mu.Unlock()
+	l.compactDone = make(chan struct{})
+	return l.compactDone
+}
+
+// runClaimedCompaction runs a compaction cycle claimed with
+// claimCompactionLocked, including the post-compaction auto checkpoint.
+// compactDone stays set (and done open) until the checkpoint has run, so
+// WaitCompaction observers see the whole cycle.
+func (s *Store) runClaimedCompaction(done chan struct{}) error {
+	l := &s.live
 	defer func() {
 		close(done)
 		l.mu.Lock()
@@ -472,6 +448,22 @@ func (s *Store) Compact() error {
 		s.maybeAutoCheckpoint()
 	}
 	return err
+}
+
+// Compact synchronously rebuilds base+delta into a fresh generation and
+// swaps it in, refreshing the index ensemble and planner statistics. If
+// a compaction is already running it waits for that one instead.
+// Compacting an empty overlay is a no-op.
+func (s *Store) Compact() error {
+	l := &s.live
+	l.mu.Lock()
+	done := l.claimCompactionLocked(true)
+	l.mu.Unlock()
+	if done == nil {
+		s.WaitCompaction()
+		return nil
+	}
+	return s.runClaimedCompaction(done)
 }
 
 // WaitCompaction blocks until the compaction that is in flight when it
@@ -544,8 +536,8 @@ func (s *Store) runCompaction() error {
 	// state its last operation dictates), so the result is exact.
 	nv := delta.NewView(g, ix)
 	for _, m := range tail {
-		if nv, err = nv.Apply(m.adds, m.dels); err != nil {
-			return err // validated at Mutate time; unreachable
+		if nv, err = nv.Apply(m.Adds, m.Dels); err != nil {
+			return err // validated at commit time; unreachable
 		}
 	}
 	l.retireDelta(cur2.Delta)

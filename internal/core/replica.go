@@ -5,40 +5,33 @@ import (
 	"io"
 
 	"repro/internal/delta"
-	"repro/internal/rdf"
 	"repro/internal/wal"
 )
 
 // The replica apply path. Startup replay (AttachWAL) and replication
 // catch-up (a follower pulling the primary's WAL over the network) are
 // the same problem — apply an ordered sequence of already-logged records
-// to the store without re-logging them — so they share storeConsumer and
-// applyRecordLocked. Whatever the crash-point sweep proves about replay
-// therefore holds for network catch-up too.
+// to the store — and both go through commit, the function Mutate and
+// Clear commit through: replay logs nothing (logNone), a follower adopts
+// the primary's sequences (logExternal). Whatever the crash-point sweep
+// proves about replay therefore holds for network catch-up and for
+// local writes too.
 
-// storeConsumer feeds WAL records into a Store through the unlogged
-// apply path. It is the wal.Consumer both for replay on open and for a
-// follower's stream applier.
+// storeConsumer feeds WAL records into a Store without re-logging them:
+// the wal.Consumer that replays the log on open.
 type storeConsumer struct{ s *Store }
 
-// Consume validates and applies one record.
+// Consume validates and commits one record.
 func (c storeConsumer) Consume(r wal.Record) error {
 	if err := validateRecord(r); err != nil {
 		return err
 	}
-	l := &c.s.live
-	l.mu.Lock()
-	err := c.s.applyRecordLocked(r)
-	done := l.claimCompactionLocked()
-	l.mu.Unlock()
-	if done != nil {
-		go c.s.runClaimedCompaction(done)
-	}
-	return err
+	return c.s.commit([]wal.Record{r}, logNone)
 }
 
-// validateRecord mirrors Mutate's up-front validation: applyRecordLocked
-// relies on Apply being infallible for validated input.
+// validateRecord is the up-front validation every record passes before
+// commit, which relies on Apply being infallible for validated input
+// (the shared overlay cannot roll back a half-applied group).
 func validateRecord(r wal.Record) error {
 	switch r.Kind {
 	case wal.KindMutation:
@@ -57,76 +50,6 @@ func validateRecord(r wal.Record) error {
 		return nil
 	default:
 		return fmt.Errorf("core: unknown WAL record kind %v", r.Kind)
-	}
-}
-
-// applyRecordLocked applies one validated, already-logged record to the
-// live snapshot chain: the overlay advances, the epoch ticks once, and
-// nothing is written to the local log. Caller holds l.mu.
-func (s *Store) applyRecordLocked(r wal.Record) error {
-	l := &s.live
-	switch r.Kind {
-	case wal.KindMutation:
-		cur := l.snap.Load()
-		nv, err := cur.Delta.Apply(r.Adds, r.Dels)
-		if err != nil {
-			return err // unreachable for validated records
-		}
-		if l.compacting {
-			// Same catch-up discipline as commitGroup: an in-flight rebuild
-			// must see writes that land while it runs.
-			l.log = append(l.log, mutation{
-				adds: append([]rdf.Triple(nil), r.Adds...),
-				dels: append([]rdf.Triple(nil), r.Dels...),
-			})
-		}
-		l.snap.Store(&Snapshot{
-			Graph: cur.Graph, Index: cur.Index, Delta: nv,
-			Epoch: cur.Epoch + 1, Gen: cur.Gen, Build: cur.Build,
-		})
-		l.updates.Add(1)
-		return nil
-	case wal.KindClear:
-		return s.clearLocked(false)
-	default:
-		return fmt.Errorf("core: unknown WAL record kind %v", r.Kind)
-	}
-}
-
-// claimCompactionLocked applies commitGroup's compaction trigger: if the
-// overlay has outgrown the threshold and no compaction is running, it
-// claims the compaction slot and returns the cycle's done channel (nil
-// otherwise). The caller must release l.mu and then run
-// runClaimedCompaction(done) in a goroutine. Caller holds l.mu.
-func (l *liveState) claimCompactionLocked() chan struct{} {
-	th := l.compactThreshold.Load()
-	if th <= 0 || l.compacting {
-		return nil
-	}
-	nv := l.snap.Load().Delta
-	if int64(nv.Size()) < th && int64(nv.Versions()) < versionsPerEntry*th {
-		return nil
-	}
-	l.compacting = true
-	done := make(chan struct{})
-	l.compactDone = done
-	return done
-}
-
-// runClaimedCompaction runs a compaction cycle claimed with
-// claimCompactionLocked, including the post-compaction auto checkpoint.
-func (s *Store) runClaimedCompaction(done chan struct{}) {
-	l := &s.live
-	defer func() {
-		close(done)
-		l.mu.Lock()
-		if l.compactDone == done {
-			l.compactDone = nil
-		}
-		l.mu.Unlock()
-	}()
-	if s.runCompaction() == nil { // error unreachable for validated batches
-		s.maybeAutoCheckpoint()
 	}
 }
 
@@ -150,26 +73,7 @@ func (s *Store) ApplyReplicated(recs []wal.Record) error {
 			return err
 		}
 	}
-	l := &s.live
-	l.mu.Lock()
-	if d := s.dur.Load(); d != nil {
-		if _, err := d.log.AppendExternal(recs); err != nil {
-			l.mu.Unlock()
-			return fmt.Errorf("%w: %w", ErrDurability, err)
-		}
-	}
-	var err error
-	for i := range recs {
-		if err = s.applyRecordLocked(recs[i]); err != nil {
-			break // unreachable for validated records
-		}
-	}
-	done := l.claimCompactionLocked()
-	l.mu.Unlock()
-	if done != nil {
-		go s.runClaimedCompaction(done)
-	}
-	return err
+	return s.commit(recs, logExternal)
 }
 
 // SaveReplica streams the store's merged state to w and returns the WAL

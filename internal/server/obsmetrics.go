@@ -112,7 +112,7 @@ func (s *Server) initMetrics() {
 	wsF := func(f func(amber.WriteStats) float64) func() float64 {
 		return func() float64 { return f(s.state.Load().db.WriteStats()) }
 	}
-	r.CounterFunc("amber_commit_batches_total", "Mutation batches committed through the write path.",
+	r.CounterFunc("amber_commit_batches_total", "Records committed through the write path: update batches, and one per clear.",
 		wsF(func(ws amber.WriteStats) float64 { return float64(ws.Batches) }))
 	r.CounterFunc("amber_commit_groups_total",
 		"Commit groups: one WAL append span (one fsync under fsync=always) per group.",

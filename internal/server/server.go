@@ -1061,9 +1061,10 @@ type DurabilitySection struct {
 // WritePathSection is the /stats "write_path" document: group-commit and
 // overlay copy-on-write statistics for the served database.
 type WritePathSection struct {
-	// Batches counts committed mutation batches; Groups counts commit
-	// groups (one WAL append span + one fsync per group under
-	// fsync=always). MeanGroupSize is Batches/Groups.
+	// Batches counts committed records (one per update batch; a CLEAR
+	// counts as one); Groups counts commit groups (one WAL append span +
+	// one fsync per group under fsync=always). MeanGroupSize is
+	// Batches/Groups.
 	Batches       uint64  `json:"batches"`
 	Groups        uint64  `json:"groups"`
 	MeanGroupSize float64 `json:"mean_group_size"`

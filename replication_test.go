@@ -26,7 +26,8 @@ func replRec(seq uint64, i int) wal.Record {
 
 // TestApplyReplicated drives the follower write path directly: records
 // carrying a primary's sequence numbers must land in the store, persist
-// the foreign cursor, and survive a reopen through ordinary recovery.
+// the foreign cursor, and survive a reopen through ordinary recovery —
+// a batch carrying a clear included.
 func TestApplyReplicated(t *testing.T) {
 	dir := t.TempDir()
 	db, err := amber.OpenDurable(dir, &amber.DurabilityOptions{Fsync: "never"})
@@ -63,7 +64,6 @@ func TestApplyReplicated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer re.Close()
 	if got := re.Durability().LastSeq; got != 20 {
 		t.Fatalf("recovered LastSeq %d, want 20", got)
 	}
@@ -74,6 +74,41 @@ func TestApplyReplicated(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("recovered %d triples, want 3", n)
 	}
+
+	// A clear travels the follower path inside a batch: it wipes what came
+	// before it in the store and in the batch, and the store's epoch
+	// advances once per record, clear included.
+	e0 := re.Epoch()
+	clearRec := wal.Record{Seq: 31, Epoch: 31, Kind: wal.KindClear}
+	if err := re.ApplyReplicated([]wal.Record{replRec(30, 3), clearRec, replRec(32, 4)}); err != nil {
+		t.Fatalf("ApplyReplicated with a clear: %v", err)
+	}
+	checkCleared := func(db *amber.DB, when string) {
+		t.Helper()
+		n, err := db.Count("SELECT ?s WHERE { ?s <http://rt/p> ?o . }", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 1 {
+			t.Errorf("%s: %d triples, want 1 (only the record after the clear)", when, n)
+		}
+		if got := db.Epoch() - e0; got != 3 {
+			t.Errorf("%s: epoch rose by %d, want 3", when, got)
+		}
+		if got := db.Durability().LastSeq; got != 32 {
+			t.Errorf("%s: LastSeq %d, want 32", when, got)
+		}
+	}
+	checkCleared(re, "live")
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re2, err := amber.OpenDurable(dir, &amber.DurabilityOptions{Fsync: "never"})
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	defer re2.Close()
+	checkCleared(re2, "reopened")
 }
 
 // TestReplicationOnMemoryDatabase pins the in-memory contract: applying

@@ -95,7 +95,8 @@ type GenerationStats struct {
 	// DeltaAdds and DeltaTombstones size the uncompacted overlay.
 	DeltaAdds       int
 	DeltaTombstones int
-	// Updates counts mutation batches applied since the DB opened.
+	// Updates counts mutation batches and clears applied since the DB
+	// opened.
 	Updates uint64
 	// Compactions counts completed compactions; LastCompaction is the
 	// duration of the most recent one (zero if none ran yet).
@@ -120,11 +121,12 @@ func (db *DB) Generation() GenerationStats {
 // WriteStats describes the write path's group-commit and overlay
 // copy-on-write behaviour.
 type WriteStats struct {
-	// Batches counts mutation batches committed through the write path;
-	// Groups counts commit groups (one WAL append span, one fsync under
-	// fsync=always, one published snapshot per group). Batches/Groups is
-	// the mean group size; DurabilityStats.Fsyncs / Batches is the
-	// per-batch fsync cost the grouping amortized.
+	// Batches counts records committed through the write path (one per
+	// Mutate batch; a Clear counts as one); Groups counts commit groups
+	// (one WAL append span, one fsync under fsync=always, one published
+	// snapshot per group). Batches/Groups is the mean group size;
+	// DurabilityStats.Fsyncs / Batches is the per-batch fsync cost the
+	// grouping amortized.
 	Batches uint64
 	Groups  uint64
 	// MaxGroupSize is the largest commit group since the database opened.
