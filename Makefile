@@ -23,6 +23,7 @@ test:
 # per-unit run cannot see.
 vet: $(BIN)/amber-vet
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 	$(GO) vet -vettool=$(abspath $(BIN)/amber-vet) ./...
 	$(BIN)/amber-vet ./...
 

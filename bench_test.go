@@ -561,15 +561,16 @@ func BenchmarkNeighborsHub(b *testing.B) {
 	g, ix := dataset(b, "DBPEDIA").Amber.Snapshot().Delta.Base()
 	hub := dict.VertexID(0)
 	for v := 0; v < g.NumVertices(); v++ {
-		if len(g.In(dict.VertexID(v))) > len(g.In(hub)) {
+		if g.In(dict.VertexID(v)).Len() > g.In(hub).Len() {
 			hub = dict.VertexID(v)
 		}
 	}
-	single := g.In(hub)[0].Types[:1]
+	in := g.In(hub)
+	single := in.Types(0)[:1]
 	multi := single
-	for _, nb := range g.In(hub) {
-		if len(nb.Types) > 1 {
-			multi = nb.Types[:2]
+	for i := 0; i < in.Len(); i++ {
+		if ts := in.Types(i); len(ts) > 1 {
+			multi = ts[:2]
 			break
 		}
 	}

@@ -2,7 +2,6 @@ package amber
 
 import (
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/wal"
@@ -127,58 +126,11 @@ func (db *DB) Close() error {
 	return db.store.CloseWAL()
 }
 
-// DurabilityStats describes the database's write-ahead durability state.
-type DurabilityStats struct {
-	// Enabled reports whether the database was opened durably; the other
-	// fields are zero when it is false.
-	Enabled bool
-	// Dir is the durable directory; Policy the fsync policy in flag
-	// syntax ("always", "never", "interval=<d>").
-	Dir    string
-	Policy string
-	// WALBytes and Segments size the live log.
-	WALBytes int64
-	Segments int
-	// LastSeq is the newest logged record's sequence number;
-	// CheckpointSeq the sequence through which the log is truncated.
-	LastSeq       uint64
-	CheckpointSeq uint64
-	// Appends and Fsyncs count log operations since open; Replayed is
-	// how many records replayed when the database was opened.
-	Appends  uint64
-	Fsyncs   uint64
-	Replayed int
-	// Checkpoints counts checkpoints since open; LastCheckpoint is when
-	// the most recent finished (zero time if none).
-	Checkpoints    uint64
-	LastCheckpoint time.Time
-	// LastCheckpointError reports the most recent automatic checkpoint
-	// failure ("" when none, or once one succeeds again).
-	LastCheckpointError string
-	// BaseLoaded reports that opening loaded a non-empty base (checkpoint
-	// snapshot or bootstrap source) — state the WAL alone cannot
-	// reconstruct, so replication followers must bootstrap from a
-	// snapshot rather than stream from sequence zero.
-	BaseLoaded bool
-}
+// DurabilityStats describes the database's write-ahead durability state:
+// the log's directory, fsync policy, size and counters, and the last
+// checkpoint. All fields are zero when the database was not opened
+// durably. It is an alias of the store's own type.
+type DurabilityStats = core.DurabilityInfo
 
 // Durability snapshots the durability counters.
-func (db *DB) Durability() DurabilityStats {
-	di := db.store.DurabilityInfo()
-	return DurabilityStats{
-		Enabled:             di.Enabled,
-		Dir:                 di.Dir,
-		Policy:              di.Policy,
-		WALBytes:            di.WALBytes,
-		Segments:            di.Segments,
-		LastSeq:             di.LastSeq,
-		CheckpointSeq:       di.CheckpointSeq,
-		Appends:             di.Appends,
-		Fsyncs:              di.Fsyncs,
-		Replayed:            di.Replayed,
-		Checkpoints:         di.Checkpoints,
-		LastCheckpoint:      di.LastCheckpoint,
-		LastCheckpointError: di.LastCheckpointError,
-		BaseLoaded:          di.BaseLoaded,
-	}
-}
+func (db *DB) Durability() DurabilityStats { return db.store.DurabilityInfo() }

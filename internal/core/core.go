@@ -149,20 +149,13 @@ func (s *Store) BuildInfo() BuildStats { return s.Snapshot().Build }
 // mutation, compaction and clear.
 func (s *Store) Epoch() uint64 { return s.Snapshot().Epoch }
 
-// estimateGraphBytes is an analytic size estimate of G: adjacency entries,
-// edge-type labels, attributes, and dictionary strings.
+// estimateGraphBytes is an analytic size estimate of G: adjacency entries
+// (8 bytes per neighbour on each side), edge-type labels and attributes (4
+// bytes each), and dictionary strings.
 func estimateGraphBytes(g *multigraph.Graph) int64 {
-	var bytes int64
-	for v := 0; v < g.NumVertices(); v++ {
-		vid := dict.VertexID(v)
-		for _, nb := range g.Out(vid) {
-			bytes += 8 + 4*int64(len(nb.Types)) // entry + types
-		}
-		for _, nb := range g.In(vid) {
-			bytes += 8 + 4*int64(len(nb.Types))
-		}
-		bytes += 4 * int64(len(g.Attrs(vid)))
-	}
+	labels, attrs := g.Entries()
+	bytes := 2 * (8*int64(g.NumEdges()) + 4*int64(labels))
+	bytes += 4 * int64(attrs)
 	for i := 0; i < g.Dicts.Vertices.Len(); i++ {
 		bytes += int64(len(g.Dicts.Vertices.Value(uint32(i)))) + 16
 	}
@@ -188,8 +181,11 @@ func estimateIndexBytes(ix *index.Index) int64 {
 // Save writes a binary snapshot of the merged data multigraph (base plus
 // any uncompacted delta). Loading it with LoadStore skips RDF parsing;
 // indexes are rebuilt deterministically.
-func (s *Store) Save(w io.Writer) error {
-	sn := s.Snapshot()
+func (s *Store) Save(w io.Writer) error { return writeSnapshot(w, s.Snapshot()) }
+
+// writeSnapshot encodes the snapshot's merged multigraph. Save,
+// Checkpoint and SaveReplica all write through it.
+func writeSnapshot(w io.Writer, sn *Snapshot) error {
 	if sn.Delta.Empty() {
 		return sn.Graph.Encode(w)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -207,18 +206,6 @@ func (s *Store) Checkpoint() error {
 		return fmt.Errorf("%w: %w", ErrDurability, err)
 	}
 	return nil
-}
-
-// writeSnapshot encodes the snapshot's merged multigraph.
-func writeSnapshot(f io.Writer, sn *Snapshot) error {
-	if sn.Delta.Empty() {
-		return sn.Graph.Encode(f)
-	}
-	g, err := materialize(sn.Delta)
-	if err != nil {
-		return err
-	}
-	return g.Encode(f)
 }
 
 // maybeAutoCheckpoint runs after a completed compaction when the store

@@ -102,7 +102,7 @@ func TestDBpediaLikeShape(t *testing.T) {
 	// Degree skew: the max in-degree should far exceed the average.
 	maxIn, totalIn := 0, 0
 	for v := 0; v < g.NumVertices(); v++ {
-		d := len(g.In(dict.VertexID(v)))
+		d := g.In(dict.VertexID(v)).Len()
 		totalIn += d
 		if d > maxIn {
 			maxIn = d

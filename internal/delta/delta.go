@@ -51,6 +51,7 @@ import (
 	"repro/internal/dict"
 	"repro/internal/index"
 	"repro/internal/multigraph"
+	"repro/internal/otil"
 	"repro/internal/rdf"
 )
 
@@ -546,7 +547,7 @@ func (v *View) AttrCandidates(attrs []dict.AttrID) []dict.VertexID {
 	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
 	out := lists[0]
 	for _, lst := range lists[1:] {
-		out = intersectSorted(out, lst)
+		out = otil.IntersectSorted(out, lst)
 		if len(out) == 0 {
 			return nil
 		}
@@ -562,11 +563,11 @@ func (v *View) HasAttrs(vid dict.VertexID, want []dict.AttrID) bool {
 	add, _ := v.sh.addAttrs.get(vid, v.ver)
 	del, _ := v.sh.delAttrs.get(vid, v.ver)
 	for _, a := range want {
-		if containsSorted(add, a) {
+		if otil.ContainsSorted(add, a) {
 			continue
 		}
 		if int(vid) < v.sh.baseNV && int(a) < v.sh.baseNA &&
-			v.sh.g.HasAttrs(vid, []dict.AttrID{a}) && !containsSorted(del, a) {
+			v.sh.g.HasAttrs(vid, []dict.AttrID{a}) && !otil.ContainsSorted(del, a) {
 			continue
 		}
 		return false
@@ -660,11 +661,13 @@ func (v *View) Triples(yield func(rdf.Triple) bool) bool {
 	for i := 0; i < v.sh.baseNV; i++ {
 		vid := dict.VertexID(i)
 		s := rdf.NewResource(v.sh.g.Dicts.VertexIRI(vid))
-		for _, nb := range v.sh.g.Out(vid) {
-			pd, hasPD := v.sh.pairs.get(edgeKey{vid, nb.V}, v.ver)
-			o := rdf.NewResource(v.sh.g.Dicts.VertexIRI(nb.V))
-			for _, t := range nb.Types {
-				if hasPD && containsType(pd.del, t) {
+		out := v.sh.g.Out(vid)
+		for i := 0; i < out.Len(); i++ {
+			w := out.V(i)
+			pd, hasPD := v.sh.pairs.get(edgeKey{vid, w}, v.ver)
+			o := rdf.NewResource(v.sh.g.Dicts.VertexIRI(w))
+			for _, t := range out.Types(i) {
+				if hasPD && otil.ContainsSorted(pd.del, t) {
 					continue
 				}
 				if !yield(rdf.Triple{S: s, P: rdf.NewIRI(v.sh.g.Dicts.EdgeTypeIRI(t)), O: o}) {
@@ -674,7 +677,7 @@ func (v *View) Triples(yield func(rdf.Triple) bool) bool {
 		}
 		da, _ := v.sh.delAttrs.get(vid, v.ver)
 		for _, a := range v.sh.g.Attrs(vid) {
-			if containsSorted(da, a) {
+			if otil.ContainsSorted(da, a) {
 				continue
 			}
 			at := v.sh.g.Dicts.Attr(a)
@@ -910,7 +913,7 @@ func (w *writer) internAttr(p string, o rdf.Term) dict.AttrID {
 // baseHasEdge reports whether the frozen base carries type et on s→o.
 func (w *writer) baseHasEdge(s, o dict.VertexID, et dict.EdgeType) bool {
 	return int(s) < w.sh.baseNV && int(o) < w.sh.baseNV && int(et) < w.sh.baseNT &&
-		containsType(w.sh.g.EdgeTypes(s, o), et)
+		otil.ContainsSorted(w.sh.g.EdgeTypes(s, o), et)
 }
 
 // basePairExists reports whether the frozen base has any edge on the pair.
@@ -999,7 +1002,7 @@ func (w *writer) insert(t rdf.Triple) {
 	s := w.internVertex(t.S.Value)
 	if t.O.IsLiteral() {
 		a := w.internAttr(t.P.Value, t.O)
-		if daR := w.sh.delAttrs.ref(s); daR.head != nil && containsSorted(daR.head.val, a) {
+		if daR := w.sh.delAttrs.ref(s); daR.head != nil && otil.ContainsSorted(daR.head.val, a) {
 			w.setAttrSet(&w.sh.delAttrs, &w.sh.attrDel, s, daR, removeSorted(daR.head.val, a), a, false)
 			w.nv.attrDels--
 			w.nv.numTriples++
@@ -1013,7 +1016,7 @@ func (w *writer) insert(t rdf.Triple) {
 		if aaR.head != nil {
 			aa = aaR.head.val
 		}
-		if containsSorted(aa, a) {
+		if otil.ContainsSorted(aa, a) {
 			return
 		}
 		w.setAttrSet(&w.sh.addAttrs, &w.sh.attrAdd, s, aaR, insertSorted(aa, a), a, true)
@@ -1029,7 +1032,7 @@ func (w *writer) insert(t rdf.Triple) {
 	if ref.head != nil {
 		pd = ref.head.val
 	}
-	if ref.head != nil && containsType(pd.del, et) {
+	if ref.head != nil && otil.ContainsSorted(pd.del, et) {
 		w.setPair(k, ref, pairDelta{add: pd.add, del: removeSorted(pd.del, et)})
 		w.nv.edgeDels--
 		w.nv.numTriples++
@@ -1038,7 +1041,7 @@ func (w *writer) insert(t rdf.Triple) {
 	if w.baseHasEdge(s, o, et) {
 		return
 	}
-	if ref.head != nil && containsType(pd.add, et) {
+	if ref.head != nil && otil.ContainsSorted(pd.add, et) {
 		return
 	}
 	if len(pd.add) == 0 && !w.basePairExists(k) {
@@ -1063,7 +1066,7 @@ func (w *writer) delete(t rdf.Triple) {
 		if !ok {
 			return
 		}
-		if aaR := w.sh.addAttrs.ref(s); aaR.head != nil && containsSorted(aaR.head.val, a) {
+		if aaR := w.sh.addAttrs.ref(s); aaR.head != nil && otil.ContainsSorted(aaR.head.val, a) {
 			w.setAttrSet(&w.sh.addAttrs, &w.sh.attrAdd, s, aaR, removeSorted(aaR.head.val, a), a, false)
 			w.nv.attrAdds--
 			w.nv.numTriples--
@@ -1074,7 +1077,7 @@ func (w *writer) delete(t rdf.Triple) {
 		if daR.head != nil {
 			da = daR.head.val
 		}
-		if w.baseHasAttr(s, a) && !containsSorted(da, a) {
+		if w.baseHasAttr(s, a) && !otil.ContainsSorted(da, a) {
 			w.setAttrSet(&w.sh.delAttrs, &w.sh.attrDel, s, daR, insertSorted(da, a), a, true)
 			w.nv.attrDels++
 			w.nv.numTriples--
@@ -1095,7 +1098,7 @@ func (w *writer) delete(t rdf.Triple) {
 	if ref.head != nil {
 		pd = ref.head.val
 	}
-	if ref.head != nil && containsType(pd.add, et) {
+	if ref.head != nil && otil.ContainsSorted(pd.add, et) {
 		add := removeSorted(pd.add, et)
 		if len(add) == 0 && !w.basePairExists(k) {
 			w.nv.newPairs--
@@ -1105,7 +1108,7 @@ func (w *writer) delete(t rdf.Triple) {
 		w.nv.numTriples--
 		return
 	}
-	if w.baseHasEdge(s, o, et) && !(ref.head != nil && containsType(pd.del, et)) {
+	if w.baseHasEdge(s, o, et) && !(ref.head != nil && otil.ContainsSorted(pd.del, et)) {
 		w.setPair(k, ref, pairDelta{add: pd.add, del: insertSorted(pd.del, et)})
 		w.nv.edgeDels++
 		w.nv.numTriples--
@@ -1234,31 +1237,4 @@ func subtractSorted[T ~uint32](a, b []T) []T {
 		out = append(out, x)
 	}
 	return out
-}
-
-// intersectSorted returns a ∩ b for sorted slices.
-func intersectSorted[T ~uint32](a, b []T) []T {
-	out := make([]T, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	return out
-}
-
-func containsSorted[T ~uint32](lst []T, x T) bool {
-	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= x })
-	return i < len(lst) && lst[i] == x
-}
-
-func containsType(lst []dict.EdgeType, t dict.EdgeType) bool {
-	return containsSorted(lst, t)
 }

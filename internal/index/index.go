@@ -169,16 +169,17 @@ func (sl *sideLists) of(v dict.VertexID) otil.Postings {
 // list in adjacency order yields ascending duplicate-free lists with no
 // sort. next[t] is per-vertex scratch: first the list length of type t,
 // then the write cursor into ids; it is zero again after each vertex.
-func buildSide(g *multigraph.Graph, adj func(dict.VertexID) []multigraph.Neighbor) sideLists {
+func buildSide(g *multigraph.Graph, adj func(dict.VertexID) multigraph.Adjacency) sideLists {
 	n := g.NumVertices()
 	next := make([]uint32, g.NumEdgeTypes())
 	// Size the arrays exactly: next[t] == v+1 marks type t as already
 	// counted for vertex v.
 	entries, postings := 0, 0
 	for v := 0; v < n; v++ {
-		for _, nb := range adj(dict.VertexID(v)) {
-			postings += len(nb.Types)
-			for _, t := range nb.Types {
+		nbs := adj(dict.VertexID(v))
+		for i := 0; i < nbs.Len(); i++ {
+			postings += len(nbs.Types(i))
+			for _, t := range nbs.Types(i) {
 				if next[t] != uint32(v+1) {
 					next[t] = uint32(v + 1)
 					entries++
@@ -199,8 +200,8 @@ func buildSide(g *multigraph.Graph, adj func(dict.VertexID) []multigraph.Neighbo
 		sl.start[v] = uint32(len(sl.types))
 		nbs := adj(dict.VertexID(v))
 		seen = seen[:0]
-		for _, nb := range nbs {
-			for _, t := range nb.Types {
+		for i := 0; i < nbs.Len(); i++ {
+			for _, t := range nbs.Types(i) {
 				if next[t] == 0 {
 					seen = append(seen, t)
 				}
@@ -213,9 +214,9 @@ func buildSide(g *multigraph.Graph, adj func(dict.VertexID) []multigraph.Neighbo
 			sl.off = append(sl.off, cursor)
 			cursor, next[t] = cursor+next[t], cursor
 		}
-		for _, nb := range nbs {
-			for _, t := range nb.Types {
-				sl.ids[next[t]] = nb.V
+		for i := 0; i < nbs.Len(); i++ {
+			for _, t := range nbs.Types(i) {
+				sl.ids[next[t]] = nbs.V(i)
 				next[t]++
 			}
 		}
@@ -321,8 +322,9 @@ func BuildCardinalities(g *multigraph.Graph) *Cardinalities {
 	// so multi-edges to distinct neighbours count the vertex only once.
 	stamp := make([]int, nT)
 	for v := 0; v < g.NumVertices(); v++ {
-		for _, nb := range g.Out(dict.VertexID(v)) {
-			for _, t := range nb.Types {
+		out := g.Out(dict.VertexID(v))
+		for i := 0; i < out.Len(); i++ {
+			for _, t := range out.Types(i) {
 				c.Edges[t]++
 				if stamp[t] != v+1 {
 					stamp[t] = v + 1
@@ -335,8 +337,9 @@ func BuildCardinalities(g *multigraph.Graph) *Cardinalities {
 		stamp[i] = 0
 	}
 	for v := 0; v < g.NumVertices(); v++ {
-		for _, nb := range g.In(dict.VertexID(v)) {
-			for _, t := range nb.Types {
+		in := g.In(dict.VertexID(v))
+		for i := 0; i < in.Len(); i++ {
+			for _, t := range in.Types(i) {
 				if stamp[t] != v+1 {
 					stamp[t] = v + 1
 					c.InVertices[t]++

@@ -237,22 +237,24 @@ func TestNeighborsAgainstAdjacency(t *testing.T) {
 	ix := Build(g)
 	for v := 0; v < g.NumVertices(); v++ {
 		vid := dict.VertexID(v)
-		for _, nb := range g.In(vid) {
-			for _, et := range nb.Types {
+		in := g.In(vid)
+		for i := 0; i < in.Len(); i++ {
+			for _, et := range in.Types(i) {
 				got := ix.N.Neighbors(vid, Incoming, []dict.EdgeType{et})
-				if !containsVertex(got, nb.V) {
-					t.Fatalf("N+(%d, t%d) = %v missing %d", v, et, got, nb.V)
+				if !containsVertex(got, in.V(i)) {
+					t.Fatalf("N+(%d, t%d) = %v missing %d", v, et, got, in.V(i))
 				}
 			}
-			got := ix.N.Neighbors(vid, Incoming, nb.Types)
-			if !containsVertex(got, nb.V) {
-				t.Fatalf("N+(%d, full multi-edge) missing %d", v, nb.V)
+			got := ix.N.Neighbors(vid, Incoming, in.Types(i))
+			if !containsVertex(got, in.V(i)) {
+				t.Fatalf("N+(%d, full multi-edge) missing %d", v, in.V(i))
 			}
 		}
-		for _, nb := range g.Out(vid) {
-			got := ix.N.Neighbors(vid, Outgoing, nb.Types)
-			if !containsVertex(got, nb.V) {
-				t.Fatalf("N-(%d, full multi-edge) missing %d", v, nb.V)
+		out := g.Out(vid)
+		for i := 0; i < out.Len(); i++ {
+			got := ix.N.Neighbors(vid, Outgoing, out.Types(i))
+			if !containsVertex(got, out.V(i)) {
+				t.Fatalf("N-(%d, full multi-edge) missing %d", v, out.V(i))
 			}
 		}
 	}
@@ -408,8 +410,9 @@ func TestNeighborsAgainstTrie(t *testing.T) {
 		t.Fatal("hub missing")
 	}
 	hubTypes := map[dict.EdgeType]bool{}
-	for _, nb := range g.Out(hub) {
-		for _, et := range nb.Types {
+	hubOut := g.Out(hub)
+	for i := 0; i < hubOut.Len(); i++ {
+		for _, et := range hubOut.Types(i) {
 			hubTypes[et] = true
 		}
 	}
@@ -421,15 +424,16 @@ func TestNeighborsAgainstTrie(t *testing.T) {
 		vid := dict.VertexID(v)
 		for _, side := range []struct {
 			dir Direction
-			adj []multigraph.Neighbor
+			adj multigraph.Adjacency
 		}{{Incoming, g.In(vid)}, {Outgoing, g.Out(vid)}} {
 			var tr otil.Trie
 			var queries [][]dict.EdgeType
-			for _, nb := range side.adj {
-				tr.Insert(nb.Types, nb.V)
-				queries = append(queries, nb.Types, nb.Types[:1], nb.Types[len(nb.Types)-1:])
-				if len(nb.Types) > 2 {
-					queries = append(queries, []dict.EdgeType{nb.Types[0], nb.Types[len(nb.Types)-1]})
+			for i := 0; i < side.adj.Len(); i++ {
+				ts := side.adj.Types(i)
+				tr.Insert(ts, side.adj.V(i))
+				queries = append(queries, ts, ts[:1], ts[len(ts)-1:])
+				if len(ts) > 2 {
+					queries = append(queries, []dict.EdgeType{ts[0], ts[len(ts)-1]})
 				}
 			}
 			for i := 0; i < 8; i++ { // mostly-absent combinations
@@ -454,10 +458,10 @@ func TestNeighborsSingleTypeAllocs(t *testing.T) {
 	g := randomGraph(t, rand.New(rand.NewSource(4)), 60, 6, 900, 0)
 	r := NewReader(g, Build(g))
 	var v dict.VertexID
-	for len(g.Out(v)) == 0 {
+	for g.Out(v).Len() == 0 {
 		v++
 	}
-	q := g.Out(v)[0].Types[:1]
+	q := g.Out(v).Types(0)[:1]
 	var got []dict.VertexID
 	if allocs := testing.AllocsPerRun(100, func() { got = r.Neighbors(v, Outgoing, q) }); allocs != 0 {
 		t.Errorf("single-type Neighbors probe allocates %.0f times per call", allocs)

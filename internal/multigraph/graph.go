@@ -13,39 +13,82 @@
 package multigraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dict"
 	"repro/internal/rdf"
 )
 
-// Neighbor is one entry of an adjacency list: the neighbouring vertex and
-// the multi-edge (set of edge types, sorted ascending, unique) connecting
-// to it.
-type Neighbor struct {
-	V     dict.VertexID
-	Types []dict.EdgeType
-}
-
-// Graph is the immutable data multigraph. Build one with a Builder.
+// Graph is the immutable data multigraph, a fixed number of flat arrays
+// whatever its size. Build one with a Builder. The multi-edge of out-side
+// entry e is types[tOff[e]:tOff[e+1]], ascending and duplicate-free;
+// vertex v's attributes are attrIDs[attrOff[v]:attrOff[v+1]], ascending.
+// Offsets are 32-bit, so a graph holds fewer than 2³² edge labels.
 type Graph struct {
 	Dicts dict.Dictionaries
 
-	out   [][]Neighbor    // out[v] sorted by Neighbor.V: edges v → w ("-")
-	in    [][]Neighbor    // in[v] sorted by Neighbor.V: edges w → v ("+")
-	attrs [][]dict.AttrID // attrs[v] sorted ascending
+	out, in side // edges v → w ("-") and w → v ("+")
+	tOff    []uint32
+	types   []dict.EdgeType
+	attrOff []uint32
+	attrIDs []dict.AttrID
 
 	numTriples int
-	numEdges   int // distinct directed (v, w) pairs
+}
+
+// side is one direction in compressed sparse row form: vertex v's
+// neighbours are nbr[off[v]:off[v+1]], ascending. An in-side entry's
+// multi-edge is that of out-side entry ent[i]; the out side has no ent.
+type side struct {
+	off []uint32
+	nbr []dict.VertexID
+	ent []uint32
+}
+
+// adjacency returns vertex v's view of side s.
+func (g *Graph) adjacency(s *side, v dict.VertexID) Adjacency {
+	lo, hi := s.off[v], s.off[v+1]
+	if s.ent == nil {
+		return Adjacency{nbr: s.nbr[lo:hi:hi], tOff: g.tOff[lo : hi+1], types: g.types}
+	}
+	return Adjacency{nbr: s.nbr[lo:hi:hi], ent: s.ent[lo:hi:hi], tOff: g.tOff, types: g.types}
+}
+
+// Adjacency is one vertex's neighbours in one direction, in ascending id
+// order, each with the multi-edge connecting it. It is a view into the
+// graph's arrays: it does not allocate, and nothing it returns may be
+// modified.
+type Adjacency struct {
+	nbr   []dict.VertexID
+	ent   []uint32 // in side: the tOff index of each neighbour's multi-edge
+	tOff  []uint32 // out side: from nbr[0]'s multi-edge on
+	types []dict.EdgeType
+}
+
+// Len reports the number of distinct neighbours.
+func (a Adjacency) Len() int { return len(a.nbr) }
+
+// V returns the i-th neighbour.
+func (a Adjacency) V(i int) dict.VertexID { return a.nbr[i] }
+
+// Types returns the multi-edge to the i-th neighbour, ascending and
+// duplicate-free.
+func (a Adjacency) Types(i int) []dict.EdgeType {
+	if a.ent != nil {
+		i = int(a.ent[i])
+	}
+	lo, hi := a.tOff[i], a.tOff[i+1]
+	return a.types[lo:hi:hi]
 }
 
 // NumVertices reports |V|.
-func (g *Graph) NumVertices() int { return len(g.out) }
+func (g *Graph) NumVertices() int { return max(len(g.out.off)-1, 0) }
 
 // NumEdges reports the number of distinct directed vertex pairs carrying at
 // least one edge type (the paper's "# Edges" in Table 4).
-func (g *Graph) NumEdges() int { return g.numEdges }
+func (g *Graph) NumEdges() int { return len(g.out.nbr) }
 
 // NumEdgeTypes reports |T|, the number of distinct predicates between IRIs.
 func (g *Graph) NumEdgeTypes() int { return g.Dicts.EdgeTypes.Len() }
@@ -56,41 +99,35 @@ func (g *Graph) NumAttrs() int { return g.Dicts.Attrs.Len() }
 // NumTriples reports the number of source RDF triples.
 func (g *Graph) NumTriples() int { return g.numTriples }
 
+// Entries reports the number of distinct edge and literal triples stored.
+func (g *Graph) Entries() (labels, attrs int) { return len(g.types), len(g.attrIDs) }
+
 // Out returns the outgoing ("-") adjacency of v, sorted by neighbour id.
-// The returned slice must not be modified.
-func (g *Graph) Out(v dict.VertexID) []Neighbor { return g.out[v] }
+func (g *Graph) Out(v dict.VertexID) Adjacency { return g.adjacency(&g.out, v) }
 
 // In returns the incoming ("+") adjacency of v, sorted by neighbour id.
-// The returned slice must not be modified.
-func (g *Graph) In(v dict.VertexID) []Neighbor { return g.in[v] }
+func (g *Graph) In(v dict.VertexID) Adjacency { return g.adjacency(&g.in, v) }
 
 // Attrs returns the sorted attribute set of v (the paper's LV(v), minus the
-// implicit null attribute every vertex carries).
-func (g *Graph) Attrs(v dict.VertexID) []dict.AttrID { return g.attrs[v] }
+// implicit null attribute every vertex carries). The returned slice must
+// not be modified.
+func (g *Graph) Attrs(v dict.VertexID) []dict.AttrID {
+	lo, hi := g.attrOff[v], g.attrOff[v+1]
+	return g.attrIDs[lo:hi:hi]
+}
 
 // HasAttrs reports whether v carries every attribute in want (want must be
 // sorted ascending).
 func (g *Graph) HasAttrs(v dict.VertexID, want []dict.AttrID) bool {
-	have := g.attrs[v]
-	i := 0
-	for _, w := range want {
-		for i < len(have) && have[i] < w {
-			i++
-		}
-		if i >= len(have) || have[i] != w {
-			return false
-		}
-	}
-	return true
+	return ContainsTypes(g.Attrs(v), want)
 }
 
 // EdgeTypes returns the multi-edge label set LE(from, to), or nil when no
 // edge exists. The returned slice must not be modified.
 func (g *Graph) EdgeTypes(from, to dict.VertexID) []dict.EdgeType {
-	adj := g.out[from]
-	i := sort.Search(len(adj), func(i int) bool { return adj[i].V >= to })
-	if i < len(adj) && adj[i].V == to {
-		return adj[i].Types
+	adj := g.Out(from)
+	if i, ok := slices.BinarySearch(adj.nbr, to); ok {
+		return adj.Types(i)
 	}
 	return nil
 }
@@ -101,9 +138,9 @@ func (g *Graph) HasEdgeTypes(from, to dict.VertexID, want []dict.EdgeType) bool 
 	return ContainsTypes(g.EdgeTypes(from, to), want)
 }
 
-// ContainsTypes reports whether the sorted set have contains every element
-// of the sorted set want.
-func ContainsTypes(have, want []dict.EdgeType) bool {
+// ContainsTypes reports whether the sorted id set have contains every
+// element of the sorted id set want: edge types or attributes.
+func ContainsTypes[T ~uint32](have, want []T) bool {
 	if len(want) > len(have) {
 		return false
 	}
@@ -120,24 +157,19 @@ func ContainsTypes(have, want []dict.EdgeType) bool {
 	return true
 }
 
-// Degree reports the number of distinct neighbours of v (in + out pairs).
-func (g *Graph) Degree(v dict.VertexID) int { return len(g.in[v]) + len(g.out[v]) }
-
 // Builder accumulates RDF triples and produces a Graph. The zero value is
 // ready to use.
 type Builder struct {
 	dicts      dict.Dictionaries
-	out        []map[dict.VertexID]map[dict.EdgeType]struct{}
-	attrs      []map[dict.AttrID]struct{}
+	edges      []edge
+	attrs      []uint64 // packed (subject, attribute) pairs
 	numTriples int
 }
 
-// grow ensures per-vertex storage exists up to id v.
-func (b *Builder) grow(v dict.VertexID) {
-	for len(b.out) <= int(v) {
-		b.out = append(b.out, nil)
-		b.attrs = append(b.attrs, nil)
-	}
+// edge is one edge triple s → o of type t, by id.
+type edge struct {
+	s, o dict.VertexID
+	t    dict.EdgeType
 }
 
 // Add ingests one RDF triple, applying the four transformation protocols.
@@ -157,29 +189,12 @@ func (b *Builder) Add(t rdf.Triple) error {
 	}
 	b.numTriples++
 	s := b.dicts.InternVertex(t.S.Value)
-	b.grow(s)
 	if t.O.IsLiteral() {
-		a := b.dicts.InternAttr(t.P.Value, t.O)
-		if b.attrs[s] == nil {
-			b.attrs[s] = make(map[dict.AttrID]struct{})
-		}
-		b.attrs[s][a] = struct{}{}
+		b.attrs = append(b.attrs, uint64(s)<<32|uint64(b.dicts.InternAttr(t.P.Value, t.O)))
 		return nil
 	}
 	o := b.dicts.InternVertex(t.O.Value)
-	b.grow(o)
-	et := b.dicts.InternEdgeType(t.P.Value)
-	m := b.out[s]
-	if m == nil {
-		m = make(map[dict.VertexID]map[dict.EdgeType]struct{})
-		b.out[s] = m
-	}
-	types := m[o]
-	if types == nil {
-		types = make(map[dict.EdgeType]struct{})
-		m[o] = types
-	}
-	types[et] = struct{}{}
+	b.edges = append(b.edges, edge{s, o, b.dicts.InternEdgeType(t.P.Value)})
 	return nil
 }
 
@@ -196,63 +211,70 @@ func (b *Builder) AddAll(ts []rdf.Triple) error {
 // NumTriples reports how many triples have been added so far.
 func (b *Builder) NumTriples() int { return b.numTriples }
 
-// Build finalizes the accumulated triples into an immutable Graph. The
-// Builder must not be used afterwards.
+// Build finalizes the accumulated triples into an immutable Graph: one
+// sort of the edge triples and one of the attribute pairs, each emitted
+// without its duplicates. The Builder must not be used afterwards.
 func (b *Builder) Build() *Graph {
-	n := len(b.out)
-	g := &Graph{
-		Dicts:      b.dicts,
-		out:        make([][]Neighbor, n),
-		in:         make([][]Neighbor, n),
-		attrs:      make([][]dict.AttrID, n),
-		numTriples: b.numTriples,
-	}
-	// Count incoming degrees first so the in-lists allocate exactly once.
-	inDeg := make([]int, n)
-	for _, adj := range b.out {
-		for w := range adj {
-			inDeg[w]++
+	n := b.dicts.Vertices.Len()
+	g := &Graph{Dicts: b.dicts, numTriples: b.numTriples}
+	slices.SortFunc(b.edges, func(x, y edge) int {
+		return cmp.Or(cmp.Compare(x.s, y.s), cmp.Compare(x.o, y.o), cmp.Compare(x.t, y.t))
+	})
+	es := slices.Compact(b.edges)
+	pairs := 0
+	for i := range es {
+		if i == 0 || es[i].s != es[i-1].s || es[i].o != es[i-1].o {
+			pairs++
 		}
+	}
+	g.out = side{off: make([]uint32, n+1), nbr: make([]dict.VertexID, 0, pairs)}
+	g.tOff, g.types = make([]uint32, 0, pairs+1), make([]dict.EdgeType, len(es))
+	for i, e := range es {
+		if i == 0 || e.s != es[i-1].s || e.o != es[i-1].o {
+			g.out.off[e.s+1]++
+			g.out.nbr = append(g.out.nbr, e.o)
+			g.tOff = append(g.tOff, uint32(i))
+		}
+		g.types[i] = e.t
+	}
+	g.tOff = append(g.tOff, uint32(len(es)))
+	slices.Sort(b.attrs)
+	attrs := slices.Compact(b.attrs)
+	g.attrOff, g.attrIDs = make([]uint32, n+1), make([]dict.AttrID, len(attrs))
+	for i, k := range attrs {
+		g.attrOff[k>>32+1]++
+		g.attrIDs[i] = dict.AttrID(k)
+	}
+	for v := 1; v <= n; v++ {
+		g.out.off[v] += g.out.off[v-1]
+		g.attrOff[v] += g.attrOff[v-1]
+	}
+	g.in = g.out.transpose()
+	return g
+}
+
+// transpose derives the in side from the out side for Build and Decode: a
+// counting sort of the out entries by target, visiting sources in
+// ascending order, so every in-list comes out sorted.
+func (s *side) transpose() side {
+	n := len(s.off) - 1
+	t := side{off: make([]uint32, n+1), nbr: make([]dict.VertexID, len(s.nbr)), ent: make([]uint32, len(s.nbr))}
+	for _, w := range s.nbr {
+		t.off[w+1]++
+	}
+	for v := 1; v <= n; v++ {
+		t.off[v] += t.off[v-1]
 	}
 	for v := 0; v < n; v++ {
-		g.in[v] = make([]Neighbor, 0, inDeg[v])
-	}
-	for v, adj := range b.out {
-		if len(adj) == 0 {
-			continue
-		}
-		g.numEdges += len(adj)
-		lst := make([]Neighbor, 0, len(adj))
-		for w, types := range adj {
-			ts := make([]dict.EdgeType, 0, len(types))
-			for t := range types {
-				ts = append(ts, t)
-			}
-			sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-			lst = append(lst, Neighbor{V: w, Types: ts})
-		}
-		sort.Slice(lst, func(i, j int) bool { return lst[i].V < lst[j].V })
-		g.out[v] = lst
-		for _, nb := range lst {
-			g.in[nb.V] = append(g.in[nb.V], Neighbor{V: dict.VertexID(v), Types: nb.Types})
+		for e := s.off[v]; e < s.off[v+1]; e++ {
+			j := t.off[s.nbr[e]]
+			t.off[s.nbr[e]]++
+			t.nbr[j], t.ent[j] = dict.VertexID(v), e
 		}
 	}
-	for v := range g.in {
-		lst := g.in[v]
-		sort.Slice(lst, func(i, j int) bool { return lst[i].V < lst[j].V })
-	}
-	for v, set := range b.attrs {
-		if len(set) == 0 {
-			continue
-		}
-		as := make([]dict.AttrID, 0, len(set))
-		for a := range set {
-			as = append(as, a)
-		}
-		sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-		g.attrs[v] = as
-	}
-	return g
+	copy(t.off[1:], t.off[:n])
+	t.off[0] = 0
+	return t
 }
 
 // FromTriples is a convenience that builds a Graph from a triple slice.

@@ -2,6 +2,7 @@ package multigraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dict"
@@ -140,18 +141,21 @@ func TestInOutConsistency(t *testing.T) {
 	// Every out-edge must appear as an in-edge on the other side, with the
 	// identical type set, and vice versa.
 	for v := 0; v < g.NumVertices(); v++ {
-		for _, nb := range g.Out(dict.VertexID(v)) {
+		out := g.Out(dict.VertexID(v))
+		for i := 0; i < out.Len(); i++ {
+			w := out.V(i)
 			found := false
-			for _, back := range g.In(nb.V) {
-				if back.V == dict.VertexID(v) {
+			in := g.In(w)
+			for j := 0; j < in.Len(); j++ {
+				if in.V(j) == dict.VertexID(v) {
 					found = true
-					if len(back.Types) != len(nb.Types) {
-						t.Errorf("type sets differ on %d→%d", v, nb.V)
+					if !slices.Equal(in.Types(j), out.Types(i)) {
+						t.Errorf("type sets differ on %d→%d", v, w)
 					}
 				}
 			}
 			if !found {
-				t.Errorf("edge %d→%d missing from in-list", v, nb.V)
+				t.Errorf("edge %d→%d missing from in-list", v, w)
 			}
 		}
 	}
@@ -160,17 +164,15 @@ func TestInOutConsistency(t *testing.T) {
 func TestAdjacencySorted(t *testing.T) {
 	g := buildFigure1(t)
 	for v := 0; v < g.NumVertices(); v++ {
-		for _, adj := range [][]Neighbor{g.Out(dict.VertexID(v)), g.In(dict.VertexID(v))} {
-			for i := 1; i < len(adj); i++ {
-				if adj[i-1].V >= adj[i].V {
+		for _, adj := range []Adjacency{g.Out(dict.VertexID(v)), g.In(dict.VertexID(v))} {
+			for i := 1; i < adj.Len(); i++ {
+				if adj.V(i-1) >= adj.V(i) {
 					t.Fatalf("adjacency of %d not sorted: %v", v, adj)
 				}
 			}
-			for _, nb := range adj {
-				for i := 1; i < len(nb.Types); i++ {
-					if nb.Types[i-1] >= nb.Types[i] {
-						t.Fatalf("types of %d→%d not sorted: %v", v, nb.V, nb.Types)
-					}
+			for i := 0; i < adj.Len(); i++ {
+				if ts := adj.Types(i); len(ts) == 0 || !slices.IsSorted(ts) || len(slices.Compact(slices.Clone(ts))) != len(ts) {
+					t.Fatalf("types of %d→%d not sorted and unique: %v", v, adj.V(i), ts)
 				}
 			}
 		}
@@ -254,16 +256,6 @@ func TestContainsTypes(t *testing.T) {
 	}
 }
 
-func TestDegree(t *testing.T) {
-	g := buildFigure1(t)
-	london := vid(t, g, "London")
-	// London (paper's v2): 4 incoming neighbours (England, Nolan, Amy,
-	// Music_Band) + 2 outgoing (England, WembleyStadium).
-	if got := g.Degree(london); got != 6 {
-		t.Errorf("Degree(London) = %d, want 6", got)
-	}
-}
-
 // randomGraph builds a small random multigraph for property tests.
 func randomGraph(rng *rand.Rand, nV, nT, nEdges int) *Graph {
 	var b Builder
@@ -292,4 +284,25 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(buf[pos:])
+}
+
+// TestViewsDoNotAllocate: adjacency views, edge-type lookups and vertex
+// synopses read the flat arrays without allocating.
+func TestViewsDoNotAllocate(t *testing.T) {
+	g := buildFigure1(t)
+	amy, london := vid(t, g, "Amy_Winehouse"), vid(t, g, "London")
+	allocs := testing.AllocsPerRun(50, func() {
+		for v := 0; v < g.NumVertices(); v++ {
+			in, out := g.In(dict.VertexID(v)), g.Out(dict.VertexID(v))
+			for i := 0; i < in.Len(); i++ {
+				_ = in.Types(i)
+			}
+			_ = out.Len()
+			_ = g.VertexSynopsis(dict.VertexID(v))
+		}
+		_ = g.EdgeTypes(amy, london)
+	})
+	if allocs != 0 {
+		t.Errorf("views allocated %.0f times per pass", allocs)
+	}
 }

@@ -54,8 +54,9 @@ func (e *encoder) str(s string) {
 	e.w.WriteString(s)
 }
 
-// writeIDs writes a sorted id list as deltas.
+// writeIDs writes a sorted id list: its length, then its ids as deltas.
 func writeIDs[T ~uint32](e *encoder, list []T) {
+	e.uvarint(uint64(len(list)))
 	prev := uint64(0)
 	for _, id := range list {
 		e.uvarint(uint64(id) - prev)
@@ -88,18 +89,17 @@ func (g *Graph) Encode(w io.Writer) error {
 	}
 	e.uvarint(uint64(g.numTriples))
 	// Adjacency (out side only; the in side is reconstructed).
-	for _, adj := range g.out {
-		e.uvarint(uint64(len(adj)))
-		for _, nb := range adj {
-			e.uvarint(uint64(nb.V))
-			e.uvarint(uint64(len(nb.Types)))
-			writeIDs(e, nb.Types)
+	for v := 0; v < g.NumVertices(); v++ {
+		adj := g.Out(dict.VertexID(v))
+		e.uvarint(uint64(adj.Len()))
+		for i := 0; i < adj.Len(); i++ {
+			e.uvarint(uint64(adj.V(i)))
+			writeIDs(e, adj.Types(i))
 		}
 	}
 	// Attributes.
-	for _, as := range g.attrs {
-		e.uvarint(uint64(len(as)))
-		writeIDs(e, as)
+	for v := 0; v < g.NumVertices(); v++ {
+		writeIDs(e, g.Attrs(dict.VertexID(v)))
 	}
 	// Trailer CRC over everything flushed so far.
 	if err := e.w.Flush(); err != nil {
@@ -213,37 +213,72 @@ func (d *decoder) fail(format string, args ...any) {
 	}
 }
 
-// readIDs decodes a delta-encoded, strictly ascending list of ids below n.
-func readIDs[T ~uint32](d *decoder, out []T, n int, what string) {
+// readIDs reads k delta-encoded, strictly ascending ids below n and
+// appends them to dst; a nil dst only checks them.
+func readIDs[T ~uint32](d *decoder, dst []T, k, n int, what string) []T {
 	acc := uint64(0)
-	for i := range out {
+	for i := 0; i < k && d.err == nil; i++ {
 		delta := d.uvarint()
 		if (i > 0 && delta == 0) || delta >= uint64(n)-acc {
 			d.fail("multigraph: %s ids not ascending below %d", what, n)
-			return
+			break
 		}
 		acc += delta
-		out[i] = T(acc)
+		if dst != nil {
+			dst = append(dst, T(acc))
+		}
 	}
+	return dst
 }
 
-// Slab sizes, in elements, for the adjacency and attribute lists. Each
-// list is cut from a shared slab rather than allocated on its own; a slab
-// is never larger than the bytes left could fill.
-const (
-	neighborSlab = 1 << 12
-	idSlab       = 1 << 14
-)
-
-// carve cuts an n-element, capacity-capped slice from *slab, starting a
-// new slab of max(n, size) elements when the current one is full.
-func carve[T any](slab *[]T, n, size int) []T {
-	if cap(*slab)-len(*slab) < n {
-		*slab = make([]T, 0, max(n, size))
+// sections decodes the adjacency and attribute sections into g's arrays.
+// On a graph without arrays it only checks them and counts their entries,
+// each count bounded by the bytes the walk consumes, so that the arrays
+// can be allocated once at their exact size before a second walk.
+func (d *decoder) sections(g *Graph, nV, nT, nA int) (pairs, labels, attrs int) {
+	fill := g.out.off != nil
+	for v := 0; v < nV && d.err == nil; v++ {
+		prevTarget := -1
+		// A neighbour takes at least three bytes: target, cardinality, type.
+		for range d.count(3, "out-degree") {
+			target := d.uvarint()
+			if target >= uint64(nV) {
+				d.fail("multigraph: edge target %d out of range", target)
+			} else if int(target) <= prevTarget {
+				d.fail("multigraph: adjacency of %d not sorted", v)
+			}
+			k := d.count(1, "multi-edge cardinality")
+			if k == 0 || k > nT {
+				d.fail("multigraph: bad multi-edge cardinality %d", k)
+			}
+			if d.err != nil {
+				return
+			}
+			prevTarget, pairs, labels = int(target), pairs+1, labels+k
+			if fill {
+				g.out.nbr = append(g.out.nbr, dict.VertexID(target))
+				g.tOff = append(g.tOff, uint32(len(g.types)))
+			}
+			g.types = readIDs(d, g.types, k, nT, "edge-type")
+		}
+		if fill {
+			g.out.off[v+1] = uint32(len(g.out.nbr))
+		}
 	}
-	l := len(*slab)
-	*slab = (*slab)[:l+n]
-	return (*slab)[l : l+n : l+n]
+	for v := 0; v < nV && d.err == nil; v++ {
+		k := d.count(1, "attribute count")
+		if k > nA {
+			d.fail("multigraph: attribute count %d exceeds dictionary", k)
+		}
+		attrs += k
+		if g.attrIDs = readIDs(d, g.attrIDs, k, nA, "attribute"); fill {
+			g.attrOff[v+1] = uint32(len(g.attrIDs))
+		}
+	}
+	if labels > math.MaxUint32 {
+		d.fail("multigraph: %d edge labels exceed the graph's 32-bit offsets", labels)
+	}
+	return pairs, labels, attrs
 }
 
 // graph decodes everything after the header; on error it returns no graph.
@@ -288,74 +323,19 @@ func (d *decoder) graph() (*Graph, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	// Adjacency.
-	g.out = make([][]Neighbor, nV)
-	g.in = make([][]Neighbor, nV)
-	g.attrs = make([][]dict.AttrID, nV)
-	inDeg := make([]int, nV)
-	var nbSlab []Neighbor
-	var typeSlab []dict.EdgeType
-	for v := 0; v < nV && d.err == nil; v++ {
-		// A neighbour takes at least three bytes: target, cardinality, type.
-		deg := d.count(3, "out-degree")
-		if deg == 0 {
-			continue
-		}
-		adj := carve(&nbSlab, deg, min(neighborSlab, d.left()/3))
-		prevTarget := -1
-		for e := range adj {
-			target := d.uvarint()
-			if target >= uint64(nV) {
-				d.fail("multigraph: edge target %d out of range", target)
-			} else if int(target) <= prevTarget {
-				d.fail("multigraph: adjacency of %d not sorted", v)
-			}
-			k := d.count(1, "multi-edge cardinality")
-			if k == 0 || k > nT {
-				d.fail("multigraph: bad multi-edge cardinality %d", k)
-			}
-			if d.err != nil {
-				return nil, d.err
-			}
-			prevTarget = int(target)
-			types := carve(&typeSlab, k, min(idSlab, d.left()))
-			readIDs(d, types, nT, "edge-type")
-			adj[e] = Neighbor{V: dict.VertexID(target), Types: types}
-			inDeg[target]++
-		}
-		g.out[v] = adj
-		g.numEdges += deg
-	}
+	// Adjacency and attributes: a checking walk sizes the arrays, a
+	// second walk fills them, and the in side is derived from the out side.
+	mark := d.pos
+	pairs, labels, attrs := d.sections(&Graph{}, nV, nT, nA)
 	if d.err != nil {
 		return nil, d.err
 	}
-	// In-lists share one array and fill in ascending source order, hence
-	// come out sorted.
-	ins := make([]Neighbor, 0, g.numEdges)
-	for v, n := range inDeg {
-		g.in[v] = ins[len(ins) : len(ins) : len(ins)+n]
-		ins = ins[:len(ins)+n]
-	}
-	for v, adj := range g.out {
-		for _, nb := range adj {
-			g.in[nb.V] = append(g.in[nb.V], Neighbor{V: dict.VertexID(v), Types: nb.Types})
-		}
-	}
-	// Attributes.
-	var attrSlab []dict.AttrID
-	for v := 0; v < nV && d.err == nil; v++ {
-		k := d.count(1, "attribute count")
-		if k > nA {
-			d.fail("multigraph: attribute count %d exceeds dictionary", k)
-		}
-		if k == 0 || d.err != nil {
-			continue
-		}
-		g.attrs[v] = carve(&attrSlab, k, min(idSlab, d.left()))
-		readIDs(d, g.attrs[v], nA, "attribute")
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
+	d.pos = mark
+	g.out = side{off: make([]uint32, nV+1), nbr: make([]dict.VertexID, 0, pairs)}
+	g.tOff, g.types = make([]uint32, 0, pairs+1), make([]dict.EdgeType, 0, labels)
+	g.attrOff, g.attrIDs = make([]uint32, nV+1), make([]dict.AttrID, 0, attrs)
+	d.sections(g, nV, nT, nA)
+	g.tOff = append(g.tOff, uint32(len(g.types)))
+	g.in = g.out.transpose()
 	return g, nil
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,23 +41,16 @@ func graphsEqual(t *testing.T, a, b *Graph) {
 		if a.Dicts.VertexIRI(vid) != b.Dicts.VertexIRI(vid) {
 			t.Fatalf("vertex %d IRI differs", v)
 		}
-		ao, bo := a.Out(vid), b.Out(vid)
-		if len(ao) != len(bo) {
-			t.Fatalf("out-degree of %d differs", v)
-		}
-		for i := range ao {
-			if ao[i].V != bo[i].V || len(ao[i].Types) != len(bo[i].Types) {
-				t.Fatalf("neighbour %d of %d differs", i, v)
+		for _, sides := range [][2]Adjacency{{a.Out(vid), b.Out(vid)}, {a.In(vid), b.In(vid)}} {
+			x, y := sides[0], sides[1]
+			if x.Len() != y.Len() {
+				t.Fatalf("degree of %d differs", v)
 			}
-			for j := range ao[i].Types {
-				if ao[i].Types[j] != bo[i].Types[j] {
-					t.Fatalf("types of %d→%d differ", v, ao[i].V)
+			for i := 0; i < x.Len(); i++ {
+				if x.V(i) != y.V(i) || !slices.Equal(x.Types(i), y.Types(i)) {
+					t.Fatalf("neighbour %d of %d differs", i, v)
 				}
 			}
-		}
-		ai, bi := a.In(vid), b.In(vid)
-		if len(ai) != len(bi) {
-			t.Fatalf("in-degree of %d differs", v)
 		}
 		aa, ba := a.Attrs(vid), b.Attrs(vid)
 		if len(aa) != len(ba) {
@@ -263,38 +257,97 @@ func TestDecodeHugeCountsAllocateLittle(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocs bounds the allocations of decoding a fixed snapshot:
-// each dictionary string is allocated once, and the adjacency and
-// attribute lists come from a few shared slabs, not one allocation each.
-func TestDecodeAllocs(t *testing.T) {
-	raw := figure1Snapshot(t)
-	g, err := Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	strs := g.NumVertices() + g.NumEdgeTypes()
-	preds := map[string]bool{}
+// dictStrings counts the strings Decode allocates for g's dictionaries:
+// every vertex and edge-type IRI, every distinct attribute predicate, and
+// every non-empty lexical form, datatype and language tag. It also reports
+// the number of distinct predicates.
+func dictStrings(g *Graph) (strs, preds int) {
+	strs = g.NumVertices() + g.NumEdgeTypes()
+	seen := map[string]bool{}
 	for i := 0; i < g.NumAttrs(); i++ {
 		a := g.Dicts.Attr(dict.AttrID(i))
-		preds[a.Predicate] = true
+		seen[a.Predicate] = true
 		for _, s := range []string{a.Lexical, a.Datatype, a.Lang} {
 			if s != "" {
 				strs++
 			}
 		}
 	}
-	strs += len(preds)
-	// Beyond the strings: the graph and the read buffer, the dictionaries'
-	// maps and value slices, the three per-vertex list arrays, the in-list
-	// array and the slabs, plus a posting list per predicate.
-	bound := strs + 30 + len(preds)
-	allocs := testing.AllocsPerRun(20, func() {
+	return strs + len(seen), len(seen)
+}
+
+// decodeAllocs reports the mean allocation count of decoding raw.
+func decodeAllocs(t *testing.T, raw []byte) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(20, func() {
 		if _, err := Decode(bytes.NewReader(raw)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > float64(bound) {
+}
+
+// TestDecodeAllocs bounds the allocations of decoding a fixed snapshot:
+// each dictionary string is allocated once, and the adjacency and
+// attributes live in a fixed number of flat arrays, not one allocation
+// per list.
+func TestDecodeAllocs(t *testing.T) {
+	raw := figure1Snapshot(t)
+	g, err := Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strs, preds := dictStrings(g)
+	// Beyond the strings: the graph and the read buffer, the dictionaries'
+	// maps and value slices, the adjacency and attribute arrays and the
+	// transpose's cursor, plus a posting list per predicate.
+	bound := strs + 30 + preds
+	if allocs := decodeAllocs(t, raw); allocs > float64(bound) {
 		t.Errorf("Decode made %.0f allocations, want at most %d (%d dictionary strings)", allocs, bound, strs)
+	}
+}
+
+// dictAllocs reports the mean allocation count of rebuilding g's
+// dictionaries the way Decode does: reserved, then interned in id order.
+func dictAllocs(g *Graph) float64 {
+	return testing.AllocsPerRun(20, func() {
+		var d dict.Dictionaries
+		d.Vertices.Reserve(g.NumVertices())
+		for i := 0; i < g.NumVertices(); i++ {
+			d.InternVertex(g.Dicts.VertexIRI(dict.VertexID(i)))
+		}
+		d.EdgeTypes.Reserve(g.NumEdgeTypes())
+		for i := 0; i < g.NumEdgeTypes(); i++ {
+			d.InternEdgeType(g.Dicts.EdgeTypeIRI(dict.EdgeType(i)))
+		}
+		d.Attrs.Reserve(g.NumAttrs())
+		for i := 0; i < g.NumAttrs(); i++ {
+			a := g.Dicts.Attr(dict.AttrID(i))
+			d.InternAttr(a.Predicate, a.Literal())
+		}
+	})
+}
+
+// TestDecodeAllocsFlat: the allocations of Decode do not grow with the
+// graph. For two seeded graphs, one ten times the other, Decode's
+// allocations beyond those of their dictionaries (a string per entry plus
+// the per-predicate attribute lists, which grow by appending) differ by
+// no more than a small constant.
+func TestDecodeAllocsFlat(t *testing.T) {
+	graphAllocs := func(nV, n int) float64 {
+		g, err := FromTriples(seededTriples(rand.New(rand.NewSource(int64(n))), nV, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := g.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return decodeAllocs(t, buf.Bytes()) - dictAllocs(g)
+	}
+	small, large := graphAllocs(200, 2000), graphAllocs(2000, 20000)
+	t.Logf("allocations beyond the dictionaries: %.0f and %.0f", small, large)
+	if large-small > 1 {
+		t.Errorf("beyond its dictionaries, Decode made %.0f allocations for the larger graph and %.0f for the smaller", large, small)
 	}
 }
 

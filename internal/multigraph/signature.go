@@ -59,9 +59,10 @@ func (s Synopsis) Dominates(q Synopsis) bool {
 	return true
 }
 
-// sideSynopsis fills half of a synopsis from one direction's multi-edges.
-func sideSynopsis(dst []int32, multiEdges [][]dict.EdgeType) {
-	if len(multiEdges) == 0 {
+// sideSynopsis fills half of a synopsis from one direction's n
+// multi-edges, the i-th of which is multiEdge(i).
+func sideSynopsis(dst []int32, n int, multiEdge func(i int) []dict.EdgeType) {
+	if n == 0 {
 		return
 	}
 	var (
@@ -70,7 +71,8 @@ func sideSynopsis(dst []int32, multiEdges [][]dict.EdgeType) {
 		maxIdx  int32
 		uniq    = make(map[dict.EdgeType]struct{})
 	)
-	for _, me := range multiEdges {
+	for i := range n {
+		me := multiEdge(i)
 		if len(me) == 0 {
 			continue
 		}
@@ -102,37 +104,32 @@ func sideSynopsis(dst []int32, multiEdges [][]dict.EdgeType) {
 // vertices (whose signatures come from the query multigraph).
 func SynopsisFromMultiEdges(in, out [][]dict.EdgeType) Synopsis {
 	var s Synopsis
-	sideSynopsis(s[0:4], in)
-	sideSynopsis(s[4:8], out)
+	sideSynopsis(s[0:4], len(in), func(i int) []dict.EdgeType { return in[i] })
+	sideSynopsis(s[4:8], len(out), func(i int) []dict.EdgeType { return out[i] })
 	return s
 }
 
 // VertexSynopsis computes the synopsis of data vertex v.
 func (g *Graph) VertexSynopsis(v dict.VertexID) Synopsis {
-	in := make([][]dict.EdgeType, len(g.in[v]))
-	for i, nb := range g.in[v] {
-		in[i] = nb.Types
-	}
-	out := make([][]dict.EdgeType, len(g.out[v]))
-	for i, nb := range g.out[v] {
-		out[i] = nb.Types
-	}
-	return SynopsisFromMultiEdges(in, out)
+	in, out := g.In(v), g.Out(v)
+	var s Synopsis
+	sideSynopsis(s[0:4], in.Len(), in.Types)
+	sideSynopsis(s[4:8], out.Len(), out.Types)
+	return s
 }
 
 // Signature returns the vertex signature σv of Definition 3 as two slices
 // of multi-edges: incoming (+) and outgoing (−). The inner slices alias the
 // graph's storage and must not be modified.
 func (g *Graph) Signature(v dict.VertexID) (in, out [][]dict.EdgeType) {
-	in = make([][]dict.EdgeType, len(g.in[v]))
-	for i, nb := range g.in[v] {
-		in[i] = nb.Types
+	list := func(adj Adjacency) [][]dict.EdgeType {
+		mes := make([][]dict.EdgeType, adj.Len())
+		for i := range mes {
+			mes[i] = adj.Types(i)
+		}
+		return mes
 	}
-	out = make([][]dict.EdgeType, len(g.out[v]))
-	for i, nb := range g.out[v] {
-		out[i] = nb.Types
-	}
-	return in, out
+	return list(g.In(v)), list(g.Out(v))
 }
 
 // SignatureSubsumes reports whether the signature (qin, qout) of a query
@@ -144,26 +141,26 @@ func (g *Graph) Signature(v dict.VertexID) (in, out [][]dict.EdgeType) {
 // Lemma 1: the synopsis dominance test never prunes a vertex for which
 // SignatureSubsumes holds.
 func (g *Graph) SignatureSubsumes(v dict.VertexID, qin, qout [][]dict.EdgeType) bool {
-	return matchMultiEdges(qin, g.in[v]) && matchMultiEdges(qout, g.out[v])
+	return matchMultiEdges(qin, g.In(v)) && matchMultiEdges(qout, g.Out(v))
 }
 
 // matchMultiEdges greedily checks that each query multi-edge embeds into a
 // distinct data multi-edge via bipartite matching (small sizes: backtrack).
-func matchMultiEdges(query [][]dict.EdgeType, data []Neighbor) bool {
+func matchMultiEdges(query [][]dict.EdgeType, data Adjacency) bool {
 	if len(query) == 0 {
 		return true
 	}
-	if len(query) > len(data) {
+	if len(query) > data.Len() {
 		return false
 	}
-	used := make([]bool, len(data))
+	used := make([]bool, data.Len())
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(query) {
 			return true
 		}
-		for j := range data {
-			if used[j] || !ContainsTypes(data[j].Types, query[i]) {
+		for j := range used {
+			if used[j] || !ContainsTypes(data.Types(j), query[i]) {
 				continue
 			}
 			used[j] = true

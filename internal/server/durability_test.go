@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -90,5 +91,50 @@ func TestUpdateWALClosed503(t *testing.T) {
 	resp, _ = get(t, ts.URL+"/sparql?format=csv&query=SELECT%20%3Fs%20WHERE%20%7B%20%3Fs%20%3Chttp%3A%2F%2Ftown%2Fp%3E%20%3Fo%20.%20%7D", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("read after WAL close: status %d", resp.StatusCode)
+	}
+}
+
+// TestWritePathStatsAgreeWithMetrics: after updates on a durable store,
+// /stats "write_path" and the /metrics commit and overlay series read the
+// same counters.
+func TestWritePathStatsAgreeWithMetrics(t *testing.T) {
+	db, err := amber.OpenDurable(t.TempDir(), &amber.DurabilityOptions{Fsync: "always"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ts := httptest.NewServer(New(db, Config{}))
+	defer ts.Close()
+	for i := 0; i < 4; i++ {
+		resp, body := postUpdate(t, ts.URL, fmt.Sprintf(
+			`INSERT DATA { <http://town/p%d> <http://town/knows> <http://town/p%d> . }`, i, i+1))
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("update %d: status %d (%s)", i, resp.StatusCode, body)
+		}
+	}
+	if resp, body := postUpdate(t, ts.URL,
+		`DELETE DATA { <http://town/p0> <http://town/knows> <http://town/p1> . }`); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: status %d (%s)", resp.StatusCode, body)
+	}
+
+	_, body := get(t, ts.URL+"/stats", nil)
+	var st StatsResponse
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("decoding /stats: %v\n%s", err, body)
+	}
+	_, body = get(t, ts.URL+"/metrics", nil)
+	m := parsePrometheus(t, body)
+	wp := st.WritePath
+	if wp.Batches != 5 || wp.OverlayEntriesCopied == 0 || wp.OverlayVersions == 0 {
+		t.Fatalf("write_path = %+v, want 5 batches and a non-empty overlay", wp)
+	}
+	for name, want := range map[string]uint64{
+		"amber_commit_batches_total":         wp.Batches,
+		"amber_overlay_copied_entries_total": wp.OverlayEntriesCopied,
+		"amber_overlay_versions":             wp.OverlayVersions,
+	} {
+		if got, ok := m[name]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (present %v), /stats write_path says %d", name, got, ok, want)
+		}
 	}
 }

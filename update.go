@@ -2,7 +2,6 @@ package amber
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
@@ -86,37 +85,14 @@ func (db *DB) SetCompactThreshold(n int) {
 	db.store.SetCompactThreshold(n)
 }
 
-// GenerationStats describes the live-update state of the database.
-type GenerationStats struct {
-	// Epoch is the data version (see DB.Epoch).
-	Epoch uint64
-	// Generation counts base-generation rebuilds (compactions, clears).
-	Generation uint64
-	// DeltaAdds and DeltaTombstones size the uncompacted overlay.
-	DeltaAdds       int
-	DeltaTombstones int
-	// Updates counts mutation batches and clears applied since the DB
-	// opened.
-	Updates uint64
-	// Compactions counts completed compactions; LastCompaction is the
-	// duration of the most recent one (zero if none ran yet).
-	Compactions    uint64
-	LastCompaction time.Duration
-}
+// GenerationStats describes the live-update state of the database: the
+// epoch, the base generation, the overlay's size and the update and
+// compaction counters. It is an alias of the store's own type, so the
+// facade reports the store's numbers without copying them.
+type GenerationStats = core.GenerationInfo
 
 // Generation snapshots the live-update counters.
-func (db *DB) Generation() GenerationStats {
-	gi := db.store.GenerationInfo()
-	return GenerationStats{
-		Epoch:           gi.Epoch,
-		Generation:      gi.Generation,
-		DeltaAdds:       gi.DeltaAdds,
-		DeltaTombstones: gi.DeltaTombstones,
-		Updates:         gi.Updates,
-		Compactions:     gi.Compactions,
-		LastCompaction:  gi.LastCompaction,
-	}
-}
+func (db *DB) Generation() GenerationStats { return db.store.GenerationInfo() }
 
 // WriteStats describes the write path's group-commit and overlay
 // copy-on-write behaviour.
