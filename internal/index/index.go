@@ -169,7 +169,13 @@ func (sl *sideLists) of(v dict.VertexID) otil.Postings {
 // list in adjacency order yields ascending duplicate-free lists with no
 // sort. next[t] is per-vertex scratch: first the list length of type t,
 // then the write cursor into ids; it is zero again after each vertex.
-func buildSide(g *multigraph.Graph, adj func(dict.VertexID) multigraph.Adjacency) sideLists {
+func buildSide(g *multigraph.Graph, dir Direction) sideLists {
+	adj := func(v dict.VertexID) multigraph.Adjacency {
+		if dir == Incoming {
+			return g.In(v)
+		}
+		return g.Out(v)
+	}
 	n := g.NumVertices()
 	next := make([]uint32, g.NumEdgeTypes())
 	// Size the arrays exactly: next[t] == v+1 marks type t as already
@@ -178,8 +184,9 @@ func buildSide(g *multigraph.Graph, adj func(dict.VertexID) multigraph.Adjacency
 	for v := 0; v < n; v++ {
 		nbs := adj(dict.VertexID(v))
 		for i := 0; i < nbs.Len(); i++ {
-			postings += len(nbs.Types(i))
-			for _, t := range nbs.Types(i) {
+			ts := nbs.Types(i)
+			postings += len(ts)
+			for _, t := range ts {
 				if next[t] != uint32(v+1) {
 					next[t] = uint32(v + 1)
 					entries++
@@ -231,7 +238,7 @@ func buildSide(g *multigraph.Graph, adj func(dict.VertexID) multigraph.Adjacency
 
 // BuildNeighborhoodIndex constructs N+ and N− from the graph adjacency.
 func BuildNeighborhoodIndex(g *multigraph.Graph) *NeighborhoodIndex {
-	return &NeighborhoodIndex{in: buildSide(g, g.In), out: buildSide(g, g.Out)}
+	return &NeighborhoodIndex{in: buildSide(g, Incoming), out: buildSide(g, Outgoing)}
 }
 
 // Neighbors implements the paper's N probe: given matched data vertex v,

@@ -22,16 +22,12 @@ import (
 )
 
 // Graph is the immutable data multigraph, a fixed number of flat arrays
-// whatever its size. Build one with a Builder. The multi-edge of out-side
-// entry e is types[tOff[e]:tOff[e+1]], ascending and duplicate-free;
-// vertex v's attributes are attrIDs[attrOff[v]:attrOff[v+1]], ascending.
-// Offsets are 32-bit, so a graph holds fewer than 2³² edge labels.
+// whatever its size. Build one with a Builder. Vertex v's attributes are
+// attrIDs[attrOff[v]:attrOff[v+1]], ascending.
 type Graph struct {
 	Dicts dict.Dictionaries
 
 	out, in side // edges v → w ("-") and w → v ("+")
-	tOff    []uint32
-	types   []dict.EdgeType
 	attrOff []uint32
 	attrIDs []dict.AttrID
 
@@ -39,21 +35,19 @@ type Graph struct {
 }
 
 // side is one direction in compressed sparse row form: vertex v's
-// neighbours are nbr[off[v]:off[v+1]], ascending. An in-side entry's
-// multi-edge is that of out-side entry ent[i]; the out side has no ent.
+// neighbours are nbr[off[v]:off[v+1]], ascending, and the multi-edge of
+// entry e is types[tOff[e]:tOff[e+1]], ascending and duplicate-free.
+// Offsets are 32-bit, so a side holds fewer than 2³² edge labels.
 type side struct {
-	off []uint32
-	nbr []dict.VertexID
-	ent []uint32
+	off, tOff []uint32
+	nbr       []dict.VertexID
+	types     []dict.EdgeType
 }
 
-// adjacency returns vertex v's view of side s.
-func (g *Graph) adjacency(s *side, v dict.VertexID) Adjacency {
+// of returns vertex v's view of the side.
+func (s *side) of(v dict.VertexID) Adjacency {
 	lo, hi := s.off[v], s.off[v+1]
-	if s.ent == nil {
-		return Adjacency{nbr: s.nbr[lo:hi:hi], tOff: g.tOff[lo : hi+1], types: g.types}
-	}
-	return Adjacency{nbr: s.nbr[lo:hi:hi], ent: s.ent[lo:hi:hi], tOff: g.tOff, types: g.types}
+	return Adjacency{nbr: s.nbr[lo:hi:hi], tOff: s.tOff[lo : hi+1], types: s.types}
 }
 
 // Adjacency is one vertex's neighbours in one direction, in ascending id
@@ -62,8 +56,7 @@ func (g *Graph) adjacency(s *side, v dict.VertexID) Adjacency {
 // modified.
 type Adjacency struct {
 	nbr   []dict.VertexID
-	ent   []uint32 // in side: the tOff index of each neighbour's multi-edge
-	tOff  []uint32 // out side: from nbr[0]'s multi-edge on
+	tOff  []uint32
 	types []dict.EdgeType
 }
 
@@ -76,9 +69,6 @@ func (a Adjacency) V(i int) dict.VertexID { return a.nbr[i] }
 // Types returns the multi-edge to the i-th neighbour, ascending and
 // duplicate-free.
 func (a Adjacency) Types(i int) []dict.EdgeType {
-	if a.ent != nil {
-		i = int(a.ent[i])
-	}
 	lo, hi := a.tOff[i], a.tOff[i+1]
 	return a.types[lo:hi:hi]
 }
@@ -100,13 +90,13 @@ func (g *Graph) NumAttrs() int { return g.Dicts.Attrs.Len() }
 func (g *Graph) NumTriples() int { return g.numTriples }
 
 // Entries reports the number of distinct edge and literal triples stored.
-func (g *Graph) Entries() (labels, attrs int) { return len(g.types), len(g.attrIDs) }
+func (g *Graph) Entries() (labels, attrs int) { return len(g.out.types), len(g.attrIDs) }
 
 // Out returns the outgoing ("-") adjacency of v, sorted by neighbour id.
-func (g *Graph) Out(v dict.VertexID) Adjacency { return g.adjacency(&g.out, v) }
+func (g *Graph) Out(v dict.VertexID) Adjacency { return g.out.of(v) }
 
 // In returns the incoming ("+") adjacency of v, sorted by neighbour id.
-func (g *Graph) In(v dict.VertexID) Adjacency { return g.adjacency(&g.in, v) }
+func (g *Graph) In(v dict.VertexID) Adjacency { return g.in.of(v) }
 
 // Attrs returns the sorted attribute set of v (the paper's LV(v), minus the
 // implicit null attribute every vertex carries). The returned slice must
@@ -141,9 +131,6 @@ func (g *Graph) HasEdgeTypes(from, to dict.VertexID, want []dict.EdgeType) bool 
 // ContainsTypes reports whether the sorted id set have contains every
 // element of the sorted id set want: edge types or attributes.
 func ContainsTypes[T ~uint32](have, want []T) bool {
-	if len(want) > len(have) {
-		return false
-	}
 	i := 0
 	for _, w := range want {
 		for i < len(have) && have[i] < w {
@@ -227,17 +214,18 @@ func (b *Builder) Build() *Graph {
 			pairs++
 		}
 	}
-	g.out = side{off: make([]uint32, n+1), nbr: make([]dict.VertexID, 0, pairs)}
-	g.tOff, g.types = make([]uint32, 0, pairs+1), make([]dict.EdgeType, len(es))
+	out := &g.out
+	out.off, out.tOff = make([]uint32, n+1), make([]uint32, 0, pairs+1)
+	out.nbr, out.types = make([]dict.VertexID, 0, pairs), make([]dict.EdgeType, len(es))
 	for i, e := range es {
 		if i == 0 || e.s != es[i-1].s || e.o != es[i-1].o {
-			g.out.off[e.s+1]++
-			g.out.nbr = append(g.out.nbr, e.o)
-			g.tOff = append(g.tOff, uint32(i))
+			out.off[e.s+1]++
+			out.nbr = append(out.nbr, e.o)
+			out.tOff = append(out.tOff, uint32(i))
 		}
-		g.types[i] = e.t
+		out.types[i] = e.t
 	}
-	g.tOff = append(g.tOff, uint32(len(es)))
+	out.tOff = append(out.tOff, uint32(len(es)))
 	slices.Sort(b.attrs)
 	attrs := slices.Compact(b.attrs)
 	g.attrOff, g.attrIDs = make([]uint32, n+1), make([]dict.AttrID, len(attrs))
@@ -246,34 +234,46 @@ func (b *Builder) Build() *Graph {
 		g.attrIDs[i] = dict.AttrID(k)
 	}
 	for v := 1; v <= n; v++ {
-		g.out.off[v] += g.out.off[v-1]
+		out.off[v] += out.off[v-1]
 		g.attrOff[v] += g.attrOff[v-1]
 	}
-	g.in = g.out.transpose()
+	g.in = out.transpose()
 	return g
 }
 
 // transpose derives the in side from the out side for Build and Decode: a
 // counting sort of the out entries by target, visiting sources in
-// ascending order, so every in-list comes out sorted.
+// ascending order, so every in-list comes out sorted. Each in-entry gets
+// its own copy of the multi-edge, so both sides read their types in order.
 func (s *side) transpose() side {
 	n := len(s.off) - 1
-	t := side{off: make([]uint32, n+1), nbr: make([]dict.VertexID, len(s.nbr)), ent: make([]uint32, len(s.nbr))}
-	for _, w := range s.nbr {
+	t := side{
+		off: make([]uint32, n+1), tOff: make([]uint32, len(s.nbr)+1),
+		nbr: make([]dict.VertexID, len(s.nbr)), types: make([]dict.EdgeType, len(s.types)),
+	}
+	// lab[w] is the write cursor of target w's types, as t.off[w] is of
+	// its neighbours.
+	lab := make([]uint32, n+1)
+	for e, w := range s.nbr {
 		t.off[w+1]++
+		lab[w+1] += s.tOff[e+1] - s.tOff[e]
 	}
 	for v := 1; v <= n; v++ {
 		t.off[v] += t.off[v-1]
+		lab[v] += lab[v-1]
 	}
 	for v := 0; v < n; v++ {
 		for e := s.off[v]; e < s.off[v+1]; e++ {
-			j := t.off[s.nbr[e]]
-			t.off[s.nbr[e]]++
-			t.nbr[j], t.ent[j] = dict.VertexID(v), e
+			w := s.nbr[e]
+			j := t.off[w]
+			t.off[w]++
+			t.nbr[j], t.tOff[j] = dict.VertexID(v), lab[w]
+			lab[w] += uint32(copy(t.types[lab[w]:], s.types[s.tOff[e]:s.tOff[e+1]]))
 		}
 	}
 	copy(t.off[1:], t.off[:n])
 	t.off[0] = 0
+	t.tOff[len(t.nbr)] = uint32(len(t.types))
 	return t
 }
 

@@ -214,7 +214,7 @@ func (d *decoder) fail(format string, args ...any) {
 }
 
 // readIDs reads k delta-encoded, strictly ascending ids below n and
-// appends them to dst; a nil dst only checks them.
+// appends them to dst.
 func readIDs[T ~uint32](d *decoder, dst []T, k, n int, what string) []T {
 	acc := uint64(0)
 	for i := 0; i < k && d.err == nil; i++ {
@@ -224,17 +224,24 @@ func readIDs[T ~uint32](d *decoder, dst []T, k, n int, what string) []T {
 			break
 		}
 		acc += delta
-		if dst != nil {
-			dst = append(dst, T(acc))
-		}
+		dst = append(dst, T(acc))
 	}
 	return dst
 }
 
+// skip passes over k varints; the walk that stores them checks them.
+func (d *decoder) skip(k int) {
+	for ; k > 0 && d.pos < len(d.body); d.pos++ {
+		if d.body[d.pos] < 0x80 {
+			k--
+		}
+	}
+}
+
 // sections decodes the adjacency and attribute sections into g's arrays.
-// On a graph without arrays it only checks them and counts their entries,
-// each count bounded by the bytes the walk consumes, so that the arrays
-// can be allocated once at their exact size before a second walk.
+// On a graph without arrays it only counts their entries, each count
+// bounded by the bytes the walk consumes, so that the arrays can be
+// allocated once at their exact size before a second walk fills them.
 func (d *decoder) sections(g *Graph, nV, nT, nA int) (pairs, labels, attrs int) {
 	fill := g.out.off != nil
 	for v := 0; v < nV && d.err == nil; v++ {
@@ -255,11 +262,13 @@ func (d *decoder) sections(g *Graph, nV, nT, nA int) (pairs, labels, attrs int) 
 				return
 			}
 			prevTarget, pairs, labels = int(target), pairs+1, labels+k
-			if fill {
-				g.out.nbr = append(g.out.nbr, dict.VertexID(target))
-				g.tOff = append(g.tOff, uint32(len(g.types)))
+			if !fill {
+				d.skip(k)
+				continue
 			}
-			g.types = readIDs(d, g.types, k, nT, "edge-type")
+			g.out.nbr = append(g.out.nbr, dict.VertexID(target))
+			g.out.tOff = append(g.out.tOff, uint32(len(g.out.types)))
+			g.out.types = readIDs(d, g.out.types, k, nT, "edge-type")
 		}
 		if fill {
 			g.out.off[v+1] = uint32(len(g.out.nbr))
@@ -271,9 +280,12 @@ func (d *decoder) sections(g *Graph, nV, nT, nA int) (pairs, labels, attrs int) 
 			d.fail("multigraph: attribute count %d exceeds dictionary", k)
 		}
 		attrs += k
-		if g.attrIDs = readIDs(d, g.attrIDs, k, nA, "attribute"); fill {
-			g.attrOff[v+1] = uint32(len(g.attrIDs))
+		if !fill {
+			d.skip(k)
+			continue
 		}
+		g.attrIDs = readIDs(d, g.attrIDs, k, nA, "attribute")
+		g.attrOff[v+1] = uint32(len(g.attrIDs))
 	}
 	if labels > math.MaxUint32 {
 		d.fail("multigraph: %d edge labels exceed the graph's 32-bit offsets", labels)
@@ -331,11 +343,13 @@ func (d *decoder) graph() (*Graph, error) {
 		return nil, d.err
 	}
 	d.pos = mark
-	g.out = side{off: make([]uint32, nV+1), nbr: make([]dict.VertexID, 0, pairs)}
-	g.tOff, g.types = make([]uint32, 0, pairs+1), make([]dict.EdgeType, 0, labels)
+	g.out = side{
+		off: make([]uint32, nV+1), tOff: make([]uint32, 0, pairs+1),
+		nbr: make([]dict.VertexID, 0, pairs), types: make([]dict.EdgeType, 0, labels),
+	}
 	g.attrOff, g.attrIDs = make([]uint32, nV+1), make([]dict.AttrID, 0, attrs)
 	d.sections(g, nV, nT, nA)
-	g.tOff = append(g.tOff, uint32(len(g.types)))
+	g.out.tOff = append(g.out.tOff, uint32(len(g.out.types)))
 	g.in = g.out.transpose()
 	return g, nil
 }

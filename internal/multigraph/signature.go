@@ -2,6 +2,7 @@ package multigraph
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/dict"
 )
@@ -59,44 +60,19 @@ func (s Synopsis) Dominates(q Synopsis) bool {
 	return true
 }
 
-// sideSynopsis fills half of a synopsis from one direction's n
-// multi-edges, the i-th of which is multiEdge(i).
-func sideSynopsis(dst []int32, n int, multiEdge func(i int) []dict.EdgeType) {
-	if n == 0 {
+// sideSynopsis fills half of a synopsis from one direction's multi-edges:
+// the largest has maxCard types, and types holds the types of them all.
+func sideSynopsis(dst []int32, maxCard int, types []dict.EdgeType) {
+	if maxCard == 0 {
 		return
 	}
-	var (
-		maxCard int32
-		minIdx  = int32(-1)
-		maxIdx  int32
-		uniq    = make(map[dict.EdgeType]struct{})
-	)
-	for i := range n {
-		me := multiEdge(i)
-		if len(me) == 0 {
-			continue
-		}
-		if c := int32(len(me)); c > maxCard {
-			maxCard = c
-		}
-		for _, t := range me {
-			uniq[t] = struct{}{}
-			idx := int32(t)
-			if minIdx < 0 || idx < minIdx {
-				minIdx = idx
-			}
-			if idx > maxIdx {
-				maxIdx = idx
-			}
-		}
+	uniq := make(map[dict.EdgeType]struct{})
+	minIdx, maxIdx := types[0], types[0]
+	for _, t := range types {
+		uniq[t] = struct{}{}
+		minIdx, maxIdx = min(minIdx, t), max(maxIdx, t)
 	}
-	if len(uniq) == 0 {
-		return
-	}
-	dst[0] = maxCard
-	dst[1] = int32(len(uniq))
-	dst[2] = -minIdx
-	dst[3] = maxIdx
+	dst[0], dst[1], dst[2], dst[3] = int32(maxCard), int32(len(uniq)), -int32(minIdx), int32(maxIdx)
 }
 
 // SynopsisFromMultiEdges computes a synopsis from explicit incoming and
@@ -104,17 +80,27 @@ func sideSynopsis(dst []int32, n int, multiEdge func(i int) []dict.EdgeType) {
 // vertices (whose signatures come from the query multigraph).
 func SynopsisFromMultiEdges(in, out [][]dict.EdgeType) Synopsis {
 	var s Synopsis
-	sideSynopsis(s[0:4], len(in), func(i int) []dict.EdgeType { return in[i] })
-	sideSynopsis(s[4:8], len(out), func(i int) []dict.EdgeType { return out[i] })
+	for i, mes := range [2][][]dict.EdgeType{in, out} {
+		maxCard := 0
+		for _, me := range mes {
+			maxCard = max(maxCard, len(me))
+		}
+		sideSynopsis(s[4*i:4*i+4], maxCard, slices.Concat(mes...))
+	}
 	return s
 }
 
-// VertexSynopsis computes the synopsis of data vertex v.
+// VertexSynopsis computes the synopsis of data vertex v. A vertex's
+// multi-edges on one side are contiguous in that side's type array.
 func (g *Graph) VertexSynopsis(v dict.VertexID) Synopsis {
-	in, out := g.In(v), g.Out(v)
 	var s Synopsis
-	sideSynopsis(s[0:4], in.Len(), in.Types)
-	sideSynopsis(s[4:8], out.Len(), out.Types)
+	for i, a := range [2]Adjacency{g.In(v), g.Out(v)} {
+		maxCard := 0
+		for j := range a.nbr {
+			maxCard = max(maxCard, int(a.tOff[j+1]-a.tOff[j]))
+		}
+		sideSynopsis(s[4*i:4*i+4], maxCard, a.types[a.tOff[0]:a.tOff[len(a.nbr)]])
+	}
 	return s
 }
 
