@@ -17,7 +17,6 @@ package dict
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/rdf"
@@ -81,7 +80,17 @@ func (d *StringDict) Reserve(n int) {
 	if d.ids == nil {
 		d.ids = make(map[string]uint32, n)
 	}
-	d.values = slices.Grow(d.values, n)
+	d.values = grow(d.values, n)
+}
+
+// grow returns s with room for n more elements, as slices.Grow does, but
+// in one allocation also when built with -race, under which slices.Grow's
+// append of a made slice allocates the made slice too.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
 }
 
 // Lookup returns the id for s without interning.
@@ -182,7 +191,7 @@ func (d *AttrDict) Reserve(n int) {
 		d.ids = make(map[Attribute]AttrID, n)
 		d.byPred = make(map[string][]AttrID)
 	}
-	d.values = slices.Grow(d.values, n)
+	d.values = grow(d.values, n)
 }
 
 // Lookup returns the id for a without interning.

@@ -182,15 +182,12 @@ func buildSide(g *multigraph.Graph, dir Direction) sideLists {
 	// counted for vertex v.
 	entries, postings := 0, 0
 	for v := 0; v < n; v++ {
-		nbs := adj(dict.VertexID(v))
-		for i := 0; i < nbs.Len(); i++ {
-			ts := nbs.Types(i)
-			postings += len(ts)
-			for _, t := range ts {
-				if next[t] != uint32(v+1) {
-					next[t] = uint32(v + 1)
-					entries++
-				}
+		ts := adj(dict.VertexID(v)).AllTypes()
+		postings += len(ts)
+		for _, t := range ts {
+			if next[t] != uint32(v+1) {
+				next[t] = uint32(v + 1)
+				entries++
 			}
 		}
 	}
@@ -207,13 +204,11 @@ func buildSide(g *multigraph.Graph, dir Direction) sideLists {
 		sl.start[v] = uint32(len(sl.types))
 		nbs := adj(dict.VertexID(v))
 		seen = seen[:0]
-		for i := 0; i < nbs.Len(); i++ {
-			for _, t := range nbs.Types(i) {
-				if next[t] == 0 {
-					seen = append(seen, t)
-				}
-				next[t]++
+		for _, t := range nbs.AllTypes() {
+			if next[t] == 0 {
+				seen = append(seen, t)
 			}
+			next[t]++
 		}
 		slices.Sort(seen)
 		for _, t := range seen {
@@ -329,14 +324,11 @@ func BuildCardinalities(g *multigraph.Graph) *Cardinalities {
 	// so multi-edges to distinct neighbours count the vertex only once.
 	stamp := make([]int, nT)
 	for v := 0; v < g.NumVertices(); v++ {
-		out := g.Out(dict.VertexID(v))
-		for i := 0; i < out.Len(); i++ {
-			for _, t := range out.Types(i) {
-				c.Edges[t]++
-				if stamp[t] != v+1 {
-					stamp[t] = v + 1
-					c.OutVertices[t]++
-				}
+		for _, t := range g.Out(dict.VertexID(v)).AllTypes() {
+			c.Edges[t]++
+			if stamp[t] != v+1 {
+				stamp[t] = v + 1
+				c.OutVertices[t]++
 			}
 		}
 	}
@@ -344,13 +336,10 @@ func BuildCardinalities(g *multigraph.Graph) *Cardinalities {
 		stamp[i] = 0
 	}
 	for v := 0; v < g.NumVertices(); v++ {
-		in := g.In(dict.VertexID(v))
-		for i := 0; i < in.Len(); i++ {
-			for _, t := range in.Types(i) {
-				if stamp[t] != v+1 {
-					stamp[t] = v + 1
-					c.InVertices[t]++
-				}
+		for _, t := range g.In(dict.VertexID(v)).AllTypes() {
+			if stamp[t] != v+1 {
+				stamp[t] = v + 1
+				c.InVertices[t]++
 			}
 		}
 	}

@@ -15,6 +15,7 @@ package multigraph
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/dict"
@@ -70,6 +71,12 @@ func (a Adjacency) V(i int) dict.VertexID { return a.nbr[i] }
 // duplicate-free.
 func (a Adjacency) Types(i int) []dict.EdgeType {
 	lo, hi := a.tOff[i], a.tOff[i+1]
+	return a.types[lo:hi:hi]
+}
+
+// AllTypes returns the multi-edges of all the neighbours, in their order.
+func (a Adjacency) AllTypes() []dict.EdgeType {
+	lo, hi := a.tOff[0], a.tOff[len(a.nbr)]
 	return a.types[lo:hi:hi]
 }
 
@@ -200,7 +207,9 @@ func (b *Builder) NumTriples() int { return b.numTriples }
 
 // Build finalizes the accumulated triples into an immutable Graph: one
 // sort of the edge triples and one of the attribute pairs, each emitted
-// without its duplicates. The Builder must not be used afterwards.
+// without its duplicates. It panics when the distinct edge labels or
+// attributes reach 2³², which the graph's 32-bit offsets cannot address.
+// The Builder must not be used afterwards.
 func (b *Builder) Build() *Graph {
 	n := b.dicts.Vertices.Len()
 	g := &Graph{Dicts: b.dicts, numTriples: b.numTriples}
@@ -208,6 +217,11 @@ func (b *Builder) Build() *Graph {
 		return cmp.Or(cmp.Compare(x.s, y.s), cmp.Compare(x.o, y.o), cmp.Compare(x.t, y.t))
 	})
 	es := slices.Compact(b.edges)
+	slices.Sort(b.attrs)
+	attrs := slices.Compact(b.attrs)
+	if len(es) > math.MaxUint32 || len(attrs) > math.MaxUint32 {
+		panic(fmt.Sprintf("multigraph: %d edge labels or %d attributes exceed the graph's 32-bit offsets", len(es), len(attrs)))
+	}
 	pairs := 0
 	for i := range es {
 		if i == 0 || es[i].s != es[i-1].s || es[i].o != es[i-1].o {
@@ -226,8 +240,6 @@ func (b *Builder) Build() *Graph {
 		out.types[i] = e.t
 	}
 	out.tOff = append(out.tOff, uint32(len(es)))
-	slices.Sort(b.attrs)
-	attrs := slices.Compact(b.attrs)
 	g.attrOff, g.attrIDs = make([]uint32, n+1), make([]dict.AttrID, len(attrs))
 	for i, k := range attrs {
 		g.attrOff[k>>32+1]++
@@ -251,29 +263,29 @@ func (s *side) transpose() side {
 		off: make([]uint32, n+1), tOff: make([]uint32, len(s.nbr)+1),
 		nbr: make([]dict.VertexID, len(s.nbr)), types: make([]dict.EdgeType, len(s.types)),
 	}
-	// lab[w] is the write cursor of target w's types, as t.off[w] is of
-	// its neighbours.
-	lab := make([]uint32, n+1)
-	for e, w := range s.nbr {
+	for _, w := range s.nbr {
 		t.off[w+1]++
-		lab[w+1] += s.tOff[e+1] - s.tOff[e]
 	}
 	for v := 1; v <= n; v++ {
 		t.off[v] += t.off[v-1]
-		lab[v] += lab[v-1]
 	}
+	// Place every entry, parking its out-side index in tOff, then replace
+	// each index by the offset of the entry's copied types.
 	for v := 0; v < n; v++ {
 		for e := s.off[v]; e < s.off[v+1]; e++ {
 			w := s.nbr[e]
-			j := t.off[w]
+			t.nbr[t.off[w]], t.tOff[t.off[w]] = dict.VertexID(v), e
 			t.off[w]++
-			t.nbr[j], t.tOff[j] = dict.VertexID(v), lab[w]
-			lab[w] += uint32(copy(t.types[lab[w]:], s.types[s.tOff[e]:s.tOff[e+1]]))
 		}
 	}
 	copy(t.off[1:], t.off[:n])
 	t.off[0] = 0
-	t.tOff[len(t.nbr)] = uint32(len(t.types))
+	k := uint32(0)
+	for j, e := range t.tOff[:len(t.nbr)] {
+		t.tOff[j] = k
+		k += uint32(copy(t.types[k:], s.types[s.tOff[e]:s.tOff[e+1]]))
+	}
+	t.tOff[len(t.nbr)] = k
 	return t
 }
 

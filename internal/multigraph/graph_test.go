@@ -170,10 +170,15 @@ func TestAdjacencySorted(t *testing.T) {
 					t.Fatalf("adjacency of %d not sorted: %v", v, adj)
 				}
 			}
+			var all []dict.EdgeType
 			for i := 0; i < adj.Len(); i++ {
 				if ts := adj.Types(i); len(ts) == 0 || !slices.IsSorted(ts) || len(slices.Compact(slices.Clone(ts))) != len(ts) {
 					t.Fatalf("types of %d→%d not sorted and unique: %v", v, adj.V(i), ts)
 				}
+				all = append(all, adj.Types(i)...)
+			}
+			if !slices.Equal(adj.AllTypes(), all) {
+				t.Fatalf("AllTypes of %d = %v, want the multi-edges concatenated: %v", v, adj.AllTypes(), all)
 			}
 		}
 	}

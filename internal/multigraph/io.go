@@ -214,7 +214,7 @@ func (d *decoder) fail(format string, args ...any) {
 }
 
 // readIDs reads k delta-encoded, strictly ascending ids below n and
-// appends them to dst.
+// appends them to dst; with a nil dst it only checks them.
 func readIDs[T ~uint32](d *decoder, dst []T, k, n int, what string) []T {
 	acc := uint64(0)
 	for i := 0; i < k && d.err == nil; i++ {
@@ -224,24 +224,18 @@ func readIDs[T ~uint32](d *decoder, dst []T, k, n int, what string) []T {
 			break
 		}
 		acc += delta
-		dst = append(dst, T(acc))
+		if dst != nil {
+			dst = append(dst, T(acc))
+		}
 	}
 	return dst
 }
 
-// skip passes over k varints; the walk that stores them checks them.
-func (d *decoder) skip(k int) {
-	for ; k > 0 && d.pos < len(d.body); d.pos++ {
-		if d.body[d.pos] < 0x80 {
-			k--
-		}
-	}
-}
-
 // sections decodes the adjacency and attribute sections into g's arrays.
-// On a graph without arrays it only counts their entries, each count
-// bounded by the bytes the walk consumes, so that the arrays can be
-// allocated once at their exact size before a second walk fills them.
+// On a graph without arrays it only checks the sections and counts their
+// entries, each count bounded by the bytes the walk consumes, so that the
+// arrays can be allocated once at their exact size before a second walk,
+// which then cannot fail, fills them.
 func (d *decoder) sections(g *Graph, nV, nT, nA int) (pairs, labels, attrs int) {
 	fill := g.out.off != nil
 	for v := 0; v < nV && d.err == nil; v++ {
@@ -262,12 +256,10 @@ func (d *decoder) sections(g *Graph, nV, nT, nA int) (pairs, labels, attrs int) 
 				return
 			}
 			prevTarget, pairs, labels = int(target), pairs+1, labels+k
-			if !fill {
-				d.skip(k)
-				continue
+			if fill {
+				g.out.nbr = append(g.out.nbr, dict.VertexID(target))
+				g.out.tOff = append(g.out.tOff, uint32(len(g.out.types)))
 			}
-			g.out.nbr = append(g.out.nbr, dict.VertexID(target))
-			g.out.tOff = append(g.out.tOff, uint32(len(g.out.types)))
 			g.out.types = readIDs(d, g.out.types, k, nT, "edge-type")
 		}
 		if fill {
@@ -276,19 +268,14 @@ func (d *decoder) sections(g *Graph, nV, nT, nA int) (pairs, labels, attrs int) 
 	}
 	for v := 0; v < nV && d.err == nil; v++ {
 		k := d.count(1, "attribute count")
-		if k > nA {
-			d.fail("multigraph: attribute count %d exceeds dictionary", k)
-		}
 		attrs += k
-		if !fill {
-			d.skip(k)
-			continue
-		}
 		g.attrIDs = readIDs(d, g.attrIDs, k, nA, "attribute")
-		g.attrOff[v+1] = uint32(len(g.attrIDs))
+		if fill {
+			g.attrOff[v+1] = uint32(len(g.attrIDs))
+		}
 	}
-	if labels > math.MaxUint32 {
-		d.fail("multigraph: %d edge labels exceed the graph's 32-bit offsets", labels)
+	if labels > math.MaxUint32 || attrs > math.MaxUint32 {
+		d.fail("multigraph: %d edge labels or %d attributes exceed the graph's 32-bit offsets", labels, attrs)
 	}
 	return pairs, labels, attrs
 }
@@ -348,7 +335,9 @@ func (d *decoder) graph() (*Graph, error) {
 		nbr: make([]dict.VertexID, 0, pairs), types: make([]dict.EdgeType, 0, labels),
 	}
 	g.attrOff, g.attrIDs = make([]uint32, nV+1), make([]dict.AttrID, 0, attrs)
-	d.sections(g, nV, nT, nA)
+	if d.sections(g, nV, nT, nA); d.err != nil {
+		return nil, d.err
+	}
 	g.out.tOff = append(g.out.tOff, uint32(len(g.out.types)))
 	g.in = g.out.transpose()
 	return g, nil

@@ -200,31 +200,48 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 }
 
 // TestDecodeRejectsStructuralDamage: under a valid checksum, every
-// structural check still holds. The snapshots are built by hand: two
-// vertices "a" and "b", edge types "p" and "q", no attributes, then the
-// given adjacency and attribute sections.
+// structural check still holds and its error names the damage. The
+// snapshots are built by hand: two vertices "a" and "b", edge types "p"
+// and "q", no attributes or the two attributes <r,"x"> and <r,"y">, then
+// the given adjacency and attribute sections.
 func TestDecodeRejectsStructuralDamage(t *testing.T) {
-	build := func(sections ...uint64) []byte {
-		raw := []byte(snapshotMagic + "\x02\x02\x01a\x01b\x02\x01p\x01q\x00\x01")
+	const (
+		noAttrs  = "\x00\x01"
+		twoAttrs = "\x02\x01r\x01x\x00\x00\x01r\x01y\x00\x00\x02"
+	)
+	build := func(attrs string, sections ...uint64) []byte {
+		raw := []byte(snapshotMagic + "\x02\x02\x01a\x01b\x02\x01p\x01q" + attrs)
 		for _, v := range sections {
 			raw = binary.AppendUvarint(raw, v)
 		}
 		return reseal(append(raw, 0, 0, 0, 0))
 	}
-	if g, err := Decode(bytes.NewReader(build(1, 1, 2, 0, 1, 0, 0, 0))); err != nil || g.NumEdges() != 1 {
+	if g, err := Decode(bytes.NewReader(build(noAttrs, 1, 1, 2, 0, 1, 0, 0, 0))); err != nil || g.NumEdges() != 1 {
 		t.Fatalf("valid hand-built snapshot: %v", err)
 	}
-	for name, sections := range map[string][]uint64{
-		"edge types not ascending": {1, 1, 2, 1, 0, 0, 0, 0},
-		"edge type out of range":   {1, 1, 1, 2, 0, 0, 0},
-		"target out of range":      {1, 2, 1, 0, 0, 0, 0},
-		"targets not ascending":    {2, 1, 1, 0, 0, 1, 0, 0, 0, 0},
-		"zero cardinality":         {1, 1, 0, 0, 0, 0},
-		"attribute out of range":   {0, 0, 1, 0, 0},
-		"missing attributes":       {0, 0, 0},
+	g, err := Decode(bytes.NewReader(build(twoAttrs, 0, 0, 0, 2, 0, 1)))
+	if err != nil || !slices.Equal(g.Attrs(1), []dict.AttrID{0, 1}) {
+		t.Fatalf("valid hand-built snapshot with attributes: %v", err)
+	}
+	for _, c := range []struct {
+		name, attrs string
+		sections    []uint64
+		want        string
+	}{
+		{"edge types not ascending", noAttrs, []uint64{1, 1, 2, 1, 0, 0, 0, 0}, "edge-type ids not ascending"},
+		{"edge type out of range", noAttrs, []uint64{1, 1, 1, 2, 0, 0, 0}, "edge-type ids not ascending below 2"},
+		{"target out of range", noAttrs, []uint64{1, 2, 1, 0, 0, 0, 0}, "edge target 2 out of range"},
+		{"targets not ascending", noAttrs, []uint64{2, 1, 1, 0, 0, 1, 0, 0, 0, 0}, "adjacency of 0 not sorted"},
+		{"zero cardinality", noAttrs, []uint64{1, 1, 0, 0, 0, 0}, "bad multi-edge cardinality 0"},
+		{"attribute out of range", noAttrs, []uint64{0, 0, 1, 0, 0}, "attribute ids not ascending below 0"},
+		{"missing attributes", noAttrs, []uint64{0, 0, 0}, "bad varint"},
+		// The last byte of the body is the bad id, so nothing is left over.
+		{"last attribute out of range", twoAttrs, []uint64{0, 0, 0, 1, 2}, "attribute ids not ascending below 2"},
+		{"last attribute repeated", twoAttrs, []uint64{0, 0, 0, 2, 0, 0}, "attribute ids not ascending below 2"},
 	} {
-		if _, err := Decode(bytes.NewReader(build(sections...))); err == nil {
-			t.Errorf("%s: accepted", name)
+		_, err := Decode(bytes.NewReader(build(c.attrs, c.sections...)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to name %q", c.name, err, c.want)
 		}
 	}
 }
@@ -298,8 +315,8 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 	strs, preds := dictStrings(g)
 	// Beyond the strings: the graph and the read buffer, the dictionaries'
-	// maps and value slices, the adjacency and attribute arrays and the
-	// transpose's cursor, plus a posting list per predicate.
+	// maps and value slices and the adjacency and attribute arrays, plus a
+	// posting list per predicate.
 	bound := strs + 30 + preds
 	if allocs := decodeAllocs(t, raw); allocs > float64(bound) {
 		t.Errorf("Decode made %.0f allocations, want at most %d (%d dictionary strings)", allocs, bound, strs)

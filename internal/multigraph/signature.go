@@ -90,8 +90,7 @@ func SynopsisFromMultiEdges(in, out [][]dict.EdgeType) Synopsis {
 	return s
 }
 
-// VertexSynopsis computes the synopsis of data vertex v. A vertex's
-// multi-edges on one side are contiguous in that side's type array.
+// VertexSynopsis computes the synopsis of data vertex v.
 func (g *Graph) VertexSynopsis(v dict.VertexID) Synopsis {
 	var s Synopsis
 	for i, a := range [2]Adjacency{g.In(v), g.Out(v)} {
@@ -99,7 +98,7 @@ func (g *Graph) VertexSynopsis(v dict.VertexID) Synopsis {
 		for j := range a.nbr {
 			maxCard = max(maxCard, int(a.tOff[j+1]-a.tOff[j]))
 		}
-		sideSynopsis(s[4*i:4*i+4], maxCard, a.types[a.tOff[0]:a.tOff[len(a.nbr)]])
+		sideSynopsis(s[4*i:4*i+4], maxCard, a.AllTypes())
 	}
 	return s
 }
