@@ -17,7 +17,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/dict"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
@@ -40,12 +39,38 @@ type edge struct {
 
 // Graph is the plain (non-multigraph) RDF graph.
 type Graph struct {
-	nodes dict.StringDict // literals mangled with a \x00 prefix
+	nodes interner // literals mangled with a \x00 prefix
 	isLit []bool
-	preds dict.StringDict
+	preds interner
 	out   [][]edge
 	in    [][]edge
 	seen  map[[3]uint64]struct{} // dedup
+}
+
+// interner is a plain string↔dense-id table. It is kept apart from
+// internal/dict so that this reference evaluator shares no dictionary code
+// with the engine it is compared against.
+type interner struct {
+	ids    map[string]uint32
+	values []string
+}
+
+func (in *interner) intern(s string) uint32 {
+	if id, ok := in.ids[s]; ok {
+		return id
+	}
+	if in.ids == nil {
+		in.ids = make(map[string]uint32)
+	}
+	id := uint32(len(in.values))
+	in.ids[s] = id
+	in.values = append(in.values, s)
+	return id
+}
+
+func (in *interner) lookup(s string) (uint32, bool) {
+	id, ok := in.ids[s]
+	return id, ok
 }
 
 const litMangle = "\x00L\x00"
@@ -56,9 +81,9 @@ func NewGraph() *Graph {
 }
 
 func (g *Graph) node(key string, lit bool) nodeID {
-	before := g.nodes.Len()
-	id := g.nodes.Intern(key)
-	if g.nodes.Len() > before {
+	before := len(g.nodes.values)
+	id := g.nodes.intern(key)
+	if len(g.nodes.values) > before {
 		g.isLit = append(g.isLit, lit)
 		g.out = append(g.out, nil)
 		g.in = append(g.in, nil)
@@ -72,7 +97,7 @@ func (g *Graph) Add(t rdf.Triple) error {
 		return fmt.Errorf("baseline: subject and predicate must be IRIs: %v", t)
 	}
 	s := g.node(t.S.Value, false)
-	p := g.preds.Intern(t.P.Value)
+	p := g.preds.intern(t.P.Value)
 	var o nodeID
 	if t.O.IsLiteral() {
 		o = g.node(litMangle+t.O.Value, true)
@@ -127,11 +152,11 @@ func FromReader(r io.Reader) (*Graph, error) {
 }
 
 // NumNodes reports the node count (resources + literal nodes).
-func (g *Graph) NumNodes() int { return g.nodes.Len() }
+func (g *Graph) NumNodes() int { return len(g.nodes.values) }
 
 // NodeName resolves a node id to its IRI (or literal lexical form).
 func (g *Graph) NodeName(id nodeID) string {
-	name := g.nodes.Value(uint32(id))
+	name := g.nodes.values[id]
 	if g.isLit[id] {
 		return name[len(litMangle):]
 	}
@@ -184,7 +209,7 @@ func (g *Graph) Compile(q *sparql.Query) *compiled {
 		return id
 	}
 	lookupNode := func(key string) int64 {
-		id, ok := g.nodes.Lookup(key)
+		id, ok := g.nodes.lookup(key)
 		if !ok {
 			c.unsat = true
 			return -1
@@ -192,7 +217,7 @@ func (g *Graph) Compile(q *sparql.Query) *compiled {
 		return int64(id)
 	}
 	for _, p := range q.Patterns {
-		pid, ok := g.preds.Lookup(p.P.Value)
+		pid, ok := g.preds.lookup(p.P.Value)
 		if !ok {
 			c.unsat = true
 			continue

@@ -151,22 +151,12 @@ func (s *Store) Epoch() uint64 { return s.Snapshot().Epoch }
 
 // estimateGraphBytes is an analytic size estimate of G: adjacency entries
 // (8 bytes per neighbour on each side), edge-type labels and attributes (4
-// bytes each), and dictionary strings.
+// bytes each), and the dictionaries' arrays.
 func estimateGraphBytes(g *multigraph.Graph) int64 {
 	labels, attrs := g.Entries()
 	bytes := 2 * (8*int64(g.NumEdges()) + 4*int64(labels))
 	bytes += 4 * int64(attrs)
-	for i := 0; i < g.Dicts.Vertices.Len(); i++ {
-		bytes += int64(len(g.Dicts.Vertices.Value(uint32(i)))) + 16
-	}
-	for i := 0; i < g.Dicts.EdgeTypes.Len(); i++ {
-		bytes += int64(len(g.Dicts.EdgeTypes.Value(uint32(i)))) + 16
-	}
-	for i := 0; i < g.Dicts.Attrs.Len(); i++ {
-		a := g.Dicts.Attr(dict.AttrID(i))
-		bytes += int64(len(a.Predicate)+len(a.Lexical)+len(a.Datatype)+len(a.Lang)) + 24
-	}
-	return bytes
+	return bytes + g.Dicts.Bytes()
 }
 
 // estimateIndexBytes is an analytic size estimate of I = {A, S, N}.

@@ -161,7 +161,7 @@ func readAll(r io.Reader) ([]byte, error) {
 
 // decoder walks a CRC-checked snapshot body. text views body as a string
 // (body is never written), so dictionary strings are cut from it without
-// a copy and the dictionaries copy each one once, when they intern it.
+// a copy and the dictionaries copy each one once, into their arenas.
 type decoder struct {
 	body []byte
 	text string
@@ -205,6 +205,21 @@ func (d *decoder) str() string {
 	s := d.text[d.pos : d.pos+n]
 	d.pos += n
 	return s
+}
+
+// strBytes returns the total length of field f of the next n tuples of k
+// strings, read ahead without consuming them, so that a dictionary can
+// size its arena once. A malformed length ends the sum early; the walk
+// that reads the strings then reports it.
+func (d *decoder) strBytes(n, k, f int) int {
+	pos, err, total := d.pos, d.err, 0
+	for i := 0; i < n*k && d.err == nil; i++ {
+		if s := d.str(); i%k == f {
+			total += len(s)
+		}
+	}
+	d.pos, d.err = pos, err
+	return total
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -288,6 +303,7 @@ func (d *decoder) graph() (*Graph, error) {
 	// and its attribute count.
 	nV := d.count(3, "vertex count")
 	g.Dicts.Vertices.Reserve(nV)
+	g.Dicts.Vertices.ReserveBytes(d.strBytes(nV, 1, 0))
 	for i := 0; i < nV && d.err == nil; i++ {
 		s := d.str()
 		if id := g.Dicts.InternVertex(s); int(id) != i {
@@ -296,6 +312,7 @@ func (d *decoder) graph() (*Graph, error) {
 	}
 	nT := d.count(1, "edge-type count")
 	g.Dicts.EdgeTypes.Reserve(nT)
+	g.Dicts.EdgeTypes.ReserveBytes(d.strBytes(nT, 1, 0))
 	for i := 0; i < nT && d.err == nil; i++ {
 		s := d.str()
 		if id := g.Dicts.InternEdgeType(s); int(id) != i {
@@ -304,15 +321,22 @@ func (d *decoder) graph() (*Graph, error) {
 	}
 	nA := d.count(4, "attribute count")
 	g.Dicts.Attrs.Reserve(nA)
-	for i := 0; i < nA && d.err == nil; i++ {
-		p, l, dt, lang := d.str(), d.str(), d.str(), d.str()
-		if dt != "" && lang != "" {
-			d.fail("multigraph: attribute %d has both datatype and language tag", i)
+	g.Dicts.Attrs.ReserveBytes(d.strBytes(nA, 4, 1))
+	var last dict.Attribute
+	allNew := g.Dicts.Attrs.InternAll(func(yield func(dict.Attribute) bool) {
+		for i := 0; i < nA && d.err == nil; i++ {
+			p, l, dt, lang := d.str(), d.str(), d.str(), d.str()
+			if dt != "" && lang != "" {
+				d.fail("multigraph: attribute %d has both datatype and language tag", i)
+			}
+			last = dict.AttributeOf(p, rdf.Term{Kind: rdf.Literal, Value: l, Datatype: dt, Lang: lang})
+			if d.err != nil || !yield(last) {
+				return
+			}
 		}
-		lit := rdf.Term{Kind: rdf.Literal, Value: l, Datatype: dt, Lang: lang}
-		if id := g.Dicts.InternAttr(p, lit); d.err == nil && int(id) != i {
-			d.fail("multigraph: duplicate attribute <%s,%s> in snapshot", p, l)
-		}
+	})
+	if !allNew {
+		d.fail("multigraph: duplicate attribute %v in snapshot", last)
 	}
 	numTriples := d.uvarint()
 	if numTriples > math.MaxInt {

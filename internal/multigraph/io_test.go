@@ -274,25 +274,6 @@ func TestDecodeHugeCountsAllocateLittle(t *testing.T) {
 	}
 }
 
-// dictStrings counts the strings Decode allocates for g's dictionaries:
-// every vertex and edge-type IRI, every distinct attribute predicate, and
-// every non-empty lexical form, datatype and language tag. It also reports
-// the number of distinct predicates.
-func dictStrings(g *Graph) (strs, preds int) {
-	strs = g.NumVertices() + g.NumEdgeTypes()
-	seen := map[string]bool{}
-	for i := 0; i < g.NumAttrs(); i++ {
-		a := g.Dicts.Attr(dict.AttrID(i))
-		seen[a.Predicate] = true
-		for _, s := range []string{a.Lexical, a.Datatype, a.Lang} {
-			if s != "" {
-				strs++
-			}
-		}
-	}
-	return strs + len(seen), len(seen)
-}
-
 // decodeAllocs reports the mean allocation count of decoding raw.
 func decodeAllocs(t *testing.T, raw []byte) float64 {
 	t.Helper()
@@ -304,51 +285,21 @@ func decodeAllocs(t *testing.T, raw []byte) float64 {
 }
 
 // TestDecodeAllocs bounds the allocations of decoding a fixed snapshot:
-// each dictionary string is allocated once, and the adjacency and
-// attributes live in a fixed number of flat arrays, not one allocation
-// per list.
+// the graph and the read buffer; per dictionary its arena, locations and
+// table; Ma's records, name table and posting lists; and the adjacency and
+// attribute arrays. None of these is one allocation per string or per
+// list.
 func TestDecodeAllocs(t *testing.T) {
-	raw := figure1Snapshot(t)
-	g, err := Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
+	const bound = 40
+	if allocs := decodeAllocs(t, figure1Snapshot(t)); allocs > bound {
+		t.Errorf("Decode made %.0f allocations, want at most %d", allocs, bound)
 	}
-	strs, preds := dictStrings(g)
-	// Beyond the strings: the graph and the read buffer, the dictionaries'
-	// maps and value slices and the adjacency and attribute arrays, plus a
-	// posting list per predicate.
-	bound := strs + 30 + preds
-	if allocs := decodeAllocs(t, raw); allocs > float64(bound) {
-		t.Errorf("Decode made %.0f allocations, want at most %d (%d dictionary strings)", allocs, bound, strs)
-	}
-}
-
-// dictAllocs reports the mean allocation count of rebuilding g's
-// dictionaries the way Decode does: reserved, then interned in id order.
-func dictAllocs(g *Graph) float64 {
-	return testing.AllocsPerRun(20, func() {
-		var d dict.Dictionaries
-		d.Vertices.Reserve(g.NumVertices())
-		for i := 0; i < g.NumVertices(); i++ {
-			d.InternVertex(g.Dicts.VertexIRI(dict.VertexID(i)))
-		}
-		d.EdgeTypes.Reserve(g.NumEdgeTypes())
-		for i := 0; i < g.NumEdgeTypes(); i++ {
-			d.InternEdgeType(g.Dicts.EdgeTypeIRI(dict.EdgeType(i)))
-		}
-		d.Attrs.Reserve(g.NumAttrs())
-		for i := 0; i < g.NumAttrs(); i++ {
-			a := g.Dicts.Attr(dict.AttrID(i))
-			d.InternAttr(a.Predicate, a.Literal())
-		}
-	})
 }
 
 // TestDecodeAllocsFlat: the allocations of Decode do not grow with the
-// graph. For two seeded graphs, one ten times the other, Decode's
-// allocations beyond those of their dictionaries (a string per entry plus
-// the per-predicate attribute lists, which grow by appending) differ by
-// no more than a small constant.
+// graph. For two seeded graphs, one ten times the other, with the same
+// predicates, datatypes and language tags, Decode's allocations differ by
+// no more than one.
 func TestDecodeAllocsFlat(t *testing.T) {
 	graphAllocs := func(nV, n int) float64 {
 		g, err := FromTriples(seededTriples(rand.New(rand.NewSource(int64(n))), nV, n))
@@ -359,12 +310,12 @@ func TestDecodeAllocsFlat(t *testing.T) {
 		if err := g.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return decodeAllocs(t, buf.Bytes()) - dictAllocs(g)
+		return decodeAllocs(t, buf.Bytes())
 	}
 	small, large := graphAllocs(200, 2000), graphAllocs(2000, 20000)
-	t.Logf("allocations beyond the dictionaries: %.0f and %.0f", small, large)
-	if large-small > 1 {
-		t.Errorf("beyond its dictionaries, Decode made %.0f allocations for the larger graph and %.0f for the smaller", large, small)
+	t.Logf("Decode allocations: %.0f and %.0f", small, large)
+	if large-small > 1 || small-large > 1 {
+		t.Errorf("Decode made %.0f allocations for the larger graph and %.0f for the smaller", large, small)
 	}
 }
 

@@ -58,13 +58,13 @@ func (s *Store) Compile(q *sparql.Query) *compiled {
 		case sparql.Var:
 			ep.s = vref(getVar(p.S.Value))
 		default:
-			id, ok := s.res.Lookup(p.S.Value)
+			id, ok := s.res.lookup(p.S.Value)
 			if !ok {
 				c.unsat = true
 			}
 			ep.s = int64(id)
 		}
-		pid, ok := s.preds.Lookup(p.P.Value)
+		pid, ok := s.preds.lookup(p.P.Value)
 		if !ok {
 			c.unsat = true
 		}
@@ -73,13 +73,13 @@ func (s *Store) Compile(q *sparql.Query) *compiled {
 		case sparql.Var:
 			ep.o = vref(getVar(p.O.Value))
 		case sparql.Literal:
-			id, ok := s.lits.Lookup(p.O.Value)
+			id, ok := s.lits.lookup(p.O.Value)
 			if !ok {
 				c.unsat = true
 			}
 			ep.o = int64(litOID(id))
 		default:
-			id, ok := s.res.Lookup(p.O.Value)
+			id, ok := s.res.lookup(p.O.Value)
 			if !ok {
 				c.unsat = true
 			}
@@ -289,7 +289,7 @@ func (e *evaluator) run(k int) {
 }
 
 // ResourceName resolves a resource id back to its IRI.
-func (s *Store) ResourceName(id uint32) string { return s.res.Value(id) }
+func (s *Store) ResourceName(id uint32) string { return s.res.values[id] }
 
 // VarNames exposes the compiled query's variable order.
 func (c *compiled) VarNames() []string { return c.varNames }

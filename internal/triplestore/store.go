@@ -14,7 +14,6 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/dict"
 	"repro/internal/rdf"
 )
 
@@ -44,13 +43,39 @@ type enc struct {
 
 // Store is the immutable triple store. Build one with a Builder.
 type Store struct {
-	res   dict.StringDict // subjects and IRI objects
-	lits  dict.StringDict // literal objects
-	preds dict.StringDict // predicates
+	res   interner // subjects and IRI objects
+	lits  interner // literal objects
+	preds interner // predicates
 
 	triples []enc // deduplicated
 	// perms holds the six sorted permutations as index arrays into triples.
 	perms [6][]int32
+}
+
+// interner is a plain string↔dense-id table. It is kept apart from
+// internal/dict so that this reference evaluator shares no dictionary code
+// with the engine it is compared against.
+type interner struct {
+	ids    map[string]uint32
+	values []string
+}
+
+func (in *interner) intern(s string) uint32 {
+	if id, ok := in.ids[s]; ok {
+		return id
+	}
+	if in.ids == nil {
+		in.ids = make(map[string]uint32)
+	}
+	id := uint32(len(in.values))
+	in.ids[s] = id
+	in.values = append(in.values, s)
+	return id
+}
+
+func (in *interner) lookup(s string) (uint32, bool) {
+	id, ok := in.ids[s]
+	return id, ok
 }
 
 // Permutation identifiers.
@@ -74,13 +99,13 @@ func (b *Builder) Add(t rdf.Triple) error {
 	if !t.S.IsIRI() || !t.P.IsIRI() {
 		return fmt.Errorf("triplestore: subject and predicate must be IRIs: %v", t)
 	}
-	s := b.store.res.Intern(t.S.Value)
-	p := b.store.preds.Intern(t.P.Value)
+	s := b.store.res.intern(t.S.Value)
+	p := b.store.preds.intern(t.P.Value)
 	var o oid
 	if t.O.IsLiteral() {
-		o = litOID(b.store.lits.Intern(t.O.Value))
+		o = litOID(b.store.lits.intern(t.O.Value))
 	} else {
-		o = resOID(b.store.res.Intern(t.O.Value))
+		o = resOID(b.store.res.intern(t.O.Value))
 	}
 	b.triples = append(b.triples, enc{S: s, P: p, O: o})
 	return nil
