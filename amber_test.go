@@ -111,6 +111,44 @@ SELECT ?who ?where WHERE {
 	}
 }
 
+// TestEscapedLiteralLoadThenQuery: literals loaded with a \u escape and
+// with an ECHAR the grammars share are matched by SPARQL queries and
+// INSERT DATA written with the same escapes, and an escape naming no
+// Unicode scalar value is rejected by both parsers.
+func TestEscapedLiteralLoadThenQuery(t *testing.T) {
+	db, err := OpenString(`<http://x/shop> <http://y/name> "caf\u00e9" .
+<http://x/bell> <http://y/name> "ding\bdong" .
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(lit string) uint64 {
+		t.Helper()
+		n, err := db.Count(`SELECT ?s WHERE { ?s <http://y/name> `+lit+` . }`, nil)
+		if err != nil {
+			t.Fatalf("query for %s: %v", lit, err)
+		}
+		return n
+	}
+	for lit, want := range map[string]uint64{`"caf\u00e9"`: 1, `"café"`: 1, `"caf\U000000E9"`: 1, `"ding\bdong"`: 1, `"ding\u0008dong"`: 1} {
+		if n := count(lit); n != want {
+			t.Errorf("%s matched %d, want %d", lit, n, want)
+		}
+	}
+	if err := db.Update(`INSERT DATA { <http://x/bar> <http://y/name> "caf\u00E9" . }`); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(`"café"`); n != 2 {
+		t.Errorf("after INSERT DATA, café matched %d, want 2", n)
+	}
+	if err := db.Update(`INSERT DATA { <http://x/bad> <http://y/name> "\uD800" . }`); err == nil {
+		t.Error("INSERT DATA of a surrogate escape accepted")
+	}
+	if _, err := OpenString(`<http://x/bad> <http://y/name> "\U00110000" .` + "\n"); err == nil {
+		t.Error("loading an escape past U+10FFFF accepted")
+	}
+}
+
 func TestQueryIterEarlyStop(t *testing.T) {
 	db := openDB(t)
 	n := 0

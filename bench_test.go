@@ -319,8 +319,8 @@ func BenchmarkFig11_Complex_LUBM_Size40_GraphMatch(b *testing.B) {
 
 // ---- Ablations ----------------------------------------------------------
 
-// BenchmarkAblation_SIndexBulkLoad vs Insert: the two R-tree construction
-// paths for the signature index.
+// BenchmarkAblation_SIndexBulkLoad: the STR bulk load of the signature
+// index over LUBM's vertex synopses.
 func BenchmarkAblation_SIndexBulkLoad(b *testing.B) {
 	g := dataset(b, "LUBM").Amber.Graph()
 	n := g.NumVertices()
@@ -333,25 +333,6 @@ func BenchmarkAblation_SIndexBulkLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := rtree.BulkLoad(points, ids)
-		if t.Len() != n {
-			b.Fatal("bad tree")
-		}
-	}
-}
-
-func BenchmarkAblation_SIndexInsert(b *testing.B) {
-	g := dataset(b, "LUBM").Amber.Graph()
-	n := g.NumVertices()
-	points := make([]rtree.Point, n)
-	for v := 0; v < n; v++ {
-		points[v] = rtree.Point(g.VertexSynopsis(dict.VertexID(v)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := rtree.New()
-		for v := 0; v < n; v++ {
-			t.Insert(points[v], uint32(v))
-		}
 		if t.Len() != n {
 			b.Fatal("bad tree")
 		}

@@ -113,22 +113,29 @@ func NewStoreFromReader(r io.Reader) (*Store, error) {
 
 func finish(b *multigraph.Builder, start time.Time) (*Store, error) {
 	g := b.Build()
-	dbTime := time.Since(start)
-	idxStart := time.Now()
-	ix := index.Build(g)
 	s := &Store{}
-	s.live.init(&Snapshot{
+	s.live.init(newGeneration(g, time.Since(start)))
+	return s, nil
+}
+
+// newGeneration runs the offline index stage over g and returns the
+// pristine snapshot of the new base generation, with Epoch and Gen zero:
+// store creation, snapshot load, compaction and Clear all build a
+// generation through it. dbTime is the time already spent producing g.
+func newGeneration(g *multigraph.Graph, dbTime time.Duration) *Snapshot {
+	start := time.Now()
+	ix := index.Build(g)
+	return &Snapshot{
 		Graph: g,
 		Index: ix,
 		Delta: delta.NewView(g, ix),
 		Build: BuildStats{
 			DatabaseTime:  dbTime,
-			IndexTime:     time.Since(idxStart),
+			IndexTime:     time.Since(start),
 			DatabaseBytes: estimateGraphBytes(g),
 			IndexBytes:    estimateIndexBytes(ix),
 		},
-	})
-	return s, nil
+	}
 }
 
 // Snapshot pins the current MVCC state. The returned snapshot stays
@@ -162,9 +169,9 @@ func estimateGraphBytes(g *multigraph.Graph) int64 {
 // estimateIndexBytes is an analytic size estimate of I = {A, S, N}.
 func estimateIndexBytes(ix *index.Index) int64 {
 	var bytes int64
-	bytes += 4 * int64(ix.A.Entries())                             // A postings
-	bytes += int64(ix.S.Len()) * (multigraph.SynopsisFields*4 + 8) // S leaves
-	bytes += ix.N.Bytes()                                          // N flat arrays
+	bytes += 4 * int64(ix.A.Entries()) // A postings
+	bytes += ix.S.Bytes()              // S level arrays
+	bytes += ix.N.Bytes()              // N flat arrays
 	return bytes
 }
 
@@ -209,20 +216,7 @@ func LoadStore(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	dbTime := time.Since(start)
-	idxStart := time.Now()
-	ix := index.Build(g)
 	s := &Store{}
-	s.live.init(&Snapshot{
-		Graph: g,
-		Index: ix,
-		Delta: delta.NewView(g, ix),
-		Build: BuildStats{
-			DatabaseTime:  dbTime,
-			IndexTime:     time.Since(idxStart),
-			DatabaseBytes: estimateGraphBytes(g),
-			IndexBytes:    estimateIndexBytes(ix),
-		},
-	})
+	s.live.init(newGeneration(g, time.Since(start)))
 	return s, nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/delta"
-	"repro/internal/index"
 	"repro/internal/multigraph"
 	"repro/internal/rdf"
 	"repro/internal/wal"
@@ -347,14 +346,9 @@ func (s *Store) commit(recs []wal.Record, mode logMode) error {
 	for _, r := range recs {
 		if r.Kind == wal.KindClear {
 			retired = append(retired, next.Delta)
-			g := (&multigraph.Builder{}).Build()
-			ix := index.Build(g)
-			next.Graph, next.Index, next.Delta = g, ix, delta.NewView(g, ix)
-			next.Gen++
-			next.Build = BuildStats{
-				DatabaseBytes: estimateGraphBytes(g),
-				IndexBytes:    estimateIndexBytes(ix),
-			}
+			gen := newGeneration((&multigraph.Builder{}).Build(), 0)
+			gen.Epoch, gen.Gen = next.Epoch, next.Gen+1
+			next = *gen
 		} else {
 			nv, err := next.Delta.Apply(r.Adds, r.Dels)
 			if err != nil {
@@ -506,15 +500,7 @@ func (s *Store) runCompaction() error {
 		l.mu.Unlock()
 		return err
 	}
-	dbTime := time.Since(buildStart)
-	idxStart := time.Now()
-	ix := index.Build(g)
-	build := BuildStats{
-		DatabaseTime:  dbTime,
-		IndexTime:     time.Since(idxStart),
-		DatabaseBytes: estimateGraphBytes(g),
-		IndexBytes:    estimateIndexBytes(ix),
-	}
+	next := newGeneration(g, time.Since(buildStart))
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -534,17 +520,14 @@ func (s *Store) runCompaction() error {
 	// raced the initial capture may already be inside cur — replaying the
 	// logged sequence in order is idempotent (each triple ends in the
 	// state its last operation dictates), so the result is exact.
-	nv := delta.NewView(g, ix)
 	for _, m := range tail {
-		if nv, err = nv.Apply(m.Adds, m.Dels); err != nil {
+		if next.Delta, err = next.Delta.Apply(m.Adds, m.Dels); err != nil {
 			return err // validated at commit time; unreachable
 		}
 	}
 	l.retireDelta(cur2.Delta)
-	l.snap.Store(&Snapshot{
-		Graph: g, Index: ix, Delta: nv,
-		Epoch: cur2.Epoch + 1, Gen: cur2.Gen + 1, Build: build,
-	})
+	next.Epoch, next.Gen = cur2.Epoch+1, cur2.Gen+1
+	l.snap.Store(next)
 	l.compactions.Add(1)
 	l.lastCompaction.Store(int64(time.Since(start)))
 	return nil

@@ -538,23 +538,11 @@ func (v *View) AttrCandidates(attrs []dict.AttrID) []dict.VertexID {
 	}
 	lists := make([][]dict.VertexID, len(attrs))
 	for i, a := range attrs {
-		lst := v.attrVertices(a)
-		if len(lst) == 0 {
-			return nil
-		}
-		lists[i] = lst
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	out := lists[0]
-	for _, lst := range lists[1:] {
-		out = otil.IntersectSorted(out, lst)
-		if len(out) == 0 {
+		if lists[i] = v.attrVertices(a); len(lists[i]) == 0 {
 			return nil
 		}
 	}
-	res := make([]dict.VertexID, len(out))
-	copy(res, out)
-	return res
+	return otil.IntersectAll(lists)
 }
 
 // HasAttrs reports whether vid carries every attribute in want (sorted)

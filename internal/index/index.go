@@ -64,29 +64,13 @@ func (ai *AttributeIndex) Vertices(a dict.AttrID) []dict.VertexID {
 // Candidates returns CᴬU: the vertices carrying every attribute in attrs.
 // A nil attrs yields nil — callers only probe when attributes exist.
 func (ai *AttributeIndex) Candidates(attrs []dict.AttrID) []dict.VertexID {
-	if len(attrs) == 0 {
-		return nil
-	}
-	// Intersect from the rarest list outward.
 	lists := make([][]dict.VertexID, len(attrs))
 	for i, a := range attrs {
-		lst := ai.Vertices(a)
-		if len(lst) == 0 {
-			return nil
-		}
-		lists[i] = lst
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	out := lists[0]
-	for _, lst := range lists[1:] {
-		out = otil.IntersectSorted(out, lst)
-		if len(out) == 0 {
+		if lists[i] = ai.Vertices(a); len(lists[i]) == 0 {
 			return nil
 		}
 	}
-	res := make([]dict.VertexID, len(out))
-	copy(res, out)
-	return res
+	return otil.IntersectAll(lists)
 }
 
 // Entries reports the total number of postings (for Table 5 size
@@ -132,6 +116,10 @@ func (si *SignatureIndex) Candidates(q multigraph.Synopsis) []dict.VertexID {
 
 // Len reports the number of indexed synopses.
 func (si *SignatureIndex) Len() int { return si.tree.Len() }
+
+// Bytes reports the size of S's level arrays (for Table 5 size
+// accounting): a 36-byte entry per synopsis and per node above the leaves.
+func (si *SignatureIndex) Bytes() int64 { return si.tree.Bytes() }
 
 // NeighborhoodIndex is N: per vertex and direction, the inverted lists of
 // an OTIL (Section 4.3) — the edge types on that side of the vertex in

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/dict"
 	"repro/internal/multigraph"
 	"repro/internal/otil"
@@ -395,6 +396,52 @@ func TestSignatureCandidatesAgainstScan(t *testing.T) {
 		if got := si.Candidates(none); len(got) != 0 {
 			t.Errorf("undominated query returned %v", got)
 		}
+	}
+}
+
+// TestSignatureCandidatesOnCorpora: on a seeded LUBM graph and a seeded
+// DBpedia-like graph, the S probe equals the dominance scan over every
+// vertex synopsis, for the synopses of sampled vertices and for relaxed
+// forms of them: one direction dropped, and multi-edge cardinality and
+// type count halved.
+func TestSignatureCandidatesOnCorpora(t *testing.T) {
+	corpora := map[string][]rdf.Triple{
+		"LUBM":         datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 17}),
+		"DBpedia-like": datagen.DBpediaLike(1, 23),
+	}
+	for name, triples := range corpora {
+		g, err := multigraph.FromTriples(triples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		si := BuildSignatureIndex(g)
+		syn := make([]multigraph.Synopsis, g.NumVertices())
+		for v := range syn {
+			syn[v] = g.VertexSynopsis(dict.VertexID(v))
+		}
+		probes := 0
+		for v := 0; v < len(syn); v += 1 + len(syn)/300 {
+			in, out, half := syn[v], syn[v], syn[v]
+			clear(in[4:])
+			clear(out[:4])
+			for _, f := range []int{0, 1, 4, 5} {
+				half[f] /= 2
+			}
+			for _, q := range []multigraph.Synopsis{syn[v], in, out, half} {
+				q = q.AsQuery()
+				var want []dict.VertexID
+				for u, s := range syn {
+					if s.Dominates(q) {
+						want = append(want, dict.VertexID(u))
+					}
+				}
+				if got := si.Candidates(q); !slices.Equal(got, want) {
+					t.Fatalf("%s query %v: S returned %d ids, scan %d (or out of order)", name, q, len(got), len(want))
+				}
+				probes++
+			}
+		}
+		t.Logf("%s: %d vertices, %d probes", name, len(syn), probes)
 	}
 }
 

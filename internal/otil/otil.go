@@ -55,26 +55,38 @@ func (p Postings) List(et dict.EdgeType) []dict.VertexID {
 // rarest list outward into one fresh slice. An empty query returns nil —
 // the engine never asks for unconstrained neighbours through the index.
 func (p Postings) Lookup(types []dict.EdgeType) []dict.VertexID {
-	if len(types) == 0 {
-		return nil
-	}
 	if len(types) == 1 {
 		return p.List(types[0])
 	}
 	var buf [8][]dict.VertexID // query multi-edges are short: keeps lists off the heap
-	lists, rarest := buf[:0], 0
-	for i, et := range types {
-		lst := p.List(et)
+	lists := buf[:0]
+	for _, et := range types {
+		lists = append(lists, p.List(et))
+	}
+	return IntersectAll(lists)
+}
+
+// IntersectAll returns, in one fresh slice, the ids present in every list
+// (each ascending), intersecting from the shortest list outward. It is nil
+// when lists is empty or any list is; a single list is copied.
+func IntersectAll[T ~uint32](lists [][]T) []T {
+	if len(lists) == 0 {
+		return nil
+	}
+	rarest := 0
+	for i, lst := range lists {
 		if len(lst) == 0 {
 			return nil
 		}
-		lists = append(lists, lst)
 		if len(lst) < len(lists[rarest]) {
 			rarest = i
 		}
 	}
-	out := make([]dict.VertexID, 0, len(lists[rarest]))
 	src := lists[rarest]
+	out := make([]T, 0, len(src))
+	if len(lists) == 1 {
+		return append(out, src...)
+	}
 	for i, lst := range lists {
 		if i == rarest {
 			continue

@@ -253,6 +253,34 @@ func TestIntersectSorted(t *testing.T) {
 	}
 }
 
+// TestIntersectAll: the rarest-first intersection of any number of lists
+// equals pairwise intersection, returns nil for no lists or an empty one,
+// and always returns a fresh slice, even for a single list.
+func TestIntersectAll(t *testing.T) {
+	tests := []struct {
+		lists [][]dict.VertexID
+		want  []dict.VertexID
+	}{
+		{nil, nil},
+		{[][]dict.VertexID{verts(1, 2, 3)}, verts(1, 2, 3)},
+		{[][]dict.VertexID{verts(1, 2, 3), nil}, nil},
+		{[][]dict.VertexID{verts(1, 2, 3, 4, 5), verts(2, 4, 5), verts(1, 2, 5, 9)}, verts(2, 5)},
+		{[][]dict.VertexID{verts(1, 3, 5, 7, 9), verts(2, 4, 6, 8), verts(1, 2)}, nil},
+		{[][]dict.VertexID{verts(7), verts(1, 7, 9), verts(7, 8)}, verts(7)},
+	}
+	for _, tc := range tests {
+		got := IntersectAll(tc.lists)
+		if !equalVerts(got, tc.want) || (tc.want == nil) != (got == nil) {
+			t.Errorf("IntersectAll(%v) = %v, want %v", tc.lists, got, tc.want)
+		}
+		for _, lst := range tc.lists {
+			if len(got) > 0 && len(lst) > 0 && &lst[0] == &got[0] {
+				t.Errorf("IntersectAll(%v) aliases an input list", tc.lists)
+			}
+		}
+	}
+}
+
 // TestPostingsLookupLeavesIndexIntact: multi-type lookups intersect into
 // their own result slice — through three and more lists, in place — and
 // never write the stored lists a single-type lookup hands out.

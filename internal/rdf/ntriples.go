@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -239,61 +238,14 @@ func (d *Decoder) parsePrefixedName() (Term, error) {
 	return NewIRI(iri), nil
 }
 
-// parseLiteral parses a quoted literal with escapes and optional datatype or
-// language suffix.
+// parseLiteral parses a quoted literal with escapes (UnescapeLiteral) and
+// an optional datatype or language suffix.
 func (d *Decoder) parseLiteral() (Term, error) {
-	d.pos++ // opening quote
-	var b strings.Builder
-	for {
-		if d.pos >= len(d.buf) {
-			return Term{}, d.errf("unterminated literal")
-		}
-		c := d.buf[d.pos]
-		if c == '"' {
-			d.pos++
-			break
-		}
-		if c != '\\' {
-			b.WriteByte(c)
-			d.pos++
-			continue
-		}
-		// escape sequence
-		if d.pos+1 >= len(d.buf) {
-			return Term{}, d.errf("dangling escape")
-		}
-		d.pos++
-		switch e := d.buf[d.pos]; e {
-		case 't':
-			b.WriteByte('\t')
-		case 'n':
-			b.WriteByte('\n')
-		case 'r':
-			b.WriteByte('\r')
-		case '"':
-			b.WriteByte('"')
-		case '\\':
-			b.WriteByte('\\')
-		case 'u', 'U':
-			n := 4
-			if e == 'U' {
-				n = 8
-			}
-			if d.pos+n >= len(d.buf) {
-				return Term{}, d.errf("truncated \\%c escape", e)
-			}
-			v, err := strconv.ParseUint(d.buf[d.pos+1:d.pos+1+n], 16, 32)
-			if err != nil {
-				return Term{}, d.errf("bad \\%c escape: %v", e, err)
-			}
-			b.WriteRune(rune(v))
-			d.pos += n
-		default:
-			return Term{}, d.errf("unknown escape \\%c", e)
-		}
-		d.pos++
+	val, n, err := UnescapeLiteral(d.buf[d.pos+1:])
+	d.pos += 1 + n
+	if err != nil {
+		return Term{}, d.errf("%v", err)
 	}
-	val := b.String()
 	// Optional datatype / language suffixes.
 	if d.pos < len(d.buf) && d.buf[d.pos] == '@' {
 		d.pos++

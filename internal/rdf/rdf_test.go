@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -128,6 +129,62 @@ func TestParseEscapes(t *testing.T) {
 	want := "line1\nline2\t\"q\"\\ é \U0001F600"
 	if got[0].O.Value != want {
 		t.Errorf("escaped literal = %q, want %q", got[0].O.Value, want)
+	}
+}
+
+// TestUnescapeLiteral: every ECHAR and UCHAR form decodes, the length
+// covers the closing quote, and a malformed or invalid escape fails at its
+// backslash.
+func TestUnescapeLiteral(t *testing.T) {
+	for _, c := range []struct {
+		src, want string
+		n         int
+	}{
+		{`" tail`, "", 1},
+		{`plain" .`, "plain", 6},
+		{`\t\b\n\r\f\"\'\\"`, "\t\b\n\r\f\"'\\", 17},
+		{`caf\u00e9"`, "café", 10},
+		{`caf\u00E9\U0001F600!"`, "café\U0001F600!", 21},
+		{`\uFFFF\U0010FFFF"`, "\uFFFF\U0010FFFF", 17},
+	} {
+		got, n, err := UnescapeLiteral(c.src)
+		if err != nil || got != c.want || n != c.n {
+			t.Errorf("UnescapeLiteral(%q) = %q, %d, %v; want %q, %d", c.src, got, n, err, c.want, c.n)
+		}
+	}
+	for _, c := range []struct {
+		src, msg string
+		n        int
+	}{
+		{`open`, "unterminated literal", 4},
+		{`a\t`, "unterminated literal", 3},
+		{`ab\`, "dangling escape", 2},
+		{`a\x"`, "unknown escape \\x", 1},
+		{`\u12"`, "truncated \\u escape", 0},
+		{`x\u12G4"`, "bad escape \\u12G4", 1},
+		{`x\u+123"`, "bad escape \\u+123", 1},
+		{`\uD800"`, "escape \\uD800 is not a Unicode scalar value", 0},
+		{`\uDFFF"`, "is not a Unicode scalar value", 0},
+		{`ok \U00110000"`, "escape \\U00110000 is not a Unicode scalar value", 3},
+		{`\UFFFFFFFF"`, "is not a Unicode scalar value", 0},
+	} {
+		_, n, err := UnescapeLiteral(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.msg) || n != c.n {
+			t.Errorf("UnescapeLiteral(%q): n=%d err=%v, want offset %d and %q", c.src, n, err, c.n, c.msg)
+		}
+	}
+}
+
+// TestParseInvalidCodePoint: the loader rejects a UCHAR naming a surrogate
+// or a code point past U+10FFFF, at the escape's column, rather than
+// storing U+FFFD.
+func TestParseInvalidCodePoint(t *testing.T) {
+	for lit, col := range map[string]int{`"a\uD83D"`: 29, `"\U00110000"`: 28} {
+		_, err := ParseString(`<http://x/a> <http://y/p> ` + lit + " .\n")
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Col != col {
+			t.Errorf("literal %s: err = %v, want a parse error at col %d", lit, err, col)
+		}
 	}
 }
 

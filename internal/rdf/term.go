@@ -12,8 +12,11 @@
 package rdf
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // XSDString is the datatype IRI of plain string literals. Per RDF 1.1 a
@@ -218,4 +221,62 @@ type Triple struct {
 // String renders the triple as one N-Triples line (without newline).
 func (t Triple) String() string {
 	return t.S.String() + " " + t.P.String() + " " + t.O.String() + " ."
+}
+
+// UnescapeLiteral decodes the body of a double-quoted literal, as written
+// in N-Triples, Turtle or SPARQL: src starts just after the opening quote.
+// It returns the lexical form and n, the length of the body including the
+// closing quote. The escapes are the three grammars' shared ECHAR (\t \b
+// \n \r \f \" \' \\) and UCHAR (\uXXXX, \UXXXXXXXX); a UCHAR naming a
+// surrogate or a code point above U+10FFFF is an error. On error, n is the
+// offset in src at which decoding failed.
+func UnescapeLiteral(src string) (val string, n int, err error) {
+	var b strings.Builder
+	for i := 0; ; i += 2 {
+		j := strings.IndexAny(src[i:], `"\`)
+		if j < 0 {
+			return "", len(src), errors.New("unterminated literal")
+		}
+		b.WriteString(src[i : i+j])
+		if i += j; src[i] == '"' {
+			return b.String(), i + 1, nil
+		}
+		if i+1 >= len(src) {
+			return "", i, errors.New("dangling escape")
+		}
+		switch e := src[i+1]; e {
+		case 't':
+			b.WriteByte('\t')
+		case 'b':
+			b.WriteByte('\b')
+		case 'n':
+			b.WriteByte('\n')
+		case 'r':
+			b.WriteByte('\r')
+		case 'f':
+			b.WriteByte('\f')
+		case '"', '\'', '\\':
+			b.WriteByte(e)
+		case 'u', 'U':
+			w := 4
+			if e == 'U' {
+				w = 8
+			}
+			if i+2+w > len(src) {
+				return "", i, fmt.Errorf("truncated \\%c escape", e)
+			}
+			esc := src[i : i+2+w]
+			v, perr := strconv.ParseUint(esc[2:], 16, 32)
+			if perr != nil {
+				return "", i, fmt.Errorf("bad escape %s", esc)
+			}
+			if !utf8.ValidRune(rune(v)) {
+				return "", i, fmt.Errorf("escape %s is not a Unicode scalar value", esc)
+			}
+			b.WriteRune(rune(v))
+			i += w
+		default:
+			return "", i, fmt.Errorf("unknown escape \\%c", e)
+		}
+	}
 }

@@ -82,6 +82,20 @@ func TestUpdateParseErrorIs400(t *testing.T) {
 	}
 }
 
+// TestInvalidCodePointIs400: a literal escape naming no Unicode scalar
+// value is a parse error, answered 400, in a query and in an update.
+func TestInvalidCodePointIs400(t *testing.T) {
+	_, ts := newTestServer(t, townData, Config{})
+	resp, body := get(t, queryURL(ts.URL, `SELECT ?s WHERE { ?s <http://town/name> "\uDC00" . }`), nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("query status = %d, body %s", resp.StatusCode, body)
+	}
+	resp, body = postUpdate(t, ts.URL, `INSERT DATA { <http://town/x> <http://town/name> "\U00110000" . }`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("update status = %d, body %s", resp.StatusCode, body)
+	}
+}
+
 // TestUpdateInvalidatesResultCache is the satellite regression test:
 // query (cached), update, re-query — the second read must not be served
 // from the pre-update cache entry.

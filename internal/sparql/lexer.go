@@ -5,6 +5,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/rdf"
 )
 
 // tokenKind enumerates lexical token classes.
@@ -233,42 +235,12 @@ func (l *lexer) lexIRIRef() (token, error) {
 func (l *lexer) lexLiteral() (token, error) {
 	tok := token{kind: tokLiteral, line: l.line, col: l.col}
 	l.advance(1) // opening quote
-	var b strings.Builder
-	for {
-		if l.pos >= len(l.src) {
-			return tok, l.errf("unterminated literal")
-		}
-		c := l.src[l.pos]
-		if c == '"' {
-			l.advance(1)
-			break
-		}
-		if c != '\\' {
-			b.WriteByte(c)
-			l.advance(1)
-			continue
-		}
-		if l.pos+1 >= len(l.src) {
-			return tok, l.errf("dangling escape")
-		}
-		l.advance(1)
-		switch e := l.src[l.pos]; e {
-		case 't':
-			b.WriteByte('\t')
-		case 'n':
-			b.WriteByte('\n')
-		case 'r':
-			b.WriteByte('\r')
-		case '"':
-			b.WriteByte('"')
-		case '\\':
-			b.WriteByte('\\')
-		default:
-			return tok, l.errf("unknown escape \\%c", e)
-		}
-		l.advance(1)
+	val, n, err := rdf.UnescapeLiteral(l.src[l.pos:])
+	l.advance(n)
+	if err != nil {
+		return tok, l.errf("%v", err)
 	}
-	tok.text = b.String()
+	tok.text = val
 	// Optional datatype / language suffixes, carried as annotations so
 	// the parser builds typed literal terms (mirroring the data-side
 	// parser).

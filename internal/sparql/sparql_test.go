@@ -177,6 +177,37 @@ func TestLiteralEscapesAndSuffixes(t *testing.T) {
 	}
 }
 
+// TestLiteralEscapeForms: string literals accept the same ECHAR and UCHAR
+// escapes as the N-Triples loader, and an escape naming no Unicode scalar
+// value is a parse error.
+func TestLiteralEscapeForms(t *testing.T) {
+	for lit, want := range map[string]string{
+		`"caf\u00e9"`:        "café",
+		`"\U0001F600"`:       "\U0001F600",
+		`"a\bb"`:             "a\bb",
+		`"\t\b\n\r\f\"\'\\"`: "\t\b\n\r\f\"'\\",
+		`"caf\u00e9"@fr`:     "café",
+		`"\u0034\u0032"^^<http://www.w3.org/2001/XMLSchema#int>`: "42",
+	} {
+		q, err := Parse(`SELECT ?s WHERE { ?s <http://y/p> ` + lit + ` . }`)
+		if err != nil {
+			t.Errorf("%s: %v", lit, err)
+			continue
+		}
+		if got := q.Patterns[0].O.Value; got != want {
+			t.Errorf("%s = %q, want %q", lit, got, want)
+		}
+	}
+	for _, lit := range []string{`"\uD800"`, `"\U00110000"`, `"\x"`, `"\u00e"`} {
+		if _, err := Parse(`SELECT ?s WHERE { ?s <http://y/p> ` + lit + ` . }`); err == nil {
+			t.Errorf("%s parsed", lit)
+		}
+		if _, err := ParseUpdate(`INSERT DATA { <http://x/s> <http://y/p> ` + lit + ` . }`); err == nil {
+			t.Errorf("INSERT DATA with %s parsed", lit)
+		}
+	}
+}
+
 func TestComments(t *testing.T) {
 	q, err := Parse(`# leading comment
 SELECT ?s WHERE { # inline
