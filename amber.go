@@ -35,6 +35,7 @@ package amber
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -46,15 +47,16 @@ import (
 	"repro/internal/sparql"
 )
 
-// ErrTimeout is returned when a query exceeds QueryOptions.Timeout (or a
-// context deadline during a ctx-aware execution).
-var ErrTimeout = errors.New("amber: query timeout exceeded")
+// ErrTimeout is returned when a query exceeds QueryOptions.Timeout or
+// the deadline of the caller's context. It matches
+// context.DeadlineExceeded under errors.Is.
+var ErrTimeout = fmt.Errorf("amber: query timeout exceeded: %w", context.DeadlineExceeded)
 
 // mapExecErr normalizes engine abort errors to the public surface:
-// deadline expiry becomes ErrTimeout, a caller's cancellation stays
-// context.Canceled, everything else passes through.
+// deadline expiry becomes ErrTimeout, everything else — a caller's
+// cancellation included — passes through.
 func mapExecErr(err error) error {
-	if err == engine.ErrDeadlineExceeded || errors.Is(err, context.DeadlineExceeded) {
+	if errors.Is(err, context.DeadlineExceeded) {
 		return ErrTimeout
 	}
 	return err
@@ -122,31 +124,33 @@ type QueryOptions struct {
 	// Limit caps the number of result rows (0 = all). A LIMIT clause in
 	// the query text also applies; the tighter bound wins.
 	Limit int
-	// Timeout bounds execution; exceeding it returns ErrTimeout. The
-	// paper's experiments use 60 s.
+	// Timeout bounds execution; exceeding it returns ErrTimeout. It is
+	// a deadline on the execution's context, counted from execution
+	// start, so it composes with the caller's context: the tighter bound
+	// wins. A negative Timeout expires at once. The paper's experiments
+	// use 60 s.
 	Timeout time.Duration
 }
 
 // engineOptions converts the options to engine form (the query's own
-// LIMIT clause is applied inside core; the tighter bound wins). It
-// captures the timeout deadline from the moment it is called, so call it
-// at execution start — after parsing and preparation — to keep parse
-// cost from eating the query's time budget. ctx, when non-nil, is polled
-// by the engine alongside the deadline, so callers can cancel in-flight
-// work; Timeout remains a plain deadline, so the two compose (the
-// tighter bound aborts first).
-func (o *QueryOptions) engineOptions(ctx context.Context) engine.Options {
-	var e engine.Options
-	e.Ctx = ctx
+// LIMIT clause is applied inside core; the tighter bound wins). A
+// Timeout becomes a context.WithTimeout around ctx that starts when
+// engineOptions is called, so call it at execution start — after parsing
+// and preparation — to keep parse cost from eating the query's time
+// budget, and call the returned cancel when the execution ends.
+func (o *QueryOptions) engineOptions(ctx context.Context) (engine.Options, context.CancelFunc) {
+	e := engine.Options{Ctx: ctx}
+	cancel := func() {}
 	if o != nil {
 		e.Limit = o.Limit
 		if o.Timeout != 0 {
-			// A negative timeout yields an already-expired deadline, which the
-			// engine reports as a timeout — useful for tests and dry runs.
-			e.Deadline = time.Now().Add(o.Timeout)
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			e.Ctx, cancel = context.WithTimeout(ctx, o.Timeout)
 		}
 	}
-	return e
+	return e, cancel
 }
 
 // Count returns the number of solutions without materializing them. For
@@ -159,7 +163,7 @@ func (db *DB) Count(sparqlText string, opts *QueryOptions) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.Count(context.TODO(), opts)
+	return p.Count(context.Background(), opts)
 }
 
 // Prepared is a query parsed and translated once against a DB, ready to
@@ -205,6 +209,8 @@ func (p *Prepared) Shape() string { return p.cp.Shape() }
 // Count counts solutions of the prepared query; see DB.Count. ctx, when
 // non-nil, cancels the count and carries the caller's trace, as for All.
 func (p *Prepared) Count(ctx context.Context, opts *QueryOptions) (uint64, error) {
-	n, err := p.cp.Count(opts.engineOptions(ctx))
+	eo, cancel := opts.engineOptions(ctx)
+	defer cancel()
+	n, err := p.cp.Count(eo)
 	return n, mapExecErr(err)
 }

@@ -15,6 +15,7 @@ package amber
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -395,7 +396,9 @@ func ablationBoundedQuery(b *testing.B, d *experiments.Dataset, kind workload.Ki
 		if err != nil {
 			continue
 		}
-		n, err := qg.Count(engine.Options{Deadline: time.Now().Add(2 * time.Second)})
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		n, err := qg.Count(engine.Options{Ctx: ctx})
+		cancel()
 		if err == nil && n > 0 && n <= maxCount {
 			return q
 		}

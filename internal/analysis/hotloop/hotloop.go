@@ -2,19 +2,19 @@
 // functions that opt in with a //amber:hotloop directive: the inner
 // search step must stay free of per-visit overhead (atomics, fmt, map
 // writes, clock reads, make), and every recursive cycle through the marked
-// set must poll the throttled deadline check so a runaway query stays
+// set must call the throttled context poll so a runaway query stays
 // cancellable.
 //
-// The matcher's contract since the group-commit and governance PRs is
-// that per-visit bookkeeping accumulates in plain matcher fields and is
-// flushed into shared atomics only at the deadline-poll cadence
-// (deadlineCheckMask). That keeps the visit step allocation-free and
-// fence-free, and it makes the poll the single point where
-// cancellation, deadline and meter flushing happen. Both halves rot
-// easily: an innocent fmt.Sprintf in a diagnostic, a "just count it"
-// atomic.AddUint64, or a new recursion path that forgets checkDeadline
-// each reintroduce exactly the regressions those PRs removed —
-// invisible in unit tests, obvious at a million visits per query.
+// The matcher's contract is that per-visit bookkeeping accumulates in
+// plain matcher fields and is flushed into shared atomics only at the
+// poll cadence (pollMask). That keeps the visit step allocation-free and
+// fence-free, and it makes the poll the single point where cancellation
+// (client disconnect, timeout, admin kill, resource guard — all context
+// cancellations) and meter flushing happen. Both halves rot easily: an
+// innocent fmt.Sprintf in a diagnostic, a "just count it"
+// atomic.AddUint64, or a new recursion path that forgets to poll each
+// reintroduce a regression that is invisible in unit tests and obvious
+// at a million visits per query.
 //
 // Two directive forms:
 //
@@ -24,7 +24,7 @@
 //	                        functions) it must directly call a poll
 //	                        function (rule P1).
 //	//amber:hotloop poll  — the function IS the sanctioned amortized
-//	                        slow path (checkDeadline): exempt from the
+//	                        slow path (the matcher's poll): exempt from the
 //	                        content rules, target of rule P1.
 package hotloop
 
@@ -38,7 +38,7 @@ import (
 // Analyzer is the hotloop pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotloop",
-	Doc: "//amber:hotloop functions must stay lean and poll the deadline\n\n" +
+	Doc: "//amber:hotloop functions must stay lean and poll for cancellation\n\n" +
 		"Functions marked //amber:hotloop may not call sync/atomic, fmt, the time\n" +
 		"package or make, nor write to maps (per-visit cost belongs in plain fields\n" +
 		"and run-scoped scratch, flushed at the poll cadence). Marked functions that\n" +
@@ -101,7 +101,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		if reaches(marked, fi, obj, map[*types.Func]bool{}) {
 			pass.Reportf(fi.decl.Pos(),
-				"hot function %s recurses but never polls the deadline: call the //amber:hotloop poll function (checkDeadline) so the search stays cancellable",
+				"hot function %s recurses but never polls for cancellation: call the //amber:hotloop poll function so the search stays cancellable",
 				obj.Name())
 		}
 	}
@@ -171,7 +171,7 @@ func checkBody(pass *analysis.Pass, obj *types.Func, fi *fnInfo, marked map[*typ
 					"fmt call in hot function %s allocates per visit: format outside the search step", obj.Name())
 			case isStdPkg(callee.Pkg(), "time"):
 				pass.Reportf(n.Pos(),
-					"clock read in hot function %s: the deadline is polled every deadlineCheckMask+1 steps by the poll function, not per visit", obj.Name())
+					"clock read in hot function %s: a timeout is a context deadline, polled every pollMask+1 steps by the poll function, not per visit", obj.Name())
 			}
 		case *ast.AssignStmt:
 			if fi.poll {

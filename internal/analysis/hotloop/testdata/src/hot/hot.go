@@ -80,7 +80,7 @@ func slowPath(v int) string {
 // ---- violations --------------------------------------------------------
 
 //amber:hotloop
-func (x *m) badRecurse(d int) { // want "hot function badRecurse recurses but never polls the deadline"
+func (x *m) badRecurse(d int) { // want "hot function badRecurse recurses but never polls for cancellation"
 	if d == 0 {
 		return
 	}
@@ -98,7 +98,7 @@ func (x *m) stepC(d int) {
 }
 
 //amber:hotloop
-func (x *m) stepD(d int) { // want "hot function stepD recurses but never polls the deadline"
+func (x *m) stepD(d int) { // want "hot function stepD recurses but never polls for cancellation"
 	x.stepC(d - 1)
 }
 

@@ -129,11 +129,11 @@ func TestSeededRegressions(t *testing.T) {
 
 // Checkpoint`)
 
-	// Regression 2: drop the deadline poll from the engine's core
+	// Regression 2: drop the context poll from the engine's core
 	// recursion, making a runaway query uncancellable.
 	mutate(t, dir, "internal/engine/engine.go",
 		`func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int) {
-	if m.stopped || m.checkDeadline() {
+	if m.stopped || m.poll() {
 		return
 	}`,
 		`func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int) {

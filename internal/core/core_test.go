@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -174,8 +175,10 @@ func TestExecuteDeadline(t *testing.T) {
 	p := prepare(t, newStore(t), `
 PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?a ?b WHERE { ?a y:livedIn ?b }`)
-	err := p.Execute(engine.Options{Deadline: time.Now().Add(-time.Second)}, func(Solution) bool { return true })
-	if err != engine.ErrDeadlineExceeded {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	err := p.Execute(engine.Options{Ctx: ctx}, func(Solution) bool { return true })
+	if err != context.DeadlineExceeded {
 		t.Errorf("err = %v, want deadline exceeded", err)
 	}
 }

@@ -73,8 +73,8 @@ func (s *Store) ExplainQuery(pl plan.Planner, pq *sparql.Query) (string, error) 
 // core-vertex matching level, the planner's estimated candidate-set size
 // against the frontier the engine actually enumerated (total and mean
 // per visit, with the visit count — the level's share of the recursion).
-// Execution honours opts (limit, deadline, context); on an execution
-// error (timeout, cancellation) no report is produced and the error is
+// Execution honours opts (limit, context); on an execution error
+// (timeout, cancellation) no report is produced and the error is
 // returned. The output format is human-oriented and not stable.
 func (s *Store) ExplainAnalyze(pl plan.Planner, pq *sparql.Query, opts engine.Options) (string, error) {
 	p, err := s.PrepareQueryWith(pl, pq)

@@ -12,13 +12,20 @@
 // the factorized representation: a core solution with satellite candidate
 // sets of sizes n1..nk contributes n1·…·nk embeddings without
 // materializing them.
+//
+// A run stops when the search is exhausted, when yield or Options.Limit
+// ends it, or when Options.Ctx is done. The context is the one stop
+// signal: a timeout is a context deadline, and client disconnects,
+// operator kills and the resource guard are context cancellations. The
+// search polls it every few hundred steps, at the same point where it
+// flushes the resource meter. Every search event is counted once, in a
+// plain matcher field; Options.Stats and Options.Meter are filled from
+// those fields.
 package engine
 
 import (
 	"context"
-	"errors"
 	"math"
-	"time"
 
 	"repro/internal/dict"
 	"repro/internal/index"
@@ -28,29 +35,24 @@ import (
 	"repro/internal/query"
 )
 
-// ErrDeadlineExceeded is returned when Options.Deadline passes before the
-// search completes. Partial results already yielded remain valid.
-var ErrDeadlineExceeded = errors.New("engine: deadline exceeded")
-
 // Options control a matching run.
 type Options struct {
 	// Limit stops the enumeration after this many embeddings (0 = all).
 	Limit int
-	// Deadline aborts the search when passed (zero = none). The paper's
-	// experiments use a 60-second per-query constraint.
-	Deadline time.Time
-	// Ctx, when non-nil, aborts the search when the context is done —
-	// the engine polls ctx.Done() alongside the deadline, so a server
-	// can cancel in-flight work when its client disconnects. The run
-	// then returns ctx.Err().
+	// Ctx, when non-nil, aborts the search when the context is done. It
+	// is the run's one stop signal: a timeout (the paper's experiments
+	// use a 60-second per-query constraint) is a context deadline, and a
+	// server cancels through it when its client disconnects. The run then
+	// returns ctx.Err().
 	Ctx context.Context
-	// Stats, when non-nil, is filled with search counters.
+	// Stats, when non-nil, receives the run's search counters when the
+	// run ends.
 	Stats *Stats
 	// Meter, when non-nil, receives live resource accounting: the match
-	// loop accumulates into matcher-local plain counters and flushes
-	// them into the meter's atomics at the deadline-poll cadence (and at
-	// the end of the run), so concurrent /debug/queries scrapes see
-	// fresh numbers without an atomic op per step.
+	// loop counts in plain matcher fields and hands the meter their
+	// growth at the context-poll cadence (and at the end of the run), so
+	// concurrent /debug/queries scrapes see fresh numbers without an
+	// atomic op per step.
 	Meter *obs.ResourceMeter
 }
 
@@ -68,8 +70,8 @@ type Stats struct {
 	// Levels records the actual candidate frontier observed at every
 	// core-vertex matching level of the plan — the measured counterpart of
 	// the planner's estimates. Unlike the scalar counters, which
-	// accumulate across runs, Levels is reset to the executed plan's shape
-	// at the start of each run and so always describes the last run.
+	// accumulate across runs, Levels is replaced by each run's record and
+	// so always describes the last run.
 	Levels []LevelStats
 }
 
@@ -86,8 +88,9 @@ type LevelStats struct {
 	Visits     uint64
 }
 
-// deadlineCheckMask throttles clock reads to one per this many steps.
-const deadlineCheckMask = 255
+// pollMask throttles context polls and meter flushes to one per this
+// many steps.
+const pollMask = 255
 
 //amber:hot
 type matcher struct {
@@ -112,124 +115,121 @@ type matcher struct {
 
 	yield    func([]dict.VertexID) bool
 	limit    int
-	deadline time.Time
 	done     <-chan struct{} // Ctx.Done(), nil without a context
 	ctx      context.Context
 	stats    *Stats
-	levelIdx []int // per-component offsets; nil without stats and meter
+	meter    *obs.ResourceMeter
+	levelIdx []int // per-component offsets into levels
 
-	// Meter plumbing: the m* fields are this matcher's unflushed
-	// resource deltas (flushed by flushMeter, reset to zero after).
-	meter       *obs.ResourceMeter
-	totalLevels int
-	mCand       uint64 // candidate-set entries generated
-	mVisits     uint64 // candidate vertices tried
-	mInters     uint64 // sorted-list intersections
-	mProbes     uint64 // overlay index probes
+	// The run's counters, each bumped once per event. opts.Stats receives
+	// the search counters when the run ends; the meter receives the
+	// effort counted since its last flush at every poll.
+	levels     []LevelStats // per core level: candidates and visits
+	level      int          // progress: 1 + index of the level computed last
+	initCands  int
+	recursions int
+	satProbes  int
+	effort     effort
 
-	steps    int
-	yielded  uint64
 	count    uint64 // Count mode: embeddings of the current component
+	yielded  uint64 // embeddings yielded (Stream) or counted (Count)
 	counting bool   // Count mode: core leaves tally instead of enumerating
 	overlay  bool   // reader serves through a non-empty mutation overlay
-	stopped  bool   // yield refused or limit reached
-	expired  bool   // deadline passed or context done
-	abortErr error  // why the search aborted (expired only)
+	stopped  bool   // yield refused, limit reached or context done
+	err      error  // the context's error, when it stopped the search
 }
 
-// flushMeter pushes the accumulated resource deltas into the shared
-// atomic meter and resets them. Called from the throttled deadline-poll
-// path and at search end, so the hot loop stays free of atomic traffic.
+// effort is the part of the counters the resource meter reports, counted
+// since the last flush.
+type effort struct {
+	cands  uint64 // candidate-set entries generated
+	visits uint64 // candidate vertices tried: one per poll step
+	inters uint64 // sorted-list intersections
+	probes uint64 // index probes
+}
+
+// flushMeter hands the meter the effort counted since the last flush and
+// the current progress, then starts the effort count afresh. Called from
+// the throttled poll and at the end of the run, so the hot loop stays
+// free of atomic traffic. Probes reach the meter only when they went
+// through a non-empty overlay.
 func (m *matcher) flushMeter() {
 	if m.meter == nil {
 		return
 	}
-	m.meter.FlushEngine(m.mCand, m.mVisits, m.mInters, m.mProbes)
-	m.mCand, m.mVisits, m.mInters, m.mProbes = 0, 0, 0, 0
-}
-
-// countProbe tallies one index probe for the overlay-probe meter.
-//
-//amber:hotloop
-func (m *matcher) countProbe() {
-	if m.overlay {
-		m.mProbes++
+	e := m.effort
+	if !m.overlay {
+		e.probes = 0
 	}
+	m.meter.FlushEngine(e.cands, e.visits, e.inters, e.probes)
+	m.meter.SetProgress(m.level, len(m.levels))
+	m.effort = effort{}
 }
 
-// checkDeadline reports whether the search must abort: the deadline
-// passed, or the run's context was cancelled. Clock reads and channel
-// polls are throttled to one per deadlineCheckMask+1 steps.
+// poll counts one search step and reports whether the search must stop.
+// Every pollMask+1 steps it flushes the meter and polls the run's
+// context; the channel poll is the only stop check that is not a plain
+// field read.
 //
 //amber:hotloop poll
-func (m *matcher) checkDeadline() bool {
-	if m.expired {
-		return true
-	}
-	m.steps++
-	m.mVisits++
-	if m.steps&deadlineCheckMask != 0 || (m.deadline.IsZero() && m.done == nil && m.meter == nil) {
+func (m *matcher) poll() bool {
+	m.effort.visits++
+	if m.effort.visits&pollMask != 0 {
 		return false
 	}
 	m.flushMeter()
-	if m.done != nil {
-		select {
-		case <-m.done:
-			m.expired = true
-			m.abortErr = m.ctx.Err()
-			return true
-		default:
-		}
+	select {
+	case <-m.done:
+		m.stopped, m.err = true, m.ctx.Err()
+	default:
 	}
-	if !m.deadline.IsZero() && time.Now().After(m.deadline) {
-		m.expired = true
-		m.abortErr = ErrDeadlineExceeded
+	return m.stopped
+}
+
+// finish ends a run that got past prepare: it flushes the meter and adds
+// the run's counters to opts.Stats.
+func (m *matcher) finish() {
+	m.flushMeter()
+	if st := m.stats; st != nil {
+		st.InitCandidates += m.initCands
+		st.Recursions += m.recursions
+		st.SatProbes += m.satProbes
+		st.Embeddings += m.yielded
+		st.Levels = m.levels
 	}
-	return m.expired
 }
 
 // Stream enumerates the homomorphic embeddings of plan p in g, invoking
 // yield with the assignment slice (indexed by query.VertexID; the slice is
 // reused between calls — copy it to retain). Enumeration stops when yield
-// returns false. It returns ErrDeadlineExceeded if the deadline passed.
+// returns false. It returns the context's error if opts.Ctx ended the run.
 func Stream(r index.Reader, p *plan.Plan, opts Options, yield func([]dict.VertexID) bool) error {
-	m, ok := prepare(r, p, opts)
+	m, err := prepare(r, p, opts)
+	if m == nil {
+		return err
+	}
+	defer m.finish()
 	m.yield = yield
-	defer m.flushMeter()
-	if m.expired {
-		return m.abortErr
-	}
-	if !ok {
-		return nil
-	}
 	if len(m.q.Vars) == 0 {
 		// Fully ground query whose checks passed: one empty embedding.
 		m.emit()
 		return nil
 	}
 	m.matchComponent(0)
-	if m.expired {
-		return m.abortErr
-	}
-	return nil
+	return m.err
 }
 
 // Count returns the number of embeddings of plan p in g, using the
 // factorized satellite representation. When opts.Limit > 0 the returned
 // count is capped at the limit.
 func Count(r index.Reader, p *plan.Plan, opts Options) (uint64, error) {
-	m, ok := prepare(r, p, opts)
-	defer m.flushMeter()
-	if m.expired {
-		return 0, m.abortErr
+	m, err := prepare(r, p, opts)
+	if m == nil {
+		return 0, err
 	}
-	if !ok {
-		return 0, nil
-	}
+	defer m.finish()
 	if len(m.q.Vars) == 0 {
-		if m.stats != nil {
-			m.stats.Embeddings = 1
-		}
+		m.yielded = 1
 		return 1, nil
 	}
 	// Components share no query vertex, so the whole count is the product
@@ -240,8 +240,8 @@ func Count(r index.Reader, p *plan.Plan, opts Options) (uint64, error) {
 	for ci := range p.Components {
 		m.count = 0
 		m.matchComponent(ci)
-		if m.expired {
-			return 0, m.abortErr
+		if m.err != nil {
+			return 0, m.err
 		}
 		total = mulSat(total, m.count)
 		if total == 0 {
@@ -251,23 +251,33 @@ func Count(r index.Reader, p *plan.Plan, opts Options) (uint64, error) {
 	if opts.Limit > 0 && total > uint64(opts.Limit) {
 		total = uint64(opts.Limit)
 	}
-	if m.stats != nil {
-		m.stats.Embeddings = total
-	}
+	m.yielded = total
 	return total, nil
 }
 
-// prepare validates the plan's zero-result verdict and allocates the
-// per-run state. The Algorithm 1 candidate sets and ground checks were
-// already computed at plan time (internal/plan), so repeated executions of
-// a cached plan skip them entirely. ok=false means zero results.
-func prepare(r index.Reader, p *plan.Plan, opts Options) (*matcher, bool) {
+// prepare checks the run's context and the plan's zero-result verdict
+// and allocates the per-run state. The Algorithm 1 candidate sets and
+// ground checks were already computed at plan time (internal/plan), so
+// repeated executions of a cached plan skip them entirely. A nil matcher
+// means the run ends before it starts: with the context's error, or with
+// zero results.
+func prepare(r index.Reader, p *plan.Plan, opts Options) (*matcher, error) {
+	if opts.Ctx != nil {
+		if err := opts.Ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	if p.Empty {
+		return nil, nil
+	}
 	m := &matcher{
 		r: r, p: p, q: p.Query,
-		limit:    opts.Limit,
-		deadline: opts.Deadline,
-		stats:    opts.Stats,
-		meter:    opts.Meter,
+		limit: opts.Limit,
+		stats: opts.Stats,
+		meter: opts.Meter,
+	}
+	if opts.Ctx != nil {
+		m.ctx, m.done = opts.Ctx, opts.Ctx.Done()
 	}
 	if m.meter != nil {
 		// Overlay detection: the delta view's Reader exposes Empty; a
@@ -276,40 +286,17 @@ func prepare(r index.Reader, p *plan.Plan, opts Options) (*matcher, bool) {
 			m.overlay = true
 		}
 	}
-	if opts.Ctx != nil {
-		m.ctx, m.done = opts.Ctx, opts.Ctx.Done()
-		if err := m.ctx.Err(); err != nil {
-			m.expired = true
-			m.abortErr = err
-			return m, false
-		}
+	total := 0
+	m.levelIdx = make([]int, len(p.Components))
+	for ci := range p.Components {
+		m.levelIdx[ci] = total
+		total += len(p.Components[ci].Core)
 	}
-	if !m.deadline.IsZero() && time.Now().After(m.deadline) {
-		m.expired = true
-		m.abortErr = ErrDeadlineExceeded
-		return m, false
-	}
-	if p.Empty {
-		return m, false
-	}
-	if m.stats != nil || m.meter != nil {
-		total := 0
-		m.levelIdx = make([]int, len(p.Components))
-		for ci := range p.Components {
-			m.levelIdx[ci] = total
-			total += len(p.Components[ci].Core)
+	m.levels = make([]LevelStats, total)
+	for ci := range p.Components {
+		for pos, u := range p.Components[ci].Core {
+			m.levels[m.levelIdx[ci]+pos] = LevelStats{Component: ci, Pos: pos, Vertex: u}
 		}
-		m.totalLevels = total
-		if m.stats != nil {
-			levels := make([]LevelStats, total)
-			for ci := range p.Components {
-				for pos, u := range p.Components[ci].Core {
-					levels[m.levelIdx[ci]+pos] = LevelStats{Component: ci, Pos: pos, Vertex: u}
-				}
-			}
-			m.stats.Levels = levels
-		}
-		m.meter.SetProgress(0, total)
 	}
 	n := len(m.q.Vars)
 	m.asg = make([]dict.VertexID, n)
@@ -318,27 +305,18 @@ func prepare(r index.Reader, p *plan.Plan, opts Options) (*matcher, bool) {
 	m.matched = make([]bool, n)
 	m.initCand = make([][]dict.VertexID, len(p.Components))
 	m.initDone = make([]bool, len(p.Components))
-	return m, true
+	return m, nil
 }
 
-// recordLevel accumulates one computation of a core level's candidate
-// set into stats.Levels and the resource meter.
+// recordLevel counts one computation of a core level's candidate set.
 //
 //amber:hotloop
 func (m *matcher) recordLevel(ci, pos, n int) {
-	if m.levelIdx == nil {
-		return
-	}
-	if m.meter != nil {
-		m.mCand += uint64(n)
-		m.meter.SetProgress(m.levelIdx[ci]+pos+1, m.totalLevels)
-	}
-	if m.stats == nil {
-		return
-	}
-	l := &m.stats.Levels[m.levelIdx[ci]+pos]
+	m.level = m.levelIdx[ci] + pos + 1
+	l := &m.levels[m.level-1]
 	l.Candidates += uint64(n)
 	l.Visits++
+	m.effort.cands += uint64(n)
 }
 
 // admissible applies the per-candidate constraints that are cheaper to
@@ -350,7 +328,7 @@ func (m *matcher) admissible(u query.VertexID, v dict.VertexID) bool {
 	if len(st) == 0 {
 		return true
 	}
-	m.countProbe()
+	m.effort.probes++
 	return m.r.HasEdgeTypes(v, v, st)
 }
 
@@ -361,7 +339,7 @@ func (m *matcher) admissible(u query.VertexID, v dict.VertexID) bool {
 func (m *matcher) restrict(u query.VertexID, cand []dict.VertexID) []dict.VertexID {
 	if m.p.IsFixed[int(u)] {
 		cand = otil.IntersectSorted(cand, m.p.Fixed[int(u)])
-		m.mInters++
+		m.effort.inters++
 	}
 	if len(m.q.Vars[u].SelfTypes) == 0 {
 		return cand
@@ -394,7 +372,7 @@ func (m *matcher) candInit(u query.VertexID) []dict.VertexID {
 	if m.q.Vars[u].Lit != nil {
 		return m.p.Fixed[int(u)]
 	}
-	m.countProbe()
+	m.effort.probes++
 	return m.restrict(u, m.r.SignatureCandidates(m.q.Synopsis(u)))
 }
 
@@ -407,9 +385,7 @@ func (m *matcher) initialCandidates(ci int) []dict.VertexID {
 	if !m.initDone[ci] {
 		cand := m.candInit(m.p.Components[ci].Core[0])
 		m.initCand[ci], m.initDone[ci] = cand, true
-		if m.stats != nil {
-			m.stats.InitCandidates += len(cand)
-		}
+		m.initCands += len(cand)
 		m.recordLevel(ci, 0, len(cand))
 	}
 	return m.initCand[ci]
@@ -423,9 +399,7 @@ func (m *matcher) initialCandidates(ci int) []dict.VertexID {
 //
 //amber:hotloop
 func (m *matcher) satCandidates(uc, us query.VertexID, vc dict.VertexID) []dict.VertexID {
-	if m.stats != nil {
-		m.stats.SatProbes++
-	}
+	m.satProbes++
 	if lit := m.q.Vars[us].Lit; lit != nil {
 		return m.litCandidates(us, lit, vc)
 	}
@@ -433,16 +407,16 @@ func (m *matcher) satCandidates(uc, us query.VertexID, vc dict.VertexID) []dict.
 	var cand []dict.VertexID
 	have := false
 	if len(toSat) > 0 { // edge uc → us: probe vc's outgoing side
-		m.countProbe()
+		m.effort.probes++
 		cand = m.r.Neighbors(vc, index.Outgoing, toSat)
 		have = true
 	}
 	if len(fromSat) > 0 { // edge us → uc: probe vc's incoming side
-		m.countProbe()
+		m.effort.probes++
 		nb := m.r.Neighbors(vc, index.Incoming, fromSat)
 		if have {
 			cand = otil.IntersectSorted(cand, nb)
-			m.mInters++
+			m.effort.inters++
 		} else {
 			cand = nb
 		}
@@ -461,12 +435,12 @@ func (m *matcher) satCandidates(uc, us query.VertexID, vc dict.VertexID) []dict.
 func (m *matcher) litCandidates(us query.VertexID, lit *query.LitSat, vc dict.VertexID) []dict.VertexID {
 	var verts []dict.VertexID
 	if len(lit.Types) > 0 {
-		m.countProbe()
+		m.effort.probes++
 		verts = m.r.Neighbors(vc, index.Outgoing, lit.Types)
 	}
-	m.countProbe()
+	m.effort.probes++
 	attrs := otil.IntersectSorted(m.r.VertexAttrs(vc), lit.Attrs)
-	m.mInters++
+	m.effort.inters++
 	if len(attrs) == 0 {
 		return verts
 	}
@@ -489,7 +463,7 @@ func (m *matcher) matchSatellites(uc query.VertexID, vc dict.VertexID, sats []qu
 		if len(cand) == 0 {
 			return false
 		}
-		m.mCand += uint64(len(cand))
+		m.effort.cands += uint64(len(cand))
 		m.satSets[us] = cand
 	}
 	return true
@@ -506,7 +480,7 @@ func (m *matcher) coreCandidates(unxt query.VertexID) []dict.VertexID {
 	add := func(nb []dict.VertexID) bool {
 		if have {
 			cand = otil.IntersectSorted(cand, nb)
-			m.mInters++
+			m.effort.inters++
 		} else {
 			cand, have = nb, true
 		}
@@ -518,7 +492,7 @@ func (m *matcher) coreCandidates(unxt query.VertexID) []dict.VertexID {
 			continue
 		}
 		vn := m.asg[e.To]
-		m.countProbe()
+		m.effort.probes++
 		if !add(m.r.Neighbors(vn, index.Incoming, e.Types)) {
 			return nil
 		}
@@ -528,7 +502,7 @@ func (m *matcher) coreCandidates(unxt query.VertexID) []dict.VertexID {
 			continue
 		}
 		vn := m.asg[e.To]
-		m.countProbe()
+		m.effort.probes++
 		if !add(m.r.Neighbors(vn, index.Outgoing, e.Types)) {
 			return nil
 		}
@@ -547,7 +521,7 @@ func (m *matcher) coreCandidates(unxt query.VertexID) []dict.VertexID {
 //
 //amber:hotloop
 func (m *matcher) matchComponent(ci int) {
-	if m.stopped || m.expired {
+	if m.stopped {
 		return
 	}
 	if ci == len(m.p.Components) {
@@ -557,7 +531,7 @@ func (m *matcher) matchComponent(ci int) {
 	comp := &m.p.Components[ci]
 	uinit := comp.Core[0]
 	for _, vinit := range m.initialCandidates(ci) {
-		if m.stopped || m.checkDeadline() {
+		if m.stopped || m.poll() {
 			return
 		}
 		if !m.matchSatellites(uinit, vinit, comp.Satellites[uinit]) {
@@ -576,12 +550,10 @@ func (m *matcher) matchComponent(ci int) {
 //
 //amber:hotloop
 func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int) {
-	if m.stopped || m.checkDeadline() {
+	if m.stopped || m.poll() {
 		return
 	}
-	if m.stats != nil {
-		m.stats.Recursions++
-	}
+	m.recursions++
 	if pos == len(comp.Core) {
 		// All cores matched. Counting adds the product of the satellite
 		// set sizes without materializing it; streaming expands the
@@ -602,7 +574,7 @@ func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int) {
 	cand := m.coreCandidates(unxt)
 	m.recordLevel(ci, pos, len(cand))
 	for _, vnxt := range cand {
-		if m.stopped || m.expired {
+		if m.stopped {
 			return
 		}
 		if !m.matchSatellites(unxt, vnxt, comp.Satellites[unxt]) {
@@ -620,7 +592,7 @@ func (m *matcher) homomorphicMatch(ci int, comp *plan.ComponentPlan, pos int) {
 //
 //amber:hotloop
 func (m *matcher) enumerateSatellites(ci int, sats []query.VertexID, k int) {
-	if m.stopped || m.expired {
+	if m.stopped {
 		return
 	}
 	if k == len(sats) {
@@ -629,7 +601,7 @@ func (m *matcher) enumerateSatellites(ci int, sats []query.VertexID, k int) {
 	}
 	us := sats[k]
 	for _, v := range m.satSets[us] {
-		if m.stopped || m.checkDeadline() {
+		if m.stopped || m.poll() {
 			return
 		}
 		m.asg[us] = v
@@ -642,9 +614,6 @@ func (m *matcher) enumerateSatellites(ci int, sats []query.VertexID, k int) {
 //amber:hotloop
 func (m *matcher) emit() {
 	m.yielded++
-	if m.stats != nil {
-		m.stats.Embeddings = m.yielded
-	}
 	if m.yield != nil && !m.yield(m.asg) {
 		m.stopped = true
 		return

@@ -276,13 +276,15 @@ func TestYieldAbort(t *testing.T) {
 func TestDeadline(t *testing.T) {
 	f := load(t, figure1)
 	qg := f.query(t, figure2)
-	opts := Options{Deadline: time.Now().Add(-time.Second)}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	opts := Options{Ctx: ctx}
 	err := Stream(f.rd(), qg, opts, func([]dict.VertexID) bool { return true })
-	if err != ErrDeadlineExceeded {
-		t.Errorf("Stream err = %v, want ErrDeadlineExceeded", err)
+	if err != context.DeadlineExceeded {
+		t.Errorf("Stream err = %v, want context.DeadlineExceeded", err)
 	}
-	if _, err := Count(f.rd(), qg, opts); err != ErrDeadlineExceeded {
-		t.Errorf("Count err = %v, want ErrDeadlineExceeded", err)
+	if _, err := Count(f.rd(), qg, opts); err != context.DeadlineExceeded {
+		t.Errorf("Count err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
@@ -619,9 +621,9 @@ func TestSaturatingArithmetic(t *testing.T) {
 	}
 }
 
-// TestMidRunDeadline exercises the periodic deadline check (not just the
-// upfront one): a deadline slightly in the future must interrupt a search
-// with a large embedding space.
+// TestMidRunDeadline exercises the periodic context poll (not just the
+// upfront check): a context deadline slightly in the future must
+// interrupt a search with a large embedding space.
 func TestMidRunDeadline(t *testing.T) {
 	// A dense bipartite graph: ?a p ?b . ?c p ?d gives |E|² embeddings.
 	var sb strings.Builder
@@ -634,11 +636,13 @@ func TestMidRunDeadline(t *testing.T) {
 	qg := f.query(t, `SELECT * WHERE {
   ?a <http://y/p> ?b . ?c <http://y/p> ?d . ?e <http://y/p> ?g .
 }`)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	err := Stream(f.rd(), qg, Options{Deadline: time.Now().Add(5 * time.Millisecond)},
+	err := Stream(f.rd(), qg, Options{Ctx: ctx},
 		func([]dict.VertexID) bool { return true })
 	elapsed := time.Since(start)
-	if err != ErrDeadlineExceeded {
+	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want mid-run deadline", err)
 	}
 	if elapsed > 2*time.Second {
@@ -682,7 +686,7 @@ func TestLimitDuringSatelliteEnumeration(t *testing.T) {
 	}
 }
 
-// TestCountDeadlineMidRun: a deadline that expires while Count's core
+// TestCountDeadlineMidRun: a context deadline that expires while Count's core
 // search is running aborts it. Every vertex of a 4-clique query is a core
 // vertex, and over 60 mutually linked data vertices the search has
 // 60·59·58·57 ≈ 11.7M core solutions, far more than fit in the deadline.
@@ -700,10 +704,12 @@ func TestCountDeadlineMidRun(t *testing.T) {
   ?a <http://p/t> ?b . ?a <http://p/t> ?c . ?a <http://p/t> ?d .
   ?b <http://p/t> ?c . ?b <http://p/t> ?d . ?c <http://p/t> ?d .
 }`)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err := Count(f.rd(), p, Options{Deadline: time.Now().Add(5 * time.Millisecond)})
+	_, err := Count(f.rd(), p, Options{Ctx: ctx})
 	elapsed := time.Since(start)
-	if err != ErrDeadlineExceeded {
+	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want mid-run deadline", err)
 	}
 	if elapsed > 2*time.Second {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -54,12 +55,15 @@ func TestPlannerEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := Options{Deadline: time.Now().Add(5 * time.Second)}
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				opts := Options{Ctx: ctx}
 				cost, err := Count(index.NewReader(g, ix), plan.CostBased().Plan(qg, index.NewReader(g, ix)), opts)
 				if err != nil {
+					cancel()
 					continue // deadline on a pathological query: nothing to compare
 				}
 				heur, err := Count(index.NewReader(g, ix), plan.Heuristic().Plan(qg, index.NewReader(g, ix)), opts)
+				cancel()
 				if err != nil {
 					continue
 				}
@@ -222,7 +226,9 @@ func benchQueries(b *testing.B, g *multigraph.Graph, ix *index.Index, triples []
 		if err != nil {
 			continue
 		}
-		cnt, err := Count(index.NewReader(g, ix), plan.Heuristic().Plan(qg, index.NewReader(g, ix)), Options{Deadline: time.Now().Add(2 * time.Second)})
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		cnt, err := Count(index.NewReader(g, ix), plan.Heuristic().Plan(qg, index.NewReader(g, ix)), Options{Ctx: ctx})
+		cancel()
 		if err != nil || cnt == 0 || cnt > 1_000_000 {
 			continue
 		}

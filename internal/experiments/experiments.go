@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -153,7 +154,9 @@ func (d *Dataset) RunQuery(name EngineName, q *sparql.Query, timeout time.Durati
 		if buildErr != nil {
 			return false, 0, 0
 		}
-		count, err = g.Count(engine.Options{Deadline: deadline})
+		ctx, cancel := context.WithDeadline(context.Background(), deadline)
+		count, err = g.Count(engine.Options{Ctx: ctx})
+		cancel()
 	case PermStore:
 		c := d.Store.Compile(q)
 		count, err = d.Store.Count(c, triplestore.Options{Deadline: deadline})

@@ -24,7 +24,7 @@ var (
 
 // ResourceMeter is one query's live resource account: atomic counters
 // the engine flushes into from its match loop (worker-local accumulation,
-// flushed at the deadline-poll cadence, so the hot loop never contends)
+// flushed at the context-poll cadence, so the hot loop never contends)
 // plus the server-side row and byte tallies. A nil meter is a valid
 // no-op receiver everywhere.
 //
@@ -62,7 +62,7 @@ func (m *ResourceMeter) SetVisitLimit(max uint64, cancel context.CancelCauseFunc
 }
 
 // FlushEngine accumulates one engine-side batch of counters. The engine
-// calls it from its throttled deadline-poll path (every few hundred
+// calls it from its throttled context-poll path (every few hundred
 // steps) and once at search end, so counters are live while the query
 // runs without an atomic op per match step.
 func (m *ResourceMeter) FlushEngine(candidates, visits, intersections, overlayProbes uint64) {
@@ -95,8 +95,9 @@ func (m *ResourceMeter) AddBytes(n uint64) {
 
 // SetProgress records the matching position: the plan level whose
 // candidate set was computed most recently, out of the plan's total core
-// levels (summed over components and, for UNION queries, reset per
-// branch).
+// levels (summed over components; for UNION queries, each branch's run
+// overwrites it). The engine stores it with each flush, so a live value
+// lags the search by at most one poll interval.
 func (m *ResourceMeter) SetProgress(level, total int) {
 	if m == nil {
 		return

@@ -30,14 +30,6 @@ func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 // Enabled reports whether Observe can ever write.
 func (s *SlowLog) Enabled() bool { return s != nil }
 
-// Threshold returns the configured duration floor (0 when disabled).
-func (s *SlowLog) Threshold() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.threshold
-}
-
 // Observe writes the trace as one JSON line if its sealed duration
 // meets the threshold. Call after Trace.Finish.
 func (s *SlowLog) Observe(t *Trace) {

@@ -25,11 +25,6 @@ import (
 // a Term with empty Datatype and Lang is an xsd:string literal.
 const XSDString = "http://www.w3.org/2001/XMLSchema#string"
 
-// LangString is the datatype IRI RDF 1.1 assigns to language-tagged
-// literals. It is implied by a non-empty Lang and never stored in
-// Term.Datatype.
-const LangString = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
-
 // TermKind discriminates the kinds of RDF terms the engine manipulates.
 type TermKind uint8
 
@@ -116,31 +111,12 @@ func (t Term) IsIRI() bool { return t.Kind == IRI }
 // IsLiteral reports whether the term is a literal.
 func (t Term) IsLiteral() bool { return t.Kind == Literal }
 
-// IsBlank reports whether the term is a blank node.
-func (t Term) IsBlank() bool { return t.Kind == Blank }
-
 // IsResource reports whether the term can denote a graph vertex: an IRI
 // or a blank node.
 func (t Term) IsResource() bool { return t.Kind == IRI || t.Kind == Blank }
 
 // IsZero reports whether the term is the zero Term.
 func (t Term) IsZero() bool { return t == Term{} }
-
-// DatatypeIRI returns the literal's effective datatype under RDF 1.1
-// semantics: the explicit datatype, rdf:langString for language-tagged
-// literals, xsd:string otherwise. It returns "" for non-literals.
-func (t Term) DatatypeIRI() string {
-	if t.Kind != Literal {
-		return ""
-	}
-	if t.Lang != "" {
-		return LangString
-	}
-	if t.Datatype == "" {
-		return XSDString
-	}
-	return t.Datatype
-}
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {

@@ -611,7 +611,7 @@ func (s *Server) outcome(ex *execution, err error) (status string, code int, msg
 		return "ok", 0, ""
 	case errors.Is(err, errClientGone):
 		return "client_gone", 0, ""
-	case errors.Is(err, amber.ErrTimeout), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded): // amber.ErrTimeout included
 		s.met.timeouts.Add(1)
 		return "timeout", http.StatusServiceUnavailable, fmt.Sprintf("query timed out after %s", ex.timeout)
 	case errors.Is(err, context.Canceled):

@@ -408,6 +408,24 @@ func TestTimeoutMapsTo503(t *testing.T) {
 	}
 }
 
+// TestMidRunTimeoutMapsTo503: a timeout that expires while the engine
+// searches — a context deadline firing between two polls, not one already
+// past at the first — is answered 503 "query timed out" as well.
+func TestMidRunTimeoutMapsTo503(t *testing.T) {
+	s, ts := newTestServer(t, slowSearchData(200, 30), Config{})
+	start := time.Now()
+	resp, body := get(t, queryURL(ts.URL, slowQueryText, "timeout", "50ms"), nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "query timed out after 50ms") {
+		t.Fatalf("status %d body %q, want 503 query timed out after 50ms", resp.StatusCode, body)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("timeout far overshot: %s", elapsed)
+	}
+	if st := s.Stats(); st.Timeouts != 1 || st.Cancelled != 0 {
+		t.Errorf("timeouts=%d cancelled=%d, want 1/0", st.Timeouts, st.Cancelled)
+	}
+}
+
 // holdQueries installs a test hook that blocks any query whose text
 // contains marker until the returned release function is called. started
 // receives one value per blocked query.

@@ -150,13 +150,6 @@ func DecodeFrame(b []byte) (Record, int, error) {
 	return rec, frameHeaderSize + int(n), nil
 }
 
-// EncodeFrame appends rec's full frame (length, CRC32-C, payload) to buf
-// and returns the extended slice — the wire encoding the replication
-// stream and the on-disk segments share.
-func EncodeFrame(buf []byte, rec *Record) []byte {
-	return encodeFrame(buf, rec)
-}
-
 // encodeFrame renders the full frame: length, CRC32-C, payload.
 func encodeFrame(buf []byte, r *Record) []byte {
 	start := len(buf)

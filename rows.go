@@ -112,9 +112,9 @@ func (r *Rows) Close() error {
 // QueryContext runs a SPARQL SELECT query and returns a cursor over its
 // solutions. The context cancels in-flight execution: when it is done,
 // the engine aborts within its polling interval and the cursor's Err
-// reports ctx.Err(). opts may be nil; a non-zero opts.Timeout applies in
-// addition to any context deadline (the tighter bound wins) and maps to
-// ErrTimeout.
+// reports ctx.Err(), a passed deadline as ErrTimeout. opts may be nil; a
+// non-zero opts.Timeout applies in addition to any context deadline (the
+// tighter bound wins) and also maps to ErrTimeout.
 func (db *DB) QueryContext(ctx context.Context, sparqlText string, opts *QueryOptions) (*Rows, error) {
 	p, err := db.Prepare(sparqlText)
 	if err != nil {
@@ -127,7 +127,7 @@ func (db *DB) QueryContext(ctx context.Context, sparqlText string, opts *QueryOp
 // DB.QueryContext.
 func (p *Prepared) QueryContext(ctx context.Context, opts *QueryOptions) (*Rows, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, mapExecErr(err)
 	}
 	next, stop := iter.Pull2(p.All(ctx, opts))
 	return &Rows{vars: p.cp.Projection(), next: next, stop: stop}, nil
@@ -149,7 +149,9 @@ func (p *Prepared) All(ctx context.Context, opts *QueryOptions) iter.Seq2[Bindin
 	return func(yield func(Binding, error) bool) {
 		vars := p.cp.Projection()
 		stopped := false
-		err := p.cp.Execute(opts.engineOptions(ctx), func(sol core.Solution) bool {
+		eo, cancel := opts.engineOptions(ctx)
+		defer cancel()
+		err := p.cp.Execute(eo, func(sol core.Solution) bool {
 			if !yield(Binding{vars: vars, index: p.index, terms: sol}, nil) {
 				stopped = true
 				return false
@@ -185,7 +187,9 @@ func (p *Prepared) IsAsk() bool { return p.cp.Query().Ask }
 // so ASK on a huge result set is cheap. Any query form is accepted, not
 // only ASK syntax. See QueryContext for context semantics.
 func (p *Prepared) AskContext(ctx context.Context, opts *QueryOptions) (bool, error) {
-	ok, err := p.cp.Ask(opts.engineOptions(ctx))
+	eo, cancel := opts.engineOptions(ctx)
+	defer cancel()
+	ok, err := p.cp.Ask(eo)
 	return ok, mapExecErr(err)
 }
 

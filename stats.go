@@ -86,6 +86,8 @@ func (db *DB) ExplainAnalyzeContext(ctx context.Context, sparqlText, planner str
 	if err != nil {
 		return "", err
 	}
-	out, err := db.store.ExplainAnalyze(pl, pq, opts.engineOptions(ctx))
+	eo, cancel := opts.engineOptions(ctx)
+	defer cancel()
+	out, err := db.store.ExplainAnalyze(pl, pq, eo)
 	return out, mapExecErr(err)
 }

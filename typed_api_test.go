@@ -237,6 +237,85 @@ func TestContextDeadlineMapsToTimeout(t *testing.T) {
 	}
 }
 
+// TestStopSignals: every facade entry point reports a negative Timeout
+// and a caller context whose deadline has passed as ErrTimeout, and a
+// cancellation of the caller's context as context.Canceled — with or
+// without a Timeout of its own.
+func TestStopSignals(t *testing.T) {
+	db := openTyped(t)
+	const q = `SELECT ?s WHERE { ?s <http://p/name> ?o }`
+	p, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []struct {
+		name string
+		run  func(context.Context, *QueryOptions) error
+	}{
+		{"QueryContext", func(ctx context.Context, opts *QueryOptions) error {
+			rows, err := db.QueryContext(ctx, q, opts)
+			if err != nil {
+				return err
+			}
+			for rows.Next() {
+			}
+			return rows.Close()
+		}},
+		{"All", func(ctx context.Context, opts *QueryOptions) error {
+			for _, err := range db.All(ctx, q, opts) {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"Count", func(ctx context.Context, opts *QueryOptions) error {
+			_, err := p.Count(ctx, opts)
+			return err
+		}},
+		{"AskContext", func(ctx context.Context, opts *QueryOptions) error {
+			_, err := p.AskContext(ctx, opts)
+			return err
+		}},
+		{"ExplainAnalyzeContext", func(ctx context.Context, opts *QueryOptions) error {
+			_, err := db.ExplainAnalyzeContext(ctx, q, "", opts)
+			return err
+		}},
+	}
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name string
+		ctx  context.Context
+		opts *QueryOptions
+		want error
+	}{
+		{"negative timeout", context.Background(), &QueryOptions{Timeout: -time.Second}, ErrTimeout},
+		{"passed deadline", expired, nil, ErrTimeout},
+		{"passed deadline under a timeout", expired, &QueryOptions{Timeout: time.Minute}, ErrTimeout},
+		{"cancel", cancelled, nil, context.Canceled},
+		{"cancel under a timeout", cancelled, &QueryOptions{Timeout: time.Minute}, context.Canceled},
+	}
+	for _, e := range entries {
+		for _, c := range cases {
+			if err := e.run(c.ctx, c.opts); err != c.want {
+				t.Errorf("%s, %s: err = %v, want %v", e.name, c.name, err, c.want)
+			}
+		}
+		if err := e.run(context.Background(), &QueryOptions{Timeout: time.Minute}); err != nil {
+			t.Errorf("%s under an unexpired timeout: %v", e.name, err)
+		}
+	}
+	if _, err := db.Count(q, &QueryOptions{Timeout: -time.Second}); err != ErrTimeout {
+		t.Errorf("DB.Count with a negative timeout: err = %v, want ErrTimeout", err)
+	}
+	if !errors.Is(ErrTimeout, context.DeadlineExceeded) {
+		t.Error("ErrTimeout does not match context.DeadlineExceeded")
+	}
+}
+
 func TestAsk(t *testing.T) {
 	db := openTyped(t)
 	cases := []struct {
