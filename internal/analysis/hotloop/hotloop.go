@@ -16,6 +16,14 @@
 // reintroduce a regression that is invisible in unit tests and obvious
 // at a million visits per query.
 //
+// Rule V1 also looks across packages: a marked function may not call a
+// function of another package that itself calls sync/atomic, such as a
+// meter method that stores progress in an atomic.
+// Each package's pass reports which of its functions call sync/atomic
+// directly and which calls its marked functions make into other
+// packages; the Global hook joins the two over the whole tree, so only
+// whole-tree runs (amber-vet ./..., the suite test) see this half.
+//
 // Two directive forms:
 //
 //	//amber:hotloop       — the function is a hot search step; content
@@ -30,6 +38,7 @@ package hotloop
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"repro/internal/analysis"
@@ -45,7 +54,22 @@ var Analyzer = &analysis.Analyzer{
 		"recurse — directly or mutually through other marked functions — must\n" +
 		"directly call a function marked //amber:hotloop poll, so every search\n" +
 		"cycle stays cancellable.",
-	Run: run,
+	Run:    run,
+	Global: global,
+}
+
+// facts is one package's Run result, for the cross-package half of V1.
+type facts struct {
+	atomic   map[string]bool // full names of functions that call sync/atomic
+	outCalls []outCall       // calls from marked functions into other packages
+}
+
+// outCall is one static call from a non-poll marked function to a
+// function of another package.
+type outCall struct {
+	pos    token.Pos
+	caller string
+	callee string // full name, as types.Func.FullName renders it
 }
 
 // fnInfo is the per-marked-function record.
@@ -58,6 +82,7 @@ type fnInfo struct {
 
 func run(pass *analysis.Pass) (any, error) {
 	info := pass.TypesInfo
+	fs := &facts{atomic: atomicCallers(pass)}
 
 	// Collect the marked set first: cycle detection needs it complete.
 	marked := map[*types.Func]*fnInfo{}
@@ -82,13 +107,9 @@ func run(pass *analysis.Pass) (any, error) {
 			marked[obj] = &fnInfo{decl: fn, poll: args == "poll"}
 		}
 	}
-	if len(marked) == 0 {
-		return 0, nil
-	}
-
 	for obj, fi := range marked {
 		fi.calls = map[*types.Func]bool{}
-		checkBody(pass, obj, fi, marked)
+		checkBody(pass, obj, fi, marked, fs)
 	}
 
 	// Rule P1: every non-poll marked function on a cycle within the
@@ -105,7 +126,62 @@ func run(pass *analysis.Pass) (any, error) {
 				obj.Name())
 		}
 	}
-	return len(marked), nil
+	return fs, nil
+}
+
+// atomicCallers returns the full names of the package's functions whose
+// bodies call sync/atomic.
+func atomicCallers(pass *analysis.Pass) map[string]bool {
+	out := map[string]bool{}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			found := false
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && !found {
+					c := analysis.Callee(pass.TypesInfo, call)
+					found = c != nil && analysis.IsPkg(c.Pkg(), "sync/atomic")
+				}
+				return !found
+			})
+			if found {
+				out[obj.FullName()] = true
+			}
+		}
+	}
+	return out
+}
+
+// global reports the calls marked functions make into another package's
+// functions that call sync/atomic.
+func global(results []analysis.Result, report func(token.Pos, string)) {
+	atomic := map[string]bool{}
+	for _, r := range results {
+		if fs, ok := r.Value.(*facts); ok {
+			for name := range fs.atomic {
+				atomic[name] = true
+			}
+		}
+	}
+	for _, r := range results {
+		fs, ok := r.Value.(*facts)
+		if !ok {
+			continue
+		}
+		for _, c := range fs.outCalls {
+			if atomic[c.callee] {
+				report(c.pos, "call in hot function "+c.caller+" to "+c.callee+
+					", which does atomic operations: per-visit counters belong in plain matcher fields, flushed by the poll path (flushMeter)")
+			}
+		}
+	}
 }
 
 // reaches reports whether start is reachable from fi through marked-set
@@ -128,7 +204,7 @@ func reaches(marked map[*types.Func]*fnInfo, fi *fnInfo, start *types.Func, seen
 
 // checkBody applies content rules V1–V5 to one marked function and
 // records its call edges for P1.
-func checkBody(pass *analysis.Pass, obj *types.Func, fi *fnInfo, marked map[*types.Func]*fnInfo) {
+func checkBody(pass *analysis.Pass, obj *types.Func, fi *fnInfo, marked map[*types.Func]*fnInfo, fs *facts) {
 	info := pass.TypesInfo
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -161,6 +237,9 @@ func checkBody(pass *analysis.Pass, obj *types.Func, fi *fnInfo, marked map[*typ
 			}
 			if fi.poll {
 				return true // the poll function is the sanctioned slow path
+			}
+			if pkg := callee.Pkg(); pkg != nil && pkg != pass.Pkg.Types {
+				fs.outCalls = append(fs.outCalls, outCall{pos: n.Pos(), caller: obj.Name(), callee: callee.FullName()})
 			}
 			switch {
 			case analysis.IsPkg(callee.Pkg(), "sync/atomic"):

@@ -232,7 +232,7 @@ func TestThreeEngineEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		ix := index.Build(mg)
-		qg, err := query.Build(pq, &mg.Dicts)
+		qg, err := query.Build(pq, mg.Terms())
 		if err != nil {
 			t.Fatal(err)
 		}

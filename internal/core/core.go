@@ -163,7 +163,7 @@ func estimateGraphBytes(g *multigraph.Graph) int64 {
 	labels, attrs := g.Entries()
 	bytes := 2 * (8*int64(g.NumEdges()) + 4*int64(labels))
 	bytes += 4 * int64(attrs)
-	return bytes + g.Dicts.Bytes()
+	return bytes + g.Terms().Bytes()
 }
 
 // estimateIndexBytes is an analytic size estimate of I = {A, S, N}.

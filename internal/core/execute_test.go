@@ -121,6 +121,51 @@ SELECT ?a ?b WHERE { ?a y:isPartOf ?b . FILTER (?a != ?a) }`)
 	}
 }
 
+// TestSaveAfterCancelledNewTerms: a batch that inserts triples with new
+// terms and one that deletes them again leave the overlay empty but the
+// terms interned in the generation's dictionaries. Save still writes the
+// snapshot it wrote before, byte for byte, and Compact drops the terms.
+func TestSaveAfterCancelledNewTerms(t *testing.T) {
+	s := newStore(t)
+	var before bytes.Buffer
+	if err := s.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	ts := []rdf.Triple{
+		{S: rdf.NewIRI("http://x/new1"), P: rdf.NewIRI("http://y/newp"), O: rdf.NewIRI("http://x/new2")},
+		{S: rdf.NewIRI("http://x/new1"), P: rdf.NewIRI("http://y/label"), O: rdf.NewLiteral("fresh")},
+	}
+	if err := s.Mutate(ts, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Mutate(nil, ts); err != nil {
+		t.Fatal(err)
+	}
+	grown := func() [3]bool { // Mv, Me, Ma hold more terms than the graph's own
+		g := s.Graph()
+		return [3]bool{g.Dicts.Vertices.Len() > g.NumVertices(), g.Dicts.EdgeTypes.Len() > g.NumEdgeTypes(), g.Dicts.Attrs.Len() > g.NumAttrs()}
+	}
+	if !s.Snapshot().Delta.Empty() || grown() != [3]bool{true, true, true} {
+		t.Fatalf("after insert and delete: overlay empty %v, dictionaries grown %v", s.Snapshot().Delta.Empty(), grown())
+	}
+	var after bytes.Buffer
+	if err := s.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Errorf("Save after the cancelled batch wrote %d bytes that differ from the %d before", after.Len(), before.Len())
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if g := grown(); g != [3]bool{} {
+		t.Errorf("after Compact the dictionaries still hold the cancelled terms: %v", g)
+	}
+	if _, ok := s.Snapshot().Delta.LookupVertex("http://x/new1"); ok {
+		t.Error("after Compact the cancelled vertex still resolves")
+	}
+}
+
 func TestSaveAndLoadStore(t *testing.T) {
 	s := newStore(t)
 	var buf bytes.Buffer

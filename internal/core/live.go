@@ -403,15 +403,19 @@ func (s *Store) commit(recs []wal.Record, mode logMode) error {
 // cycle's done channel, or nil when a compaction is already running or
 // none is due. Without force a compaction is due once the overlay has
 // outgrown the threshold; with force (Compact) whenever the overlay is
-// non-empty. The caller must release l.mu and then run
-// runClaimedCompaction(done). Caller holds l.mu.
+// non-empty or has interned terms into the base's dictionaries (a batch
+// that inserted and then deleted triples with new terms leaves them
+// there; only a new generation drops them). The caller must release l.mu
+// and then run runClaimedCompaction(done). Caller holds l.mu.
 func (l *liveState) claimCompactionLocked(force bool) chan struct{} {
 	if l.compacting {
 		return nil
 	}
-	nv := l.snap.Load().Delta
+	sn := l.snap.Load()
+	nv := sn.Delta
 	if force {
-		if nv.Empty() {
+		if nv.Empty() && nv.NumVertices() == sn.Graph.NumVertices() &&
+			nv.NumEdgeTypes() == sn.Graph.NumEdgeTypes() && nv.NumAttrs() == sn.Graph.NumAttrs() {
 			return nil
 		}
 	} else if th := l.compactThreshold.Load(); th <= 0 ||

@@ -90,17 +90,9 @@ func traced(tr *obs.Trace, bi int, pl *plan.Plan, opts engine.Options, run func(
 	opts.Stats = &st
 	err := run(opts)
 	if caller != nil {
-		caller.InitCandidates += st.InitCandidates
-		caller.Recursions += st.Recursions
-		caller.SatProbes += st.SatProbes
-		caller.Embeddings += st.Embeddings
+		caller.Add(st.EngineCounters)
 	}
-	tr.AddEngine(obs.EngineCounters{
-		InitCandidates: st.InitCandidates,
-		Recursions:     st.Recursions,
-		SatProbes:      st.SatProbes,
-		Embeddings:     st.Embeddings,
-	})
+	tr.AddEngine(st.EngineCounters)
 	if len(st.Levels) == 0 {
 		return err
 	}

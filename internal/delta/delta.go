@@ -8,18 +8,26 @@
 // The design keeps the paper's expensive index ensemble untouched per
 // generation: a View records only the difference — added triples and
 // tombstones over the base — plus its own small side indexes (per-pair
-// edge-type deltas, per-vertex touch lists, an attribute add/remove
-// inverted index, and dictionary extensions for IRIs the base has never
-// seen). Probes consult the base ensemble first and correct its answer
-// through the overlay, so overlay matching stays sublinear in the base
-// and linear only in the delta.
+// edge-type deltas, per-vertex touch lists and an attribute add/remove
+// inverted index). Probes consult the base ensemble first and correct
+// its answer through the overlay, so overlay matching stays sublinear in
+// the base and linear only in the delta.
+//
+// There is one set of dictionaries per generation, Mv, Me and Ma of the
+// paper's Table 2: the overlay's writer interns terms the base has never
+// seen straight into the base graph's Dicts, so their ids continue the
+// base's dense ranges in intern order. Each View carries a dict.Snapshot
+// taken when it was published, which answers every dictionary question
+// with one access and fixes the View's id bounds: a term interned by a
+// later batch is absent from it, and NumVertices, NumEdgeTypes and
+// NumAttrs are its lengths.
 //
 // # Writer-owned overlay, frozen views
 //
 // All Views published over one base generation share a single
 // writer-owned overlay (the shared struct). A View is a lightweight
-// handle: a version number plus fixed-length prefixes of the shared
-// append-only structures. Apply mutates the shared overlay in place at
+// handle: a version number, its dictionary snapshot and a fixed-length
+// prefix of the shared touched list. Apply mutates the shared overlay in place at
 // the next version and returns a new View bound to it — O(batch) work,
 // independent of how much overlay has accumulated — instead of deep
 // copying the whole overlay per batch.
@@ -30,8 +38,8 @@
 // copy-on-write bucket per mutation, and a reader walks to the newest
 // bucket at or below its View's version. Structures whose entries are
 // monotone supersets verified by exact probes downstream (touch lists,
-// the touched-vertex list, dictionary extensions) are shared outright
-// and filtered by the View's id bounds.
+// the touched-vertex list) are shared outright and filtered by the
+// View's id bounds.
 //
 // Apply must be called on the newest View of its overlay — the shape
 // internal/core.Store's serialized writer guarantees. Readers need no
@@ -164,18 +172,6 @@ type shared struct {
 	// ver is the version of the newest published View (writer only).
 	ver uint64
 
-	// Dictionary extensions for entities the base has never interned.
-	// Overlay ids continue the base's dense ranges in intern order, so a
-	// View admits exactly the ids below its captured bounds — the maps
-	// are monotone and never need version chains.
-	vertID   swmap[string, dict.VertexID]
-	etID     swmap[string, dict.EdgeType]
-	attrID   swmap[dict.Attribute, dict.AttrID]
-	vertIRI  []string // writer-owned append-only; Views capture prefixes
-	etIRI    []string
-	attrVal  []dict.Attribute
-	attrPred swmap[string, []dict.AttrID] // immutable buckets, ascending
-
 	// Exact-visibility overlay state: version-chained COW buckets.
 	pairs    verMap[edgeKey, pairDelta]
 	addAttrs verMap[dict.VertexID, []dict.AttrID]
@@ -215,17 +211,20 @@ const nodeBytes = 48
 // The zero value is not usable; start from NewView and evolve with Apply.
 // A View is safe for concurrent readers, including readers concurrent
 // with a later Apply on the same overlay.
+//
+// The embedded dict.Snapshot is the generation's dictionaries as this
+// View was published: it implements dict.Resolver for the View and its
+// lengths are the View's id bounds.
 type View struct {
+	dict.Snapshot
+
 	sh  *shared
 	ver uint64
 
-	// Prefix captures of the shared append-only structures: the slice
-	// headers fix this View's id bounds (the writer only ever appends
-	// beyond every published length).
-	vertIRI []string
-	etIRI   []string
-	attrVal []dict.Attribute
-	touched []dict.VertexID // first-touch order; sorted lazily below
+	// touched is a prefix capture of the shared first-touch list (the
+	// writer only ever appends beyond every published length); it is
+	// sorted lazily below.
+	touched []dict.VertexID
 
 	touchOnce     sync.Once
 	sortedTouched []dict.VertexID
@@ -244,7 +243,12 @@ type View struct {
 	card     *index.Cardinalities
 }
 
-// NewView returns the empty overlay over a frozen generation.
+// NewView returns the empty overlay over a frozen generation. Its
+// dictionary snapshot is the graph's own (multigraph.Graph.Terms).
+//
+// Only one View lineage per graph may Apply: each lineage interns into
+// the graph's Dicts, which have one writer. Further NewViews over the
+// same graph that are only read are safe at any time.
 func NewView(g *multigraph.Graph, ix *index.Index) *View {
 	sh := &shared{
 		g: g, ix: ix,
@@ -253,7 +257,7 @@ func NewView(g *multigraph.Graph, ix *index.Index) *View {
 		baseNA:     g.NumAttrs(),
 		touchedSet: make(map[dict.VertexID]bool),
 	}
-	return &View{sh: sh, numTriples: g.NumTriples()}
+	return &View{Snapshot: *g.Terms(), sh: sh, numTriples: g.NumTriples()}
 }
 
 // Base returns the frozen generation the view overlays.
@@ -276,13 +280,13 @@ func (v *View) Tombstones() int { return v.edgeDels + v.attrDels }
 func (v *View) NumTriples() int { return v.numTriples }
 
 // NumVertices reports |V| of the merged view.
-func (v *View) NumVertices() int { return v.sh.baseNV + len(v.vertIRI) }
+func (v *View) NumVertices() int { return v.Vertices.Len() }
 
 // NumEdgeTypes reports |T| of the merged view.
-func (v *View) NumEdgeTypes() int { return v.sh.baseNT + len(v.etIRI) }
+func (v *View) NumEdgeTypes() int { return v.Snapshot.EdgeTypes.Len() }
 
 // NumAttrs reports |A| of the merged view.
-func (v *View) NumAttrs() int { return v.sh.baseNA + len(v.attrVal) }
+func (v *View) NumAttrs() int { return v.Attrs.Len() }
 
 // NumEdges estimates the merged distinct-pair edge count: the base count
 // plus pairs the overlay created (tombstoned-empty pairs are not
@@ -301,92 +305,6 @@ func (v *View) Versions() int { return int(v.sh.versions.Load()) }
 // O(batch) claim is measured.
 func (v *View) CopyStats() (entries, bytes uint64) {
 	return v.sh.copiedEntries.Load(), v.sh.copiedBytes.Load()
-}
-
-// ---- dict.Resolver -----------------------------------------------------
-
-// LookupVertex resolves an IRI against base then overlay dictionaries.
-func (v *View) LookupVertex(iri string) (dict.VertexID, bool) {
-	if id, ok := v.sh.g.Dicts.LookupVertex(iri); ok {
-		return id, true
-	}
-	if x := v.sh.vertID.load(iri); x != nil {
-		if id := *x; int(id) < v.sh.baseNV+len(v.vertIRI) {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// LookupEdgeType resolves a predicate IRI.
-func (v *View) LookupEdgeType(predicate string) (dict.EdgeType, bool) {
-	if id, ok := v.sh.g.Dicts.LookupEdgeType(predicate); ok {
-		return id, true
-	}
-	if x := v.sh.etID.load(predicate); x != nil {
-		if id := *x; int(id) < v.sh.baseNT+len(v.etIRI) {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// LookupAttr resolves a <predicate, literal-term> tuple.
-func (v *View) LookupAttr(predicate string, o rdf.Term) (dict.AttrID, bool) {
-	if id, ok := v.sh.g.Dicts.LookupAttr(predicate, o); ok {
-		return id, true
-	}
-	if x := v.sh.attrID.load(dict.AttributeOf(predicate, o)); x != nil {
-		if id := *x; int(id) < v.sh.baseNA+len(v.attrVal) {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// VertexIRI applies Mv⁻¹ across base and overlay id ranges.
-func (v *View) VertexIRI(id dict.VertexID) string {
-	if int(id) < v.sh.baseNV {
-		return v.sh.g.Dicts.VertexIRI(id)
-	}
-	return v.vertIRI[int(id)-v.sh.baseNV]
-}
-
-// EdgeTypeIRI applies Me⁻¹ across base and overlay id ranges.
-func (v *View) EdgeTypeIRI(t dict.EdgeType) string {
-	if int(t) < v.sh.baseNT {
-		return v.sh.g.Dicts.EdgeTypeIRI(t)
-	}
-	return v.etIRI[int(t)-v.sh.baseNT]
-}
-
-// Attr applies Ma⁻¹ across base and overlay id ranges.
-func (v *View) Attr(a dict.AttrID) dict.Attribute {
-	if int(a) < v.sh.baseNA {
-		return v.sh.g.Dicts.Attr(a)
-	}
-	return v.attrVal[int(a)-v.sh.baseNA]
-}
-
-// PredicateAttrs returns the sorted attribute ids carrying the predicate
-// across base and overlay dictionaries (base ids precede overlay ids, so
-// concatenation preserves order). Overlay ids are ascending in intern
-// order, so the View's id bound cuts a prefix of the shared list.
-func (v *View) PredicateAttrs(predicate string) []dict.AttrID {
-	base := v.sh.g.Dicts.PredicateAttrs(predicate)
-	var over []dict.AttrID
-	if x := v.sh.attrPred.load(predicate); x != nil {
-		over = *x
-		bound := dict.AttrID(v.sh.baseNA + len(v.attrVal))
-		cut := sort.Search(len(over), func(i int) bool { return over[i] >= bound })
-		over = over[:cut]
-	}
-	if len(over) == 0 {
-		return base
-	}
-	out := make([]dict.AttrID, 0, len(base)+len(over))
-	out = append(out, base...)
-	return append(out, over...)
 }
 
 // ---- index.Reader ------------------------------------------------------
@@ -648,17 +566,17 @@ func (v *View) blendCardinalities(base *index.Cardinalities) *index.Cardinalitie
 func (v *View) Triples(yield func(rdf.Triple) bool) bool {
 	for i := 0; i < v.sh.baseNV; i++ {
 		vid := dict.VertexID(i)
-		s := rdf.NewResource(v.sh.g.Dicts.VertexIRI(vid))
+		s := rdf.NewResource(v.VertexIRI(vid))
 		out := v.sh.g.Out(vid)
 		for i := 0; i < out.Len(); i++ {
 			w := out.V(i)
 			pd, hasPD := v.sh.pairs.get(edgeKey{vid, w}, v.ver)
-			o := rdf.NewResource(v.sh.g.Dicts.VertexIRI(w))
+			o := rdf.NewResource(v.VertexIRI(w))
 			for _, t := range out.Types(i) {
 				if hasPD && otil.ContainsSorted(pd.del, t) {
 					continue
 				}
-				if !yield(rdf.Triple{S: s, P: rdf.NewIRI(v.sh.g.Dicts.EdgeTypeIRI(t)), O: o}) {
+				if !yield(rdf.Triple{S: s, P: rdf.NewIRI(v.EdgeTypeIRI(t)), O: o}) {
 					return false
 				}
 			}
@@ -668,7 +586,7 @@ func (v *View) Triples(yield func(rdf.Triple) bool) bool {
 			if otil.ContainsSorted(da, a) {
 				continue
 			}
-			at := v.sh.g.Dicts.Attr(a)
+			at := v.Attr(a)
 			if !yield(rdf.Triple{S: s, P: rdf.NewIRI(at.Predicate), O: at.Literal()}) {
 				return false
 			}
@@ -799,29 +717,11 @@ func (v *View) Apply(adds, dels []rdf.Triple) (*View, error) {
 type writer struct {
 	sh  *shared
 	ver uint64
-	nv  View // counters evolve here; prefixes are captured at freeze
+	nv  View // counters evolve here; freeze captures the rest
 
 	copiedEntries uint64
 	copiedBytes   uint64
 	versions      uint64
-
-	// memo holds the two vertex bindings the previous triple resolved,
-	// plus the last edge-type binding. Streamed batches (chains, stars,
-	// sorted dumps) repeat an endpoint or predicate from one triple to
-	// the next, and a byte-compare beats the two map probes a full
-	// dictionary resolve pays. Bindings never change within a writer's
-	// lifetime, so a hit is always exact; the empty string never matches
-	// because Validate rejects empty IRIs.
-	memoIRI [2]string
-	memoID  [2]dict.VertexID
-	memoP   string
-	memoET  dict.EdgeType
-}
-
-// memoVertex records iri→id as the most recent vertex resolve.
-func (w *writer) memoVertex(iri string, id dict.VertexID) {
-	w.memoIRI[1], w.memoID[1] = w.memoIRI[0], w.memoID[0]
-	w.memoIRI[0], w.memoID[0] = iri, id
 }
 
 func (w *writer) noteCopy(entries int) {
@@ -831,7 +731,7 @@ func (w *writer) noteCopy(entries int) {
 }
 
 // freeze publishes the batch: the new version becomes current and the
-// View captures its prefixes of the shared append-only structures.
+// View captures the dictionaries and its prefix of the touched list.
 func (w *writer) freeze() *View {
 	sh := w.sh
 	sh.ver = w.ver
@@ -841,8 +741,8 @@ func (w *writer) freeze() *View {
 		sh.versions.Add(w.versions)
 	}
 	nv := &View{
-		sh: sh, ver: w.ver,
-		vertIRI: sh.vertIRI, etIRI: sh.etIRI, attrVal: sh.attrVal,
+		Snapshot: sh.g.Dicts.Snapshot(),
+		sh:       sh, ver: w.ver,
 		touched:  sh.touched,
 		edgeAdds: w.nv.edgeAdds, edgeDels: w.nv.edgeDels,
 		attrAdds: w.nv.attrAdds, attrDels: w.nv.attrDels,
@@ -851,50 +751,15 @@ func (w *writer) freeze() *View {
 	return nv
 }
 
-// internVertex resolves or assigns a vertex id across base + overlay.
-// The writer is the swmap's single mutator, so it resolves against the
-// same structure readers load from — no mirror to keep in step.
+// internVertex resolves or assigns a vertex id in the generation's Mv.
+// A new vertex is touched, so that SignatureCandidates offers it.
 func (w *writer) internVertex(iri string) dict.VertexID {
-	if id, ok := w.lookupVertex(iri); ok {
-		return id
+	d := &w.sh.g.Dicts
+	n := d.Vertices.Len()
+	id := d.InternVertex(iri)
+	if int(id) == n {
+		w.touch(id)
 	}
-	id := dict.VertexID(w.sh.baseNV + len(w.sh.vertIRI))
-	w.sh.vertIRI = append(w.sh.vertIRI, iri)
-	w.sh.vertID.insert(iri, &id)
-	w.touch(id)
-	w.memoVertex(iri, id)
-	return id
-}
-
-func (w *writer) internEdgeType(p string) dict.EdgeType {
-	if id, ok := w.lookupEdgeType(p); ok {
-		return id
-	}
-	id := dict.EdgeType(w.sh.baseNT + len(w.sh.etIRI))
-	w.sh.etIRI = append(w.sh.etIRI, p)
-	w.sh.etID.insert(p, &id)
-	w.memoP, w.memoET = p, id
-	return id
-}
-
-func (w *writer) internAttr(p string, o rdf.Term) dict.AttrID {
-	a := dict.AttributeOf(p, o)
-	if id, ok := w.sh.g.Dicts.LookupAttr(p, o); ok {
-		return id
-	}
-	if x := w.sh.attrID.load(a); x != nil {
-		return *x
-	}
-	id := dict.AttrID(w.sh.baseNA + len(w.sh.attrVal))
-	w.sh.attrVal = append(w.sh.attrVal, a)
-	w.sh.attrID.insert(a, &id)
-	var pred []dict.AttrID
-	if x := w.sh.attrPred.load(p); x != nil {
-		pred = *x
-	}
-	next := make([]dict.AttrID, 0, len(pred)+1)
-	next = append(append(next, pred...), id) // ids intern in ascending order
-	w.sh.attrPred.store(p, &next)
 	return id
 }
 
@@ -989,7 +854,7 @@ func (w *writer) setAttrSet(fwd *verMap[dict.VertexID, []dict.AttrID], inv *verM
 func (w *writer) insert(t rdf.Triple) {
 	s := w.internVertex(t.S.Value)
 	if t.O.IsLiteral() {
-		a := w.internAttr(t.P.Value, t.O)
+		a := w.sh.g.Dicts.InternAttr(t.P.Value, t.O)
 		if daR := w.sh.delAttrs.ref(s); daR.head != nil && otil.ContainsSorted(daR.head.val, a) {
 			w.setAttrSet(&w.sh.delAttrs, &w.sh.attrDel, s, daR, removeSorted(daR.head.val, a), a, false)
 			w.nv.attrDels--
@@ -1013,7 +878,7 @@ func (w *writer) insert(t rdf.Triple) {
 		return
 	}
 	o := w.internVertex(t.O.Value)
-	et := w.internEdgeType(t.P.Value)
+	et := w.sh.g.Dicts.InternEdgeType(t.P.Value)
 	k := edgeKey{s, o}
 	ref := w.sh.pairs.ref(k)
 	var pd pairDelta
@@ -1104,46 +969,17 @@ func (w *writer) delete(t rdf.Triple) {
 }
 
 func (w *writer) lookupVertex(iri string) (dict.VertexID, bool) {
-	if iri == w.memoIRI[0] {
-		return w.memoID[0], true
-	}
-	if iri == w.memoIRI[1] {
-		return w.memoID[1], true
-	}
-	if id, ok := w.sh.g.Dicts.LookupVertex(iri); ok {
-		w.memoVertex(iri, id)
-		return id, true
-	}
-	if x := w.sh.vertID.load(iri); x != nil {
-		w.memoVertex(iri, *x)
-		return *x, true
-	}
-	return 0, false
+	id, ok := w.sh.g.Dicts.Vertices.Lookup(iri)
+	return dict.VertexID(id), ok
 }
 
 func (w *writer) lookupEdgeType(p string) (dict.EdgeType, bool) {
-	if p == w.memoP {
-		return w.memoET, true
-	}
-	if id, ok := w.sh.g.Dicts.LookupEdgeType(p); ok {
-		w.memoP, w.memoET = p, id
-		return id, true
-	}
-	if x := w.sh.etID.load(p); x != nil {
-		w.memoP, w.memoET = p, *x
-		return *x, true
-	}
-	return 0, false
+	id, ok := w.sh.g.Dicts.EdgeTypes.Lookup(p)
+	return dict.EdgeType(id), ok
 }
 
 func (w *writer) lookupAttr(p string, o rdf.Term) (dict.AttrID, bool) {
-	if id, ok := w.sh.g.Dicts.LookupAttr(p, o); ok {
-		return id, true
-	}
-	if x := w.sh.attrID.load(dict.AttributeOf(p, o)); x != nil {
-		return *x, true
-	}
-	return 0, false
+	return w.sh.g.Dicts.Attrs.Lookup(dict.AttributeOf(p, o))
 }
 
 // ---- sorted-slice helpers ----------------------------------------------

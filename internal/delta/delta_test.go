@@ -170,6 +170,57 @@ func TestViewNewVerticesAndAttrs(t *testing.T) {
 	}
 }
 
+// TestPublishedViewKeepsItsBounds: the overlay interns new terms into
+// the base graph's dictionaries, yet a View published before the batch
+// that introduced them still reports them absent, and neither its counts
+// nor the graph's move.
+func TestPublishedViewKeepsItsBounds(t *testing.T) {
+	g, ix := buildBase(t, baseData)
+	nv, nt, na := g.NumVertices(), g.NumEdgeTypes(), g.NumAttrs()
+	v0 := NewView(g, ix)
+	v1, err := v0.Apply([]rdf.Triple{tr("http://x/c", "http://p/knows", "http://x/a")}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := v1.Apply([]rdf.Triple{
+		tr("http://x/new1", "http://p/newp", "http://x/new2"),
+		trLit("http://x/a", "http://p/newattr", "fresh"),
+		trLit("http://x/c", "http://p/name", "cy"),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []*View{v0, v1} {
+		if v.NumVertices() != nv || v.NumEdgeTypes() != nt || v.NumAttrs() != na {
+			t.Errorf("view %d: counts %d/%d/%d, want %d/%d/%d", i, v.NumVertices(), v.NumEdgeTypes(), v.NumAttrs(), nv, nt, na)
+		}
+		_, okV1 := v.LookupVertex("http://x/new1")
+		_, okV2 := v.LookupVertex("http://x/new2")
+		_, okE := v.LookupEdgeType("http://p/newp")
+		_, okA1 := v.LookupAttr("http://p/newattr", rdf.NewLiteral("fresh"))
+		_, okA2 := v.LookupAttr("http://p/name", rdf.NewLiteral("cy"))
+		if okV1 || okV2 || okE || okA1 || okA2 {
+			t.Errorf("view %d resolves a term a later batch introduced: %v %v %v %v %v", i, okV1, okV2, okE, okA1, okA2)
+		}
+		if got := v.PredicateAttrs("http://p/name"); len(got) != 2 {
+			t.Errorf("view %d: PredicateAttrs(name) = %v, want the base's two", i, got)
+		}
+		if got := v.PredicateAttrs("http://p/newattr"); got != nil {
+			t.Errorf("view %d: PredicateAttrs(newattr) = %v, want nil", i, got)
+		}
+	}
+	if v2.NumVertices() != nv+2 || v2.NumEdgeTypes() != nt+1 || v2.NumAttrs() != na+2 {
+		t.Errorf("new view: counts %d/%d/%d, want %d/%d/%d", v2.NumVertices(), v2.NumEdgeTypes(), v2.NumAttrs(), nv+2, nt+1, na+2)
+	}
+	cy, ok := v2.LookupAttr("http://p/name", rdf.NewLiteral("cy"))
+	if got := v2.PredicateAttrs("http://p/name"); !ok || len(got) != 3 || got[2] != cy {
+		t.Errorf("new view: PredicateAttrs(name) = %v, want the base's two then %d", got, cy)
+	}
+	if g.NumVertices() != nv || g.NumEdgeTypes() != nt || g.NumAttrs() != na {
+		t.Errorf("graph counts moved to %d/%d/%d", g.NumVertices(), g.NumEdgeTypes(), g.NumAttrs())
+	}
+}
+
 func TestViewSignatureCandidatesIncludeTouched(t *testing.T) {
 	g, ix := buildBase(t, baseData)
 	v, err := NewView(g, ix).Apply([]rdf.Triple{
@@ -304,13 +355,13 @@ func TestViewMatchesRebuild(t *testing.T) {
 		ix2 := index.Build(g2)
 		rd2 := index.NewReader(g2, ix2)
 		for vi := 0; vi < g2.NumVertices(); vi++ {
-			iriS := g2.Dicts.VertexIRI(dict.VertexID(vi))
+			iriS := g2.Terms().VertexIRI(dict.VertexID(vi))
 			ov, ok := v.LookupVertex(iriS)
 			if !ok {
 				t.Fatalf("trial %d: overlay missing vertex %s", trial, iriS)
 			}
 			for ti := 0; ti < g2.NumEdgeTypes(); ti++ {
-				pIRI := g2.Dicts.EdgeTypeIRI(dict.EdgeType(ti))
+				pIRI := g2.Terms().EdgeTypeIRI(dict.EdgeType(ti))
 				ot, ok := v.LookupEdgeType(pIRI)
 				if !ok {
 					t.Fatalf("trial %d: overlay missing predicate %s", trial, pIRI)
@@ -320,7 +371,7 @@ func TestViewMatchesRebuild(t *testing.T) {
 					// so compare the probe results as sorted IRI sets.
 					var wantIRIs, gotIRIs []string
 					for _, w := range rd2.Neighbors(dict.VertexID(vi), dir, []dict.EdgeType{dict.EdgeType(ti)}) {
-						wantIRIs = append(wantIRIs, g2.Dicts.VertexIRI(w))
+						wantIRIs = append(wantIRIs, g2.Terms().VertexIRI(w))
 					}
 					for _, w := range v.Neighbors(ov, dir, []dict.EdgeType{ot}) {
 						gotIRIs = append(gotIRIs, v.VertexIRI(w))
@@ -336,7 +387,7 @@ func TestViewMatchesRebuild(t *testing.T) {
 		}
 		// Attribute lists agree.
 		for ai := 0; ai < g2.NumAttrs(); ai++ {
-			at := g2.Dicts.Attr(dict.AttrID(ai))
+			at := g2.Terms().Attr(dict.AttrID(ai))
 			oa, ok := v.LookupAttr(at.Predicate, at.Literal())
 			if !ok {
 				t.Fatalf("trial %d: overlay missing attr %v", trial, at)

@@ -70,15 +70,6 @@ func (m *swmap[K, V]) entry(k K) *swentry[K, V] {
 	return nil
 }
 
-// store inserts or updates k (writer only).
-func (m *swmap[K, V]) store(k K, v *V) {
-	if e := m.entry(k); e != nil {
-		e.val.Store(v)
-		return
-	}
-	m.insert(k, v)
-}
-
 // insert adds a key the writer knows is absent.
 func (m *swmap[K, V]) insert(k K, v *V) {
 	t := m.table.Load()

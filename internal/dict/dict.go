@@ -24,13 +24,26 @@
 // predicate, datatype and language tag in a name table inside Ma, so each
 // predicate is stored once; Me keeps its own ids, which are the synopsis
 // alphabet and the snapshot's order. Lookup hashes the key with
-// hash/maphash, under a seed fixed when the dictionary takes its first
-// entry, into an open-addressing []uint32 table kept at most three
+// hash/maphash, under a seed fixed before the dictionary is first read,
+// into an open-addressing table of atomic 32-bit slots kept at most three
 // quarters full, and probes linearly. A slot holds id+1 and, in the bits
 // the table's size leaves free, a tag from the key's hash, so a lookup
-// that misses rarely reads anything but the table. The read methods write nothing, not
-// even a lazy initialisation, because every reader of a generation shares
-// its base dictionaries.
+// that misses rarely reads anything but the table.
+//
+// One writer, many snapshots. A dictionary has one writer; readers read
+// a Snapshot (or the Strings and Attrs handles inside it), a copy of
+// the dictionary's array headers taken by the writer. Interning after a
+// snapshot never writes memory the snapshot reads, with one exception: a
+// new key may fill a table slot the snapshot's probes pass, which is why
+// slots are atomic words, and why a probe skips ids at or above the
+// snapshot's length. Everything else the writer appends beyond every
+// published length or into fresh arrays: table growth, a new arena chunk
+// and a longer location, record or posting-list slice all leave the old
+// arrays as they were. So a snapshot answers exactly as the dictionary
+// did when it was taken, however far the writer has gone since. This is
+// what lets a generation's live-update overlay intern new terms into the
+// very dictionaries its base was built with, while readers of older
+// views keep their id bounds.
 package dict
 
 import (
@@ -38,6 +51,8 @@ import (
 	"hash/maphash"
 	"iter"
 	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/rdf"
 )
@@ -69,17 +84,29 @@ func IsAttrBinding(v VertexID) bool { return v&litBindingBit != 0 }
 // AttrBinding unpacks an encoded attribute binding.
 func AttrBinding(v VertexID) AttrID { return AttrID(v &^ litBindingBit) }
 
+// Strings is a read handle on a StringDict: the dictionary as it stood
+// when StringDict.Snapshot took it. Its methods write nothing, so any
+// number of goroutines may read one, also while the writer interns on.
+type Strings struct {
+	arena
+	locs []loc
+	ids  table
+}
+
 // StringDict is a bidirectional string↔dense-id dictionary. The strings
 // live in an append-only byte arena and each id has one packed location,
 // so a dictionary is a fixed handful of pointer-free arrays whatever its
 // size. Lookup probes an open-addressing table of ids, hashed with a seed
-// fixed when the first string is interned.
-// The zero value is ready to use; the read methods write nothing, so any
-// number of goroutines may read a dictionary nobody is writing.
-type StringDict struct {
-	arena
-	locs []loc
-	ids  table
+// fixed before the first intern or snapshot.
+// The zero value is ready to use. Its read methods are those of Strings,
+// for its writer; other goroutines read a Snapshot.
+type StringDict struct{ Strings }
+
+// Snapshot returns a read handle on the dictionary as it stands. Later
+// interns never change what the handle reads (see the package doc).
+func (d *StringDict) Snapshot() Strings {
+	d.ids.fixSeed()
+	return d.Strings
 }
 
 // Intern returns the id for s, assigning the next dense id on first sight.
@@ -111,15 +138,16 @@ func (d *StringDict) fit(n int) {
 	d.ids.fit(n, len(d.locs), func(id int) uint64 { return maphash.String(d.ids.seed, d.get(d.locs[id])) })
 }
 
-// find looks s up under its hash h; see table.find.
-func (d *StringDict) find(s string) (h uint64, id uint32, at int, ok bool) {
+// find looks s up under its hash h; see table.find. Ids at or above the
+// handle's length belong to later interns and never match.
+func (d *Strings) find(s string) (h uint64, id uint32, at int, ok bool) {
 	h = maphash.String(d.ids.seed, s)
-	id, at, ok = d.ids.find(h, func(id uint32) bool { return d.get(d.locs[id]) == s })
+	id, at, ok = d.ids.find(h, func(id uint32) bool { return int(id) < len(d.locs) && d.get(d.locs[id]) == s })
 	return h, id, at, ok
 }
 
 // Lookup returns the id for s without interning.
-func (d *StringDict) Lookup(s string) (uint32, bool) {
+func (d *Strings) Lookup(s string) (uint32, bool) {
 	if len(d.locs) == 0 {
 		return 0, false
 	}
@@ -130,7 +158,7 @@ func (d *StringDict) Lookup(s string) (uint32, bool) {
 // Value returns the string for id, a view into the arena that later
 // interns never change; it panics on out-of-range ids, which indicate a
 // programming error rather than bad input.
-func (d *StringDict) Value(id uint32) string {
+func (d *Strings) Value(id uint32) string {
 	if int(id) >= len(d.locs) {
 		panic(fmt.Sprintf("dict: id %d out of range (len %d)", id, len(d.locs)))
 	}
@@ -138,13 +166,13 @@ func (d *StringDict) Value(id uint32) string {
 }
 
 // Len reports the number of interned strings.
-func (d *StringDict) Len() int { return len(d.locs) }
+func (d *Strings) Len() int { return len(d.locs) }
 
 // Bytes is the dictionary's analytic size: its string bytes, plus 12
 // bytes per id for its location and one table slot. It counts lengths,
 // not capacities, so equal contents report equal sizes however they were
 // built.
-func (d *StringDict) Bytes() int64 { return int64(d.bytes) + 12*int64(len(d.locs)) }
+func (d *Strings) Bytes() int64 { return int64(d.bytes) + 12*int64(len(d.locs)) }
 
 // table is an open-addressing hash table of ids, shared by the
 // dictionaries. A key's probe sequence runs linearly from the slot its
@@ -152,24 +180,32 @@ func (d *StringDict) Bytes() int64 { return int64(d.bytes) + 12*int64(len(d.locs
 // empty, and the low bits of the key's hash above them as a tag, so a
 // probe that passes a different key's slot almost never reads that key:
 // a lookup that misses reads the table alone. It is kept at most three
-// quarters full.
+// quarters full. The slots are atomic because the writer fills empty
+// ones that snapshots taken earlier still probe; growth fills a new
+// array and leaves the old one as it was.
 type table struct {
-	slots  []uint32
+	slots  []atomic.Uint32
 	idBits uint // enough bits for len(slots), so for any id+1 it holds
 	seed   maphash.Seed
 }
 
+// fixSeed gives the table its seed if it has none yet. The writer calls
+// it before the first growth and before every snapshot, so no reader
+// ever sees the seed change.
+func (t *table) fixSeed() {
+	if t.seed == (maphash.Seed{}) {
+		t.seed = maphash.MakeSeed()
+	}
+}
+
 // fit grows the table, when needed, so that n ids fill at most three
-// quarters of it, and re-places the have ids it holds by their hashes. The
-// first growth fixes the seed, so the read path never has to.
+// quarters of it, and re-places the have ids it holds by their hashes.
 func (t *table) fit(n, have int, hash func(id int) uint64) {
 	if 4*n <= 3*len(t.slots) {
 		return
 	}
-	if t.slots == nil {
-		t.seed = maphash.MakeSeed()
-	}
-	t.slots = make([]uint32, max(8, 2*len(t.slots), (4*n+2)/3))
+	t.fixSeed()
+	t.slots = make([]atomic.Uint32, max(8, 2*len(t.slots), (4*n+2)/3))
 	t.idBits = uint(bits.Len(uint(len(t.slots))))
 	for id := range have {
 		h := hash(id)
@@ -184,7 +220,7 @@ func (t *table) fit(n, have int, hash func(id int) uint64) {
 func (t *table) find(h uint64, eq func(id uint32) bool) (id uint32, at int, ok bool) {
 	mask, tag := uint32(1)<<t.idBits-1, uint32(h)>>t.idBits
 	for i := slot(h, len(t.slots)); ; {
-		e := t.slots[i]
+		e := t.slots[i].Load()
 		if e == 0 {
 			return 0, i, false
 		}
@@ -199,7 +235,7 @@ func (t *table) find(h uint64, eq func(id uint32) bool) (id uint32, at int, ok b
 
 // put stores id, whose key hashes to h, in the empty slot at.
 func (t *table) put(at int, h uint64, id uint32) {
-	t.slots[at] = uint32(h)>>t.idBits<<t.idBits | (id + 1)
+	t.slots[at].Store(uint32(h)>>t.idBits<<t.idBits | (id + 1))
 }
 
 // slot maps a hash to a slot in [0, n), n < 2³², by the high half of the
@@ -243,6 +279,15 @@ func (a Attribute) String() string {
 	return "<" + a.Predicate + ", " + a.Literal().String() + ">"
 }
 
+// Attrs is a read handle on an AttrDict, as Strings is on a StringDict.
+type Attrs struct {
+	names StringDict // predicate IRIs, datatype IRIs and language tags
+	lex   arena      // lexical forms
+	recs  []attrRec
+	ids   table
+	lists [][]AttrID // per name id: the attributes with that predicate
+}
+
 // AttrDict is a bidirectional Attribute↔AttrID dictionary. Each
 // attribute is a fixed-size record: its lexical form's location in a byte
 // arena and the ids of its predicate, datatype and language tag in a small
@@ -251,13 +296,12 @@ func (a Attribute) String() string {
 // lets query translation bind literal-object variables: the candidates
 // for `?x p ?lit` are exactly PredicateAttrs(p). Lookup probes an
 // open-addressing table as StringDict's does.
-// The zero value is ready to use; the read methods write nothing.
+// The zero value is ready to use; its read methods are those of Attrs.
 type AttrDict struct {
-	names StringDict // predicate IRIs, datatype IRIs and language tags
-	lex   arena      // lexical forms
-	recs  []attrRec
-	ids   table
-	lists [][]AttrID // per name id: the attributes with that predicate
+	Attrs
+	// listsShared is set when a snapshot holds lists, so that the next
+	// new attribute copies it before changing a posting list's header.
+	listsShared bool
 }
 
 type attrRec struct {
@@ -265,11 +309,23 @@ type attrRec struct {
 	pred, dt, lang uint32 // ids in names
 }
 
+// Snapshot returns a read handle on the dictionary as it stands, as
+// StringDict.Snapshot does.
+func (d *AttrDict) Snapshot() Attrs {
+	d.names.Snapshot()
+	d.ids.fixSeed()
+	d.listsShared = true
+	return d.Attrs
+}
+
 // Intern returns the id for a, assigning the next dense id on first sight.
 // A new tuple's strings are copied, as in StringDict.Intern.
 func (d *AttrDict) Intern(a Attribute) AttrID {
 	id, isNew := d.intern(a)
 	if isNew {
+		if d.listsShared {
+			d.lists, d.listsShared = slices.Clone(d.lists), false
+		}
 		r := d.recs[id]
 		for int(r.pred) >= len(d.lists) {
 			d.lists = append(d.lists, nil)
@@ -304,7 +360,7 @@ func (d *AttrDict) InternAll(seq iter.Seq[Attribute]) bool {
 		post[end[r.pred]] = AttrID(id)
 		end[r.pred]++
 	}
-	d.lists = grow(d.lists[:0], n)[:n]
+	d.lists, d.listsShared = make([][]AttrID, n), false
 	for p, lo := 0, uint32(0); p < n; p++ {
 		// Capped, so that a later Intern appends to a copy.
 		d.lists[p], lo = post[lo:end[p]:end[p]], end[p]
@@ -336,7 +392,7 @@ func (d *AttrDict) Reserve(n int) {
 func (d *AttrDict) ReserveBytes(n int) { d.lex.reserve(n) }
 
 // hash mixes the record's name ids into the hash of its lexical form.
-func (d *AttrDict) hash(r attrRec, lexical string) uint64 {
+func (d *Attrs) hash(r attrRec, lexical string) uint64 {
 	return maphash.String(d.ids.seed, lexical) ^ (uint64(r.pred)<<32|uint64(r.dt)^uint64(r.lang)<<16)*0x9e3779b97f4a7c15
 }
 
@@ -345,10 +401,13 @@ func (d *AttrDict) fit(n int) {
 }
 
 // find looks up the attribute with r's names and the given lexical form
-// under its hash h; see table.find.
-func (d *AttrDict) find(r attrRec, lexical string) (h uint64, id uint32, at int, ok bool) {
+// under its hash h; see table.find and Strings.find.
+func (d *Attrs) find(r attrRec, lexical string) (h uint64, id uint32, at int, ok bool) {
 	h = d.hash(r, lexical)
 	id, at, ok = d.ids.find(h, func(id uint32) bool {
+		if int(id) >= len(d.recs) {
+			return false
+		}
 		x := d.recs[id]
 		return x.pred == r.pred && x.dt == r.dt && x.lang == r.lang && d.lex.get(x.lex) == lexical
 	})
@@ -356,7 +415,7 @@ func (d *AttrDict) find(r attrRec, lexical string) (h uint64, id uint32, at int,
 }
 
 // Lookup returns the id for a without interning.
-func (d *AttrDict) Lookup(a Attribute) (AttrID, bool) {
+func (d *Attrs) Lookup(a Attribute) (AttrID, bool) {
 	if len(d.recs) == 0 {
 		return 0, false
 	}
@@ -372,7 +431,7 @@ func (d *AttrDict) Lookup(a Attribute) (AttrID, bool) {
 
 // Value returns the tuple for id, whose strings are views into the
 // dictionary's arenas; it panics on out-of-range ids.
-func (d *AttrDict) Value(id AttrID) Attribute {
+func (d *Attrs) Value(id AttrID) Attribute {
 	if int(id) >= len(d.recs) {
 		panic(fmt.Sprintf("dict: attribute id %d out of range (len %d)", id, len(d.recs)))
 	}
@@ -386,7 +445,7 @@ func (d *AttrDict) Value(id AttrID) Attribute {
 // PredicateAttrs returns the sorted ids of every attribute whose predicate
 // is pred (nil when the predicate has no literal occurrences). The slice
 // is shared and must not be modified.
-func (d *AttrDict) PredicateAttrs(pred string) []AttrID {
+func (d *Attrs) PredicateAttrs(pred string) []AttrID {
 	p, ok := d.names.Lookup(pred)
 	if !ok || int(p) >= len(d.lists) || len(d.lists[p]) == 0 {
 		return nil
@@ -396,20 +455,20 @@ func (d *AttrDict) PredicateAttrs(pred string) []AttrID {
 }
 
 // Len reports the number of interned attributes.
-func (d *AttrDict) Len() int { return len(d.recs) }
+func (d *Attrs) Len() int { return len(d.recs) }
 
 // Bytes is the dictionary's analytic size, counted from lengths as
-// StringDict.Bytes is: lexical-form bytes, 32 bytes per attribute for its
+// Strings.Bytes is: lexical-form bytes, 32 bytes per attribute for its
 // record, table slot and posting entry, and the name table.
-func (d *AttrDict) Bytes() int64 {
+func (d *Attrs) Bytes() int64 {
 	return int64(d.lex.bytes) + 32*int64(len(d.recs)) + d.names.Bytes()
 }
 
 // Resolver is the read-only lookup surface of the three dictionaries.
-// *Dictionaries implements it over a frozen graph; a mutation overlay
-// (internal/delta) implements it by layering its own interned entries on
-// top of a base. Query translation and solution rendering depend only on
-// this interface, so they work against either.
+// *Snapshot implements it over the dictionaries of a generation; a
+// mutation overlay (internal/delta) implements it over the snapshot each
+// of its views takes. Query translation and solution rendering depend
+// only on this interface.
 type Resolver interface {
 	// LookupVertex resolves an IRI (or blank label) to its vertex id
 	// without interning.
@@ -428,12 +487,17 @@ type Resolver interface {
 	PredicateAttrs(predicate string) []AttrID
 }
 
-// Dictionaries bundles the three mapping functions of Table 2.
-// The zero value is ready to use.
+// Dictionaries bundles the three mapping functions of Table 2 for their
+// writer. The zero value is ready to use.
 type Dictionaries struct {
 	Vertices  StringDict // Mv: subject/object IRI → VertexID
 	EdgeTypes StringDict // Me: predicate IRI → EdgeType
 	Attrs     AttrDict   // Ma: <predicate, literal> → AttrID
+}
+
+// Snapshot returns a read handle on the three dictionaries as they stand.
+func (d *Dictionaries) Snapshot() Snapshot {
+	return Snapshot{Vertices: d.Vertices.Snapshot(), EdgeTypes: d.EdgeTypes.Snapshot(), Attrs: d.Attrs.Snapshot()}
 }
 
 // InternVertex applies Mv.
@@ -451,40 +515,49 @@ func (d *Dictionaries) InternAttr(predicate string, o rdf.Term) AttrID {
 	return d.Attrs.Intern(AttributeOf(predicate, o))
 }
 
+// Snapshot is a read handle on Dictionaries: the three mapping functions
+// as they stood when Dictionaries.Snapshot took it, which also fixes the
+// id bounds it admits. It implements Resolver.
+type Snapshot struct {
+	Vertices  Strings
+	EdgeTypes Strings
+	Attrs     Attrs
+}
+
 // LookupVertex resolves an IRI without interning (used for query constants:
 // an IRI that never occurs in the data has no binding).
-func (d *Dictionaries) LookupVertex(iri string) (VertexID, bool) {
+func (d *Snapshot) LookupVertex(iri string) (VertexID, bool) {
 	id, ok := d.Vertices.Lookup(iri)
 	return VertexID(id), ok
 }
 
 // LookupEdgeType resolves a predicate without interning.
-func (d *Dictionaries) LookupEdgeType(predicate string) (EdgeType, bool) {
+func (d *Snapshot) LookupEdgeType(predicate string) (EdgeType, bool) {
 	id, ok := d.EdgeTypes.Lookup(predicate)
 	return EdgeType(id), ok
 }
 
 // LookupAttr resolves an attribute tuple without interning.
-func (d *Dictionaries) LookupAttr(predicate string, o rdf.Term) (AttrID, bool) {
+func (d *Snapshot) LookupAttr(predicate string, o rdf.Term) (AttrID, bool) {
 	return d.Attrs.Lookup(AttributeOf(predicate, o))
 }
 
 // VertexIRI applies the inverse mapping Mv⁻¹, used to translate embeddings
 // back to RDF entities (paper Section 3).
-func (d *Dictionaries) VertexIRI(v VertexID) string { return d.Vertices.Value(uint32(v)) }
+func (d *Snapshot) VertexIRI(v VertexID) string { return d.Vertices.Value(uint32(v)) }
 
 // EdgeTypeIRI applies Me⁻¹.
-func (d *Dictionaries) EdgeTypeIRI(t EdgeType) string { return d.EdgeTypes.Value(uint32(t)) }
+func (d *Snapshot) EdgeTypeIRI(t EdgeType) string { return d.EdgeTypes.Value(uint32(t)) }
 
 // Attr applies Ma⁻¹.
-func (d *Dictionaries) Attr(a AttrID) Attribute { return d.Attrs.Value(a) }
+func (d *Snapshot) Attr(a AttrID) Attribute { return d.Attrs.Value(a) }
 
 // PredicateAttrs returns the sorted attribute ids of a predicate.
-func (d *Dictionaries) PredicateAttrs(predicate string) []AttrID {
+func (d *Snapshot) PredicateAttrs(predicate string) []AttrID {
 	return d.Attrs.PredicateAttrs(predicate)
 }
 
 // Bytes is the analytic size of the three dictionaries.
-func (d *Dictionaries) Bytes() int64 {
+func (d *Snapshot) Bytes() int64 {
 	return d.Vertices.Bytes() + d.EdgeTypes.Bytes() + d.Attrs.Bytes()
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -101,10 +102,11 @@ func TestAttributeString(t *testing.T) {
 }
 
 func TestDictionariesRoundTrip(t *testing.T) {
-	var d Dictionaries
-	v := d.InternVertex("http://x/London")
-	e := d.InternEdgeType("http://y/isPartOf")
-	a := d.InternAttr("http://y/hasCapacityOf", rdf.NewLiteral("90000"))
+	var w Dictionaries
+	v := w.InternVertex("http://x/London")
+	e := w.InternEdgeType("http://y/isPartOf")
+	a := w.InternAttr("http://y/hasCapacityOf", rdf.NewLiteral("90000"))
+	d := w.Snapshot()
 
 	if got := d.VertexIRI(v); got != "http://x/London" {
 		t.Errorf("VertexIRI = %q", got)
@@ -428,46 +430,126 @@ func TestValuesStable(t *testing.T) {
 	}
 }
 
-// TestConcurrentReaders reads a built dictionary and an empty one from
-// several goroutines at once. Run under -race, it fails if a read method
-// writes anything, such as a lazily made seed or table.
+// TestConcurrentReaders is the torture test of the one-writer,
+// many-snapshots rule; run it under -race. A writer interns while
+// readers use snapshots taken before and during the run: every id below
+// a snapshot's length must resolve as it did when the snapshot was
+// taken, and every key interned later must be absent from it. The run
+// grows the tables, starts new arena chunks, interns a string longer
+// than a chunk, introduces new predicate, datatype and language names,
+// and appends to posting lists that InternAll built; it starts once from
+// a built base and once from an empty one.
 func TestConcurrentReaders(t *testing.T) {
-	var full, empty Dictionaries
-	for i := 0; i < 2000; i++ {
-		full.InternVertex("http://x/" + strconv.Itoa(i))
-		full.InternEdgeType("http://p/" + strconv.Itoa(i%20))
-		full.InternAttr("http://p/"+strconv.Itoa(i%20), rdf.NewLiteral(strconv.Itoa(i)))
+	const total = 6000
+	vertex := func(i int) string {
+		if i == total/2 {
+			return "http://x/" + strings.Repeat("z", 70000)
+		}
+		return "http://x/" + strconv.Itoa(i)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				iri, p, lit := "http://x/"+strconv.Itoa(i), "http://p/"+strconv.Itoa(i%20), rdf.NewLiteral(strconv.Itoa(i))
-				if v, ok := full.LookupVertex(iri); !ok || full.VertexIRI(v) != iri {
-					t.Errorf("LookupVertex(%s) = %d, %v", iri, v, ok)
-					return
+	edgeType := func(i int) string { return "http://p/" + strconv.Itoa(i) }
+	pred := func(i int) string { return "http://p/" + strconv.Itoa(i%(3+i/1000)) }
+	attr := func(i int) Attribute {
+		a := Attribute{Predicate: pred(i), Lexical: strconv.Itoa(i)}
+		switch i % 3 {
+		case 1:
+			a.Datatype = "http://dt/" + strconv.Itoa(i/1000)
+		case 2:
+			a.Lang = "l" + strconv.Itoa(i/1000)
+		}
+		return a
+	}
+	// check reads the snapshot s; it reports the first difference from
+	// what the snapshot held when it was taken.
+	check := func(s *Snapshot, rng *rand.Rand) error {
+		n := s.Vertices.Len()
+		if s.EdgeTypes.Len() != n || s.Attrs.Len() != n {
+			return fmt.Errorf("lengths %d, %d, %d differ", n, s.EdgeTypes.Len(), s.Attrs.Len())
+		}
+		for k := 0; k < 24; k++ {
+			i := rng.Intn(total)
+			if k == 0 {
+				i = total / 2
+			}
+			v, okV := s.LookupVertex(vertex(i))
+			e, okE := s.LookupEdgeType(edgeType(i))
+			a, okA := s.Attrs.Lookup(attr(i))
+			if i >= n {
+				if okV || okE || okA {
+					return fmt.Errorf("key %d, interned after a snapshot of %d, is present in it", i, n)
 				}
-				if e, ok := full.LookupEdgeType(p); !ok || full.EdgeTypeIRI(e) != p {
-					t.Errorf("LookupEdgeType(%s) = %d, %v", p, e, ok)
-					return
+				continue
+			}
+			if !okV || int(v) != i || s.VertexIRI(v) != vertex(i) {
+				return fmt.Errorf("vertex %d of %d: Lookup = %d, %v", i, n, v, okV)
+			}
+			if !okE || int(e) != i || s.EdgeTypeIRI(e) != edgeType(i) {
+				return fmt.Errorf("edge type %d of %d: Lookup = %d, %v", i, n, e, okE)
+			}
+			if !okA || int(a) != i || s.Attr(a) != attr(i) {
+				return fmt.Errorf("attribute %d of %d: Lookup = %d, %v", i, n, a, okA)
+			}
+		}
+		p := "http://p/" + strconv.Itoa(rng.Intn(9))
+		var want []AttrID
+		for i := 0; i < n; i++ {
+			if pred(i) == p {
+				want = append(want, AttrID(i))
+			}
+		}
+		if got := s.PredicateAttrs(p); !slices.Equal(got, want) {
+			return fmt.Errorf("PredicateAttrs(%s) of %d attributes: %d ids, want %d", p, n, len(got), len(want))
+		}
+		return nil
+	}
+	for _, base := range []int{0, 2000} {
+		t.Run("base"+strconv.Itoa(base), func(t *testing.T) {
+			var d Dictionaries
+			for i := 0; i < base; i++ {
+				d.InternVertex(vertex(i))
+				d.InternEdgeType(edgeType(i))
+			}
+			d.Attrs.InternAll(func(yield func(Attribute) bool) {
+				for i := 0; i < base && yield(attr(i)); i++ {
 				}
-				if a, ok := full.LookupAttr(p, lit); !ok || full.Attr(a).Lexical != lit.Value || len(full.PredicateAttrs(p)) != 100 {
-					t.Errorf("LookupAttr(%s, %v) = %d, %v", p, lit, a, ok)
-					return
-				}
-				_, okV := empty.LookupVertex(iri)
-				_, okE := empty.LookupEdgeType(p)
-				_, okA := empty.LookupAttr(p, lit)
-				if okV || okE || okA || empty.PredicateAttrs(p) != nil || empty.Vertices.Len() != 0 {
-					t.Error("an empty dictionary found an entry")
-					return
+			})
+			before := d.Snapshot()
+			var cur atomic.Pointer[Snapshot]
+			cur.Store(&before)
+			var done atomic.Bool
+			var wg sync.WaitGroup
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(r)))
+					for last := false; !last; {
+						last = done.Load()
+						for _, s := range []*Snapshot{&before, cur.Load()} {
+							if err := check(s, rng); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}()
+			}
+			for i := base; i < total; i++ {
+				d.InternVertex(vertex(i))
+				d.InternEdgeType(edgeType(i))
+				d.InternAttr(pred(i), attr(i).Literal())
+				if i%41 == 0 {
+					s := d.Snapshot()
+					cur.Store(&s)
+					runtime.Gosched()
 				}
 			}
-		}()
+			s := d.Snapshot()
+			cur.Store(&s)
+			done.Store(true)
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }
 
 // TestHeapPerString: interning N strings of length L into a reserved

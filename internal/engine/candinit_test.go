@@ -170,7 +170,7 @@ func filterScenarios(tb testing.TB) []filterScenario {
 		tb.Fatal("overlay scenario has an empty overlay")
 	}
 	return []filterScenario{
-		{"base", index.NewReader(frozen, fix), &frozen.Dicts, viewSynopses(tb, delta.NewView(frozen, fix)), oracle, queries},
+		{"base", index.NewReader(frozen, fix), frozen.Terms(), viewSynopses(tb, delta.NewView(frozen, fix)), oracle, queries},
 		{"overlay", view, view, viewSynopses(tb, view), oracle, queries},
 	}
 }

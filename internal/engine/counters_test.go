@@ -93,7 +93,7 @@ func counterScenarios(tb testing.TB) ([]*sparql.Query, []counterScenario) {
 		tb.Fatal("overlay scenario has an empty overlay")
 	}
 	return queries, []counterScenario{
-		{"base", index.NewReader(frozen, index.Build(frozen)), &frozen.Dicts},
+		{"base", index.NewReader(frozen, index.Build(frozen)), frozen.Terms()},
 		{"overlay", view, view},
 	}
 }

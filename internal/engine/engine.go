@@ -58,20 +58,12 @@ type Options struct {
 
 // Stats reports search effort counters.
 type Stats struct {
-	// InitCandidates is |CandInit| for each component's initial vertex,
-	// summed over components.
-	InitCandidates int
-	// Recursions counts HomomorphicMatch invocations.
-	Recursions int
-	// SatProbes counts satellite candidate-set computations.
-	SatProbes int
-	// Embeddings counts embeddings yielded (Stream) or counted (Count).
-	Embeddings uint64
+	// The search counters accumulate across runs.
+	obs.EngineCounters
 	// Levels records the actual candidate frontier observed at every
 	// core-vertex matching level of the plan — the measured counterpart of
-	// the planner's estimates. Unlike the scalar counters, which
-	// accumulate across runs, Levels is replaced by each run's record and
-	// so always describes the last run.
+	// the planner's estimates. Unlike the search counters, Levels is
+	// replaced by each run's record and so always describes the last run.
 	Levels []LevelStats
 }
 
@@ -191,10 +183,7 @@ func (m *matcher) poll() bool {
 func (m *matcher) finish() {
 	m.flushMeter()
 	if st := m.stats; st != nil {
-		st.InitCandidates += m.initCands
-		st.Recursions += m.recursions
-		st.SatProbes += m.satProbes
-		st.Embeddings += m.yielded
+		st.Add(obs.EngineCounters{InitCandidates: m.initCands, Recursions: m.recursions, SatProbes: m.satProbes, Embeddings: m.yielded})
 		st.Levels = m.levels
 	}
 }

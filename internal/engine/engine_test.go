@@ -85,7 +85,7 @@ func (f *fixture) query(t *testing.T, src string) *plan.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qg, err := query.Build(pq, &f.g.Dicts)
+	qg, err := query.Build(pq, f.g.Terms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func (f *fixture) collect(t *testing.T, p *plan.Plan, opts Options) []map[string
 	err := Stream(f.rd(), p, opts, func(asg []dict.VertexID) bool {
 		m := make(map[string]string, len(asg))
 		for u, v := range asg {
-			m[p.Query.Vars[u].Name] = f.g.Dicts.VertexIRI(v)
+			m[p.Query.Vars[u].Name] = f.g.Terms().VertexIRI(v)
 		}
 		out = append(out, m)
 		return true
@@ -539,7 +539,7 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 		}
 		ix := index.Build(g)
 		pq := randomQuery(rng, ts, 1+rng.Intn(5))
-		qg, err := query.Build(pq, &g.Dicts)
+		qg, err := query.Build(pq, g.Terms())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,7 +578,7 @@ func TestStreamedEmbeddingsAreValid(t *testing.T) {
 		}
 		ix := index.Build(g)
 		pq := randomQuery(rng, ts, 1+rng.Intn(4))
-		qg, err := query.Build(pq, &g.Dicts)
+		qg, err := query.Build(pq, g.Terms())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -731,7 +731,7 @@ func TestLiteralSatelliteStream(t *testing.T) {
 	err := Stream(f.rd(), p, Options{}, func(asg []dict.VertexID) bool {
 		u := p.Query.VarIndex["v"]
 		if dict.IsAttrBinding(asg[u]) {
-			a := f.g.Dicts.Attr(dict.AttrBinding(asg[u]))
+			a := f.g.Terms().Attr(dict.AttrBinding(asg[u]))
 			if a.Lexical != "both" {
 				t.Errorf("literal binding = %+v", a)
 			}

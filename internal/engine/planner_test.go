@@ -51,7 +51,7 @@ func TestPlannerEquivalence(t *testing.T) {
 	for _, kind := range []workload.Kind{workload.Star, workload.Complex} {
 		for _, size := range []int{3, 5, 8, 12} {
 			for _, q := range gen.Workload(kind, size, 8) {
-				qg, err := query.Build(q, &g.Dicts)
+				qg, err := query.Build(q, g.Terms())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,7 +86,7 @@ func TestPlannerEquivalenceStream(t *testing.T) {
 	g, ix, triples := skewedFixture(t, 99)
 	gen := workload.NewGenerator(triples, 13, workload.DefaultConfig())
 	for _, q := range gen.Workload(workload.Complex, 6, 5) {
-		qg, err := query.Build(q, &g.Dicts)
+		qg, err := query.Build(q, g.Terms())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func hubTrapFixture(tb testing.TB, n, k int) (*multigraph.Graph, *index.Index, *
 // order explores far fewer initial candidates and recursions.
 func TestCostBasedBeatsHeuristicOnSkew(t *testing.T) {
 	g, ix, pq := hubTrapFixture(t, 2000, 5)
-	qg, err := query.Build(pq, &g.Dicts)
+	qg, err := query.Build(pq, g.Terms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCostBasedBeatsHeuristicOnSkew(t *testing.T) {
 // data-aware order must show a real wall-clock win.
 func BenchmarkPlannerSkewed(b *testing.B) {
 	g, ix, pq := hubTrapFixture(b, 2000, 5)
-	qg, err := query.Build(pq, &g.Dicts)
+	qg, err := query.Build(pq, g.Terms())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func benchQueries(b *testing.B, g *multigraph.Graph, ix *index.Index, triples []
 	gen := workload.NewGenerator(triples, 23, workload.DefaultConfig())
 	var out []*sparql.Query
 	for _, q := range gen.Workload(kind, size, n*4) {
-		qg, err := query.Build(q, &g.Dicts)
+		qg, err := query.Build(q, g.Terms())
 		if err != nil {
 			continue
 		}
@@ -265,7 +265,7 @@ func BenchmarkPlanner(b *testing.B) {
 		for _, pl := range planners {
 			plans := make([]*plan.Plan, len(queries))
 			for i, q := range queries {
-				qg, err := query.Build(q, &g.Dicts)
+				qg, err := query.Build(q, g.Terms())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -289,7 +289,7 @@ func BenchmarkPlanning(b *testing.B) {
 	queries := benchQueries(b, g, ix, triples, workload.Complex, 12, 10)
 	qgs := make([]*query.Graph, len(queries))
 	for i, q := range queries {
-		qg, err := query.Build(q, &g.Dicts)
+		qg, err := query.Build(q, g.Terms())
 		if err != nil {
 			b.Fatal(err)
 		}

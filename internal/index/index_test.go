@@ -50,7 +50,7 @@ func buildAll(t *testing.T) (*multigraph.Graph, *Index) {
 
 func lookupV(t *testing.T, g *multigraph.Graph, local string) dict.VertexID {
 	t.Helper()
-	v, ok := g.Dicts.LookupVertex("http://dbpedia.org/resource/" + local)
+	v, ok := g.Terms().LookupVertex("http://dbpedia.org/resource/" + local)
 	if !ok {
 		t.Fatalf("vertex %q missing", local)
 	}
@@ -59,7 +59,7 @@ func lookupV(t *testing.T, g *multigraph.Graph, local string) dict.VertexID {
 
 func lookupT(t *testing.T, g *multigraph.Graph, pred string) dict.EdgeType {
 	t.Helper()
-	e, ok := g.Dicts.LookupEdgeType("http://dbpedia.org/ontology/" + pred)
+	e, ok := g.Terms().LookupEdgeType("http://dbpedia.org/ontology/" + pred)
 	if !ok {
 		t.Fatalf("edge type %q missing", pred)
 	}
@@ -68,7 +68,7 @@ func lookupT(t *testing.T, g *multigraph.Graph, pred string) dict.EdgeType {
 
 func TestAttributeIndexSingle(t *testing.T) {
 	g, ix := buildAll(t)
-	a, ok := g.Dicts.LookupAttr("http://dbpedia.org/ontology/hasCapacityOf", rdf.NewLiteral("90000"))
+	a, ok := g.Terms().LookupAttr("http://dbpedia.org/ontology/hasCapacityOf", rdf.NewLiteral("90000"))
 	if !ok {
 		t.Fatal("attribute missing")
 	}
@@ -84,8 +84,8 @@ func TestAttributeIndexSingle(t *testing.T) {
 // Music_Band.
 func TestAttributeIndexConjunction(t *testing.T) {
 	g, ix := buildAll(t)
-	a1, ok1 := g.Dicts.LookupAttr("http://dbpedia.org/ontology/foundedIn", rdf.NewLiteral("1994"))
-	a2, ok2 := g.Dicts.LookupAttr("http://dbpedia.org/ontology/hasName", rdf.NewLiteral("MCA_Band"))
+	a1, ok1 := g.Terms().LookupAttr("http://dbpedia.org/ontology/foundedIn", rdf.NewLiteral("1994"))
+	a2, ok2 := g.Terms().LookupAttr("http://dbpedia.org/ontology/hasName", rdf.NewLiteral("MCA_Band"))
 	if !ok1 || !ok2 {
 		t.Fatal("attributes missing")
 	}
@@ -95,7 +95,7 @@ func TestAttributeIndexConjunction(t *testing.T) {
 		t.Errorf("Candidates({a1,a2}) = %v, want [%d]", got, want)
 	}
 	// Conjunction with a foreign attribute must be empty.
-	a0, _ := g.Dicts.LookupAttr("http://dbpedia.org/ontology/hasCapacityOf", rdf.NewLiteral("90000"))
+	a0, _ := g.Terms().LookupAttr("http://dbpedia.org/ontology/hasCapacityOf", rdf.NewLiteral("90000"))
 	if got := ix.A.Candidates([]dict.AttrID{a1, a0}); got != nil {
 		t.Errorf("impossible conjunction = %v", got)
 	}
@@ -295,9 +295,9 @@ func TestCardinalities(t *testing.T) {
 	if c.NumVertices != g.NumVertices() {
 		t.Errorf("NumVertices = %d, want %d", c.NumVertices, g.NumVertices())
 	}
-	p, okP := g.Dicts.LookupEdgeType("http://y/p")
-	q, okQ := g.Dicts.LookupEdgeType("http://y/q")
-	r, okR := g.Dicts.LookupEdgeType("http://y/r")
+	p, okP := g.Terms().LookupEdgeType("http://y/p")
+	q, okQ := g.Terms().LookupEdgeType("http://y/q")
+	r, okR := g.Terms().LookupEdgeType("http://y/r")
 	if !okP || !okQ || !okR {
 		t.Fatal("edge types missing")
 	}
@@ -452,7 +452,7 @@ func TestSignatureCandidatesOnCorpora(t *testing.T) {
 func TestNeighborsAgainstTrie(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(t, rng, 60, 6, 900, 300)
-	hub, ok := g.Dicts.LookupVertex("http://g/hub")
+	hub, ok := g.Terms().LookupVertex("http://g/hub")
 	if !ok {
 		t.Fatal("hub missing")
 	}

@@ -87,7 +87,7 @@ func TestGoldenSnapshot(t *testing.T) {
 		}
 	}
 	for i := 0; i < g.NumAttrs(); i++ {
-		a := g.Dicts.Attr(dict.AttrID(i))
+		a := g.Terms().Attr(dict.AttrID(i))
 		if a.Datatype != "" {
 			typed++
 		}

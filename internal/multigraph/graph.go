@@ -25,8 +25,15 @@ import (
 // Graph is the immutable data multigraph, a fixed number of flat arrays
 // whatever its size. Build one with a Builder. Vertex v's attributes are
 // attrIDs[attrOff[v]:attrOff[v+1]], ascending.
+//
+// Dicts are the generation's dictionaries for their one writer: a
+// live-update overlay over the graph interns new terms into them. The
+// graph itself reads them only through terms, the snapshot Build or
+// Decode took, so its counts and its encoding stay those of its own
+// triples however far the overlay has grown them.
 type Graph struct {
 	Dicts dict.Dictionaries
+	terms dict.Snapshot
 
 	out, in side // edges v → w ("-") and w → v ("+")
 	attrOff []uint32
@@ -88,10 +95,15 @@ func (g *Graph) NumVertices() int { return max(len(g.out.off)-1, 0) }
 func (g *Graph) NumEdges() int { return len(g.out.nbr) }
 
 // NumEdgeTypes reports |T|, the number of distinct predicates between IRIs.
-func (g *Graph) NumEdgeTypes() int { return g.Dicts.EdgeTypes.Len() }
+func (g *Graph) NumEdgeTypes() int { return g.terms.EdgeTypes.Len() }
 
 // NumAttrs reports |A|, the number of distinct <predicate, literal> tuples.
-func (g *Graph) NumAttrs() int { return g.Dicts.Attrs.Len() }
+func (g *Graph) NumAttrs() int { return g.terms.Attrs.Len() }
+
+// Terms returns the read handle on the graph's dictionaries that Build or
+// Decode took: the terms of the graph's own triples, none an overlay
+// interned since. Any goroutine may read it.
+func (g *Graph) Terms() *dict.Snapshot { return &g.terms }
 
 // NumTriples reports the number of source RDF triples.
 func (g *Graph) NumTriples() int { return g.numTriples }
@@ -250,6 +262,7 @@ func (b *Builder) Build() *Graph {
 		g.attrOff[v] += g.attrOff[v-1]
 	}
 	g.in = out.transpose()
+	g.terms = g.Dicts.Snapshot()
 	return g
 }
 

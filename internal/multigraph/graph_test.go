@@ -46,7 +46,7 @@ func buildFigure1(t *testing.T) *Graph {
 
 func vid(t *testing.T, g *Graph, iri string) dict.VertexID {
 	t.Helper()
-	v, ok := g.Dicts.LookupVertex("http://dbpedia.org/resource/" + iri)
+	v, ok := g.Terms().LookupVertex("http://dbpedia.org/resource/" + iri)
 	if !ok {
 		t.Fatalf("vertex %q not found", iri)
 	}
@@ -55,7 +55,7 @@ func vid(t *testing.T, g *Graph, iri string) dict.VertexID {
 
 func etype(t *testing.T, g *Graph, pred string) dict.EdgeType {
 	t.Helper()
-	e, ok := g.Dicts.LookupEdgeType("http://dbpedia.org/ontology/" + pred)
+	e, ok := g.Terms().LookupEdgeType("http://dbpedia.org/ontology/" + pred)
 	if !ok {
 		t.Fatalf("edge type %q not found", pred)
 	}
@@ -93,7 +93,7 @@ func TestFigure1Attributes(t *testing.T) {
 
 	if got := g.Attrs(wembley); len(got) != 1 {
 		t.Fatalf("Wembley attrs = %v, want 1 attribute", got)
-	} else if a := g.Dicts.Attr(got[0]); a.Lexical != "90000" {
+	} else if a := g.Terms().Attr(got[0]); a.Lexical != "90000" {
 		t.Errorf("Wembley attribute = %v", a)
 	}
 	if got := g.Attrs(band); len(got) != 2 {
@@ -216,7 +216,7 @@ func TestDuplicateTriplesCollapse(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Errorf("NumEdges = %d, want 1", g.NumEdges())
 	}
-	a, _ := g.Dicts.LookupVertex("http://x/a")
+	a, _ := g.Terms().LookupVertex("http://x/a")
 	if got := g.Attrs(a); len(got) != 1 {
 		t.Errorf("attrs = %v, want 1", got)
 	}

@@ -70,18 +70,19 @@ func (g *Graph) Encode(w io.Writer) error {
 	e := &encoder{w: bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)}
 	e.w.WriteString(snapshotMagic)
 	e.w.WriteByte(snapshotVersion)
-	// Dictionaries.
-	e.uvarint(uint64(g.Dicts.Vertices.Len()))
-	for i := 0; i < g.Dicts.Vertices.Len(); i++ {
-		e.str(g.Dicts.Vertices.Value(uint32(i)))
+	// Dictionaries, as Build or Decode left them.
+	d := &g.terms
+	e.uvarint(uint64(d.Vertices.Len()))
+	for i := 0; i < d.Vertices.Len(); i++ {
+		e.str(d.Vertices.Value(uint32(i)))
 	}
-	e.uvarint(uint64(g.Dicts.EdgeTypes.Len()))
-	for i := 0; i < g.Dicts.EdgeTypes.Len(); i++ {
-		e.str(g.Dicts.EdgeTypes.Value(uint32(i)))
+	e.uvarint(uint64(d.EdgeTypes.Len()))
+	for i := 0; i < d.EdgeTypes.Len(); i++ {
+		e.str(d.EdgeTypes.Value(uint32(i)))
 	}
-	e.uvarint(uint64(g.Dicts.Attrs.Len()))
-	for i := 0; i < g.Dicts.Attrs.Len(); i++ {
-		a := g.Dicts.Attr(dict.AttrID(i))
+	e.uvarint(uint64(d.Attrs.Len()))
+	for i := 0; i < d.Attrs.Len(); i++ {
+		a := d.Attr(dict.AttrID(i))
 		e.str(a.Predicate)
 		e.str(a.Lexical)
 		e.str(a.Datatype)
@@ -364,5 +365,6 @@ func (d *decoder) graph() (*Graph, error) {
 	}
 	g.out.tOff = append(g.out.tOff, uint32(len(g.out.types)))
 	g.in = g.out.transpose()
+	g.terms = g.Dicts.Snapshot()
 	return g, nil
 }

@@ -38,7 +38,7 @@ func graphsEqual(t *testing.T, a, b *Graph) {
 	}
 	for v := 0; v < a.NumVertices(); v++ {
 		vid := dict.VertexID(v)
-		if a.Dicts.VertexIRI(vid) != b.Dicts.VertexIRI(vid) {
+		if a.Terms().VertexIRI(vid) != b.Terms().VertexIRI(vid) {
 			t.Fatalf("vertex %d IRI differs", v)
 		}
 		for _, sides := range [][2]Adjacency{{a.Out(vid), b.Out(vid)}, {a.In(vid), b.In(vid)}} {
@@ -63,12 +63,12 @@ func graphsEqual(t *testing.T, a, b *Graph) {
 		}
 	}
 	for i := 0; i < a.NumEdgeTypes(); i++ {
-		if a.Dicts.EdgeTypeIRI(dict.EdgeType(i)) != b.Dicts.EdgeTypeIRI(dict.EdgeType(i)) {
+		if a.Terms().EdgeTypeIRI(dict.EdgeType(i)) != b.Terms().EdgeTypeIRI(dict.EdgeType(i)) {
 			t.Fatalf("edge type %d differs", i)
 		}
 	}
 	for i := 0; i < a.NumAttrs(); i++ {
-		if a.Dicts.Attr(dict.AttrID(i)) != b.Dicts.Attr(dict.AttrID(i)) {
+		if a.Terms().Attr(dict.AttrID(i)) != b.Terms().Attr(dict.AttrID(i)) {
 			t.Fatalf("attribute %d differs", i)
 		}
 	}
@@ -355,8 +355,8 @@ func TestTypedAttributeSnapshotRoundTrip(t *testing.T) {
 	}
 	got := encodeDecode(t, g)
 	for i := 0; i < g.Dicts.Attrs.Len(); i++ {
-		want := g.Dicts.Attr(dict.AttrID(i))
-		if have := got.Dicts.Attr(dict.AttrID(i)); have != want {
+		want := g.Terms().Attr(dict.AttrID(i))
+		if have := got.Terms().Attr(dict.AttrID(i)); have != want {
 			t.Errorf("attr %d = %+v, want %+v", i, have, want)
 		}
 	}

@@ -42,13 +42,27 @@ type Span struct {
 	Duration time.Duration `json:"duration_us"`
 }
 
-// EngineCounters aggregates the engine's search-effort counters over
-// every branch of one execution (the quantities of engine.Stats).
+// EngineCounters are the engine's search-effort counters: those of one
+// run in engine.Stats, and their sum over every branch of one execution
+// in a Trace.
 type EngineCounters struct {
-	InitCandidates int    `json:"init_candidates"`
-	Recursions     int    `json:"recursions"`
-	SatProbes      int    `json:"sat_probes"`
-	Embeddings     uint64 `json:"embeddings"`
+	// InitCandidates is |CandInit| for each component's initial vertex,
+	// summed over components.
+	InitCandidates int `json:"init_candidates"`
+	// Recursions counts HomomorphicMatch invocations.
+	Recursions int `json:"recursions"`
+	// SatProbes counts satellite candidate-set computations.
+	SatProbes int `json:"sat_probes"`
+	// Embeddings counts embeddings yielded (Stream) or counted (Count).
+	Embeddings uint64 `json:"embeddings"`
+}
+
+// Add adds c's counters to e's.
+func (e *EngineCounters) Add(c EngineCounters) {
+	e.InitCandidates += c.InitCandidates
+	e.Recursions += c.Recursions
+	e.SatProbes += c.SatProbes
+	e.Embeddings += c.Embeddings
 }
 
 // Level is one core-vertex matching level of one branch: the planner's
@@ -152,10 +166,7 @@ func (t *Trace) AddEngine(c EngineCounters) {
 		return
 	}
 	t.mu.Lock()
-	t.engine.InitCandidates += c.InitCandidates
-	t.engine.Recursions += c.Recursions
-	t.engine.SatProbes += c.SatProbes
-	t.engine.Embeddings += c.Embeddings
+	t.engine.Add(c)
 	t.mu.Unlock()
 }
 

@@ -52,7 +52,7 @@ func FuzzPlan(f *testing.F) {
 		if err != nil {
 			return
 		}
-		qg, err := query.Build(pq, &g.Dicts)
+		qg, err := query.Build(pq, g.Terms())
 		if err != nil {
 			return
 		}

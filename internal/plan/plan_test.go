@@ -79,7 +79,7 @@ func (f *fixture) query(t *testing.T, src string) *query.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qg, err := query.Build(pq, &f.g.Dicts)
+	qg, err := query.Build(pq, f.g.Terms())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func buildQuery(t *testing.T, src string, g *multigraph.Graph) *Graph {
 	if err != nil {
 		t.Fatalf("sparql parse: %v", err)
 	}
-	qg, err := Build(pq, &g.Dicts)
+	qg, err := Build(pq, g.Terms())
 	if err != nil {
 		t.Fatalf("query build: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestFigure2Translation(t *testing.T) {
 	if len(qg.Vars[u3].IRIs) != 1 {
 		t.Fatalf("X3 IRI constraints = %v, want 1", qg.Vars[u3].IRIs)
 	}
-	us, _ := dg.Dicts.LookupVertex("http://dbpedia.org/resource/United_States")
+	us, _ := dg.Terms().LookupVertex("http://dbpedia.org/resource/United_States")
 	c := qg.Vars[u3].IRIs[0]
 	if c.DataVertex != us || c.Dir != index.Incoming || len(c.Types) != 1 {
 		t.Errorf("X3 IRI constraint = %+v", c)
@@ -310,7 +310,7 @@ func TestQuerySynopsis(t *testing.T) {
 	if syn[0] != 0 {
 		t.Errorf("X0 incoming f1 = %d, want 0", syn[0])
 	}
-	born, _ := dg.Dicts.LookupEdgeType("http://dbpedia.org/ontology/wasBornIn")
+	born, _ := dg.Terms().LookupEdgeType("http://dbpedia.org/ontology/wasBornIn")
 	if syn[7] != int32(born) {
 		t.Errorf("X0 f4- = %d, want %d", syn[7], born)
 	}
@@ -329,7 +329,7 @@ func TestQuerySynopsis(t *testing.T) {
 }
 
 func TestEmptyQueryGraph(t *testing.T) {
-	var d dict.Dictionaries
+	var d dict.Snapshot
 	pq, err := sparql.Parse(`SELECT * WHERE { <http://x/a> <http://y/p> <http://x/b> }`)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +448,7 @@ func TestLitSatelliteAttrOnlyPredicate(t *testing.T) {
 	g := dataGraph(t)
 	q := parseQ(t, `PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?s ?n WHERE { ?s y:hasName ?n }`)
-	qg, err := Build(q, &g.Dicts)
+	qg, err := Build(q, g.Terms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestLitSatelliteConstSubject(t *testing.T) {
 	q := parseQ(t, `PREFIX y: <http://dbpedia.org/ontology/>
 PREFIX x: <http://dbpedia.org/resource/>
 SELECT ?n WHERE { x:Music_Band y:hasName ?n }`)
-	qg, err := Build(q, &g.Dicts)
+	qg, err := Build(q, g.Terms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ SELECT ?n WHERE { x:Music_Band y:hasName ?n }`)
 	if lit == nil || lit.SubjectVar >= 0 {
 		t.Fatalf("Lit = %+v, want constant subject", lit)
 	}
-	if want, _ := g.Dicts.LookupVertex("http://dbpedia.org/resource/Music_Band"); lit.SubjectVertex != want {
+	if want, _ := g.Terms().LookupVertex("http://dbpedia.org/resource/Music_Band"); lit.SubjectVertex != want {
 		t.Errorf("SubjectVertex = %d, want %d", lit.SubjectVertex, want)
 	}
 	if len(qg.Components) != 1 || len(qg.Components[0].Core) != 1 || qg.Components[0].Core[0] != uo {
@@ -506,7 +506,7 @@ func TestLitSatelliteMultiOccurrenceStaysVertex(t *testing.T) {
 	g := dataGraph(t)
 	q := parseQ(t, `PREFIX y: <http://dbpedia.org/ontology/>
 SELECT ?b WHERE { ?a y:wasBornIn ?b . ?c y:diedIn ?b }`)
-	qg, err := Build(q, &g.Dicts)
+	qg, err := Build(q, g.Terms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestLitSatelliteMixedPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := parseQ(t, `SELECT ?v WHERE { ?s <http://p/mixed> ?v }`)
-	qg, err := Build(q, &g.Dicts)
+	qg, err := Build(q, g.Terms())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func TestGeneratedQueriesSatisfiable(t *testing.T) {
 				if !ok {
 					t.Fatalf("%v size %d: generation failed", kind, size)
 				}
-				qg, err := query.Build(q, &g.Dicts)
+				qg, err := query.Build(q, g.Terms())
 				if err != nil {
 					t.Fatal(err)
 				}

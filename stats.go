@@ -35,7 +35,9 @@ type Stats struct {
 
 // Stats reports the database's statistics for the merged live view
 // (base generation plus any uncompacted delta overlay). The build
-// timings and byte estimates describe the base generation.
+// timings and IndexBytes describe the base generation; DatabaseBytes
+// also counts the terms the overlay has interned into the generation's
+// dictionaries.
 func (db *DB) Stats() Stats {
 	sn := db.store.Snapshot()
 	v := sn.Delta
@@ -47,7 +49,7 @@ func (db *DB) Stats() Stats {
 		Attributes:        v.NumAttrs(),
 		DatabaseBuildTime: sn.Build.DatabaseTime,
 		IndexBuildTime:    sn.Build.IndexTime,
-		DatabaseBytes:     sn.Build.DatabaseBytes,
+		DatabaseBytes:     sn.Build.DatabaseBytes + v.Snapshot.Bytes() - sn.Graph.Terms().Bytes(),
 		IndexBytes:        sn.Build.IndexBytes,
 	}
 }
