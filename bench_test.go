@@ -543,13 +543,14 @@ func BenchmarkInitialCandidates(b *testing.B) {
 // probe (one intersection into one slice).
 func BenchmarkNeighborsHub(b *testing.B) {
 	g, ix := dataset(b, "DBPEDIA").Amber.Snapshot().Delta.Base()
-	hub := dict.VertexID(0)
+	hub, degree := dict.VertexID(0), 0
+	var in multigraph.MultiEdges
 	for v := 0; v < g.NumVertices(); v++ {
-		if g.In(dict.VertexID(v)).Len() > g.In(hub).Len() {
-			hub = dict.VertexID(v)
+		if in.Regroup(g.In(dict.VertexID(v))); in.Len() > degree {
+			hub, degree = dict.VertexID(v), in.Len()
 		}
 	}
-	in := g.In(hub)
+	in.Regroup(g.In(hub))
 	single := in.Types(0)[:1]
 	multi := single
 	for i := 0; i < in.Len(); i++ {

@@ -31,9 +31,11 @@ import (
 type BuildStats struct {
 	// DatabaseTime is the time to transform the tripleset into G.
 	DatabaseTime time.Duration
-	// IndexTime is the time to build I = {A, S, N}.
+	// IndexTime is the time to build A, S and the planner statistics; N
+	// is G's adjacency, built with G.
 	IndexTime time.Duration
-	// DatabaseBytes and IndexBytes are analytic size estimates.
+	// DatabaseBytes is the size of G's arrays and dictionaries, N's among
+	// them; IndexBytes is the size of A's and S's.
 	DatabaseBytes int64
 	IndexBytes    int64
 }
@@ -132,7 +134,7 @@ func newGeneration(g *multigraph.Graph, dbTime time.Duration) *Snapshot {
 		Build: BuildStats{
 			DatabaseTime:  dbTime,
 			IndexTime:     time.Since(start),
-			DatabaseBytes: estimateGraphBytes(g),
+			DatabaseBytes: g.Bytes(),
 			IndexBytes:    estimateIndexBytes(ix),
 		},
 	}
@@ -156,23 +158,10 @@ func (s *Store) BuildInfo() BuildStats { return s.Snapshot().Build }
 // mutation, compaction and clear.
 func (s *Store) Epoch() uint64 { return s.Snapshot().Epoch }
 
-// estimateGraphBytes is an analytic size estimate of G: adjacency entries
-// (8 bytes per neighbour on each side), edge-type labels and attributes (4
-// bytes each), and the dictionaries' arrays.
-func estimateGraphBytes(g *multigraph.Graph) int64 {
-	labels, attrs := g.Entries()
-	bytes := 2 * (8*int64(g.NumEdges()) + 4*int64(labels))
-	bytes += 4 * int64(attrs)
-	return bytes + g.Terms().Bytes()
-}
-
-// estimateIndexBytes is an analytic size estimate of I = {A, S, N}.
+// estimateIndexBytes is the size of A's postings and S's level arrays; N
+// is the graph's adjacency and counts in the graph's Bytes.
 func estimateIndexBytes(ix *index.Index) int64 {
-	var bytes int64
-	bytes += 4 * int64(ix.A.Entries()) // A postings
-	bytes += ix.S.Bytes()              // S level arrays
-	bytes += ix.N.Bytes()              // N flat arrays
-	return bytes
+	return 4*int64(ix.A.Entries()) + ix.S.Bytes()
 }
 
 // Save writes a binary snapshot of the merged data multigraph (base plus

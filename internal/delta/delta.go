@@ -9,9 +9,10 @@
 // generation: a View records only the difference — added triples and
 // tombstones over the base — plus its own small side indexes (per-pair
 // edge-type deltas, per-vertex touch lists and an attribute add/remove
-// inverted index). Probes consult the base ensemble first and correct
-// its answer through the overlay, so overlay matching stays sublinear in
-// the base and linear only in the delta.
+// inverted index). Probes consult the base first — its ensemble, and for
+// N the base graph's runs — and correct the answer through the overlay,
+// testing the wanted types of a touched pair one by one, so overlay
+// matching stays sublinear in the base and linear only in the delta.
 //
 // There is one set of dictionaries per generation, Mv, Me and Ma of the
 // paper's Table 2: the overlay's writer interns terms the base has never
@@ -167,7 +168,7 @@ type shared struct {
 	g  *multigraph.Graph
 	ix *index.Index
 
-	baseNV, baseNT, baseNA int
+	baseNV, baseNA int
 
 	// ver is the version of the newest published View (writer only).
 	ver uint64
@@ -253,7 +254,6 @@ func NewView(g *multigraph.Graph, ix *index.Index) *View {
 	sh := &shared{
 		g: g, ix: ix,
 		baseNV:     g.NumVertices(),
-		baseNT:     g.NumEdgeTypes(),
 		baseNA:     g.NumAttrs(),
 		touchedSet: make(map[dict.VertexID]bool),
 	}
@@ -309,43 +309,21 @@ func (v *View) CopyStats() (entries, bytes uint64) {
 
 // ---- index.Reader ------------------------------------------------------
 
-// EdgeTypes returns the effective multi-edge label set LE(from, to) of
-// the merged view: base types minus tombstones plus overlay additions.
-// The result is sorted; it may alias base storage when the pair carries
-// no delta and must not be modified.
-func (v *View) EdgeTypes(from, to dict.VertexID) []dict.EdgeType {
-	var base []dict.EdgeType
-	if int(from) < v.sh.baseNV && int(to) < v.sh.baseNV {
-		base = v.sh.g.EdgeTypes(from, to)
-	}
-	pd, ok := v.sh.pairs.get(edgeKey{from, to}, v.ver)
-	if !ok {
-		return base
-	}
-	return unionSorted(subtractSorted(base, pd.del), pd.add)
-}
-
 // HasEdgeTypes reports whether from→to carries every type in want under
-// the merged view.
+// the merged view: each type is an overlay addition on the pair, or a
+// base label the overlay has not tombstoned.
 func (v *View) HasEdgeTypes(from, to dict.VertexID, want []dict.EdgeType) bool {
-	if _, ok := v.sh.pairs.get(edgeKey{from, to}, v.ver); !ok {
-		// No delta on the pair: the base answer stands (overlay-new
-		// endpoints have no base edge and fall through to false).
-		if int(from) < v.sh.baseNV && int(to) < v.sh.baseNV {
-			return v.sh.g.HasEdgeTypes(from, to, want)
+	pd, ok := v.sh.pairs.get(edgeKey{from, to}, v.ver)
+	inBase := int(from) < v.sh.baseNV && int(to) < v.sh.baseNV
+	for i, t := range want {
+		if ok && otil.ContainsSorted(pd.add, t) {
+			continue
 		}
-		return false
+		if !inBase || (ok && otil.ContainsSorted(pd.del, t)) || !v.sh.g.HasEdgeTypes(from, to, want[i:i+1]) {
+			return false
+		}
 	}
-	return multigraph.ContainsTypes(v.EdgeTypes(from, to), want)
-}
-
-// dirTypes returns the effective label set of the pair (v, w) oriented by
-// dir: Outgoing reads edge v→w, Incoming reads edge w→v.
-func (v *View) dirTypes(vid, w dict.VertexID, dir index.Direction) []dict.EdgeType {
-	if dir == index.Outgoing {
-		return v.EdgeTypes(vid, w)
-	}
-	return v.EdgeTypes(w, vid)
+	return true
 }
 
 // touchList returns the shared touch list of vid oriented by dir,
@@ -368,14 +346,11 @@ func (v *View) touchList(vid dict.VertexID, dir index.Direction) []dict.VertexID
 	return touch[:cut]
 }
 
-// Neighbors implements the N probe over the merged view: the base trie
-// answer, re-verified for pairs the overlay touched, merged with
+// Neighbors implements the N probe over the merged view: the base
+// graph's answer, re-verified for pairs the overlay touched, merged with
 // overlay-reachable neighbours that pass the same containment test.
 func (v *View) Neighbors(vid dict.VertexID, dir index.Direction, types []dict.EdgeType) []dict.VertexID {
-	var base []dict.VertexID
-	if int(vid) < v.sh.baseNV {
-		base = v.sh.ix.N.Neighbors(vid, dir, types)
-	}
+	base := index.NewReader(v.sh.g, v.sh.ix).Neighbors(vid, dir, types)
 	touch := v.touchList(vid, dir)
 	if len(touch) == 0 {
 		return base
@@ -389,8 +364,11 @@ func (v *View) Neighbors(vid dict.VertexID, dir index.Direction, types []dict.Ed
 			out = append(out, base[i])
 			i++
 		default:
-			w := touch[j]
-			if multigraph.ContainsTypes(v.dirTypes(vid, w, dir), types) {
+			w, from, to := touch[j], vid, touch[j]
+			if dir == index.Incoming {
+				from, to = w, vid
+			}
+			if v.HasEdgeTypes(from, to, types) {
 				out = append(out, w)
 			}
 			j++
@@ -543,8 +521,7 @@ func (v *View) blendCardinalities(base *index.Cardinalities) *index.Cardinalitie
 	// which compaction keeps small.
 	countGains := func(gain map[vertType]bool, dir index.Direction, counts []int) {
 		for key := range gain {
-			if int(key.v) < v.sh.baseNV && int(key.t) < v.sh.baseNT &&
-				len(v.sh.ix.N.Neighbors(key.v, dir, []dict.EdgeType{key.t})) > 0 {
+			if len(index.NewReader(v.sh.g, v.sh.ix).Neighbors(key.v, dir, []dict.EdgeType{key.t})) > 0 {
 				continue
 			}
 			counts[key.t]++
@@ -564,10 +541,11 @@ func (v *View) blendCardinalities(base *index.Cardinalities) *index.Cardinalitie
 // is safe to enumerate while later batches are applied to the same
 // overlay: the stream reflects exactly this View's version.
 func (v *View) Triples(yield func(rdf.Triple) bool) bool {
+	var out multigraph.MultiEdges
 	for i := 0; i < v.sh.baseNV; i++ {
 		vid := dict.VertexID(i)
 		s := rdf.NewResource(v.VertexIRI(vid))
-		out := v.sh.g.Out(vid)
+		out.Regroup(v.sh.g.Out(vid))
 		for i := 0; i < out.Len(); i++ {
 			w := out.V(i)
 			pd, hasPD := v.sh.pairs.get(edgeKey{vid, w}, v.ver)
@@ -765,14 +743,23 @@ func (w *writer) internVertex(iri string) dict.VertexID {
 
 // baseHasEdge reports whether the frozen base carries type et on s→o.
 func (w *writer) baseHasEdge(s, o dict.VertexID, et dict.EdgeType) bool {
-	return int(s) < w.sh.baseNV && int(o) < w.sh.baseNV && int(et) < w.sh.baseNT &&
-		otil.ContainsSorted(w.sh.g.EdgeTypes(s, o), et)
+	return int(s) < w.sh.baseNV && int(o) < w.sh.baseNV &&
+		otil.ContainsSorted(w.sh.g.Out(s).List(et), o)
 }
 
-// basePairExists reports whether the frozen base has any edge on the pair.
+// basePairExists reports whether the frozen base has any edge on the pair:
+// whether any of the source's runs holds the target.
 func (w *writer) basePairExists(k edgeKey) bool {
-	return int(k.from) < w.sh.baseNV && int(k.to) < w.sh.baseNV &&
-		w.sh.g.EdgeTypes(k.from, k.to) != nil
+	if int(k.from) >= w.sh.baseNV || int(k.to) >= w.sh.baseNV {
+		return false
+	}
+	out := w.sh.g.Out(k.from)
+	for _, t := range out.Types {
+		if otil.ContainsSorted(out.List(t), k.to) {
+			return true
+		}
+	}
+	return false
 }
 
 // baseHasAttr reports whether the frozen base carries attribute a on s.

@@ -1,13 +1,14 @@
-// Package index builds and serves the three offline index structures of the
-// AMbER paper (Section 4): the attribute inverted index A, the vertex
-// signature (synopsis) index S backed by an R-tree, and the vertex
-// neighbourhood index N — the inverted lists of the per-vertex OTILs for
-// incoming (N+) and outgoing (N−) edges. The ensemble I := {A, S, N} is
-// what the online matching procedure probes.
+// Package index builds and serves the offline index structures of the
+// AMbER paper (Section 4). The ensemble I := {A, S, N} is what the online
+// matching procedure probes: the attribute inverted index A and the vertex
+// signature (synopsis) index S, backed by an R-tree, are built here; the
+// vertex neighbourhood index N — the inverted lists of the per-vertex
+// OTILs for incoming (N+) and outgoing (N−) edges — is the data graph's
+// own type-major adjacency (multigraph.Graph.In and Out), which
+// GraphReader probes directly.
 package index
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/dict"
@@ -121,140 +122,6 @@ func (si *SignatureIndex) Len() int { return si.tree.Len() }
 // accounting): a 36-byte entry per synopsis and per node above the leaves.
 func (si *SignatureIndex) Bytes() int64 { return si.tree.Bytes() }
 
-// NeighborhoodIndex is N: per vertex and direction, the inverted lists of
-// an OTIL (Section 4.3) — the edge types on that side of the vertex in
-// ascending order, each with the ascending list of neighbours whose
-// multi-edge contains it. The trie half of the OTIL is not stored: every
-// probe is answered from the inverted lists alone (otil.Trie keeps the
-// trie walk as the reference implementation for tests).
-type NeighborhoodIndex struct {
-	in  sideLists // N+: incoming multi-edges
-	out sideLists // N−: outgoing multi-edges
-}
-
-// sideLists holds one direction of N for all vertices in four flat
-// arrays: vertex v owns entries start[v]..start[v+1] of types/off, and
-// entry e's neighbour list is ids[off[e]:off[e+1]]. Offsets are 32-bit: a
-// posting is one stored (vertex, neighbour, type) edge, of which the
-// adjacency it is built from holds fewer than 2³² long before memory
-// runs out.
-type sideLists struct {
-	start []uint32
-	types []dict.EdgeType
-	off   []uint32
-	ids   []dict.VertexID
-}
-
-// of slices vertex v's inverted lists out of the flat arrays.
-func (sl *sideLists) of(v dict.VertexID) otil.Postings {
-	lo, hi := sl.start[v], sl.start[v+1]
-	return otil.Postings{Types: sl.types[lo:hi], Off: sl.off[lo : hi+1], IDs: sl.ids}
-}
-
-// buildSide lays out one direction of N straight from the adjacency:
-// adj(v) is sorted by neighbour and every multi-edge is sorted and
-// duplicate-free, so scattering each (neighbour, type) pair to its type's
-// list in adjacency order yields ascending duplicate-free lists with no
-// sort. next[t] is per-vertex scratch: first the list length of type t,
-// then the write cursor into ids; it is zero again after each vertex.
-func buildSide(g *multigraph.Graph, dir Direction) sideLists {
-	adj := func(v dict.VertexID) multigraph.Adjacency {
-		if dir == Incoming {
-			return g.In(v)
-		}
-		return g.Out(v)
-	}
-	n := g.NumVertices()
-	next := make([]uint32, g.NumEdgeTypes())
-	// Size the arrays exactly: next[t] == v+1 marks type t as already
-	// counted for vertex v.
-	entries, postings := 0, 0
-	for v := 0; v < n; v++ {
-		ts := adj(dict.VertexID(v)).AllTypes()
-		postings += len(ts)
-		for _, t := range ts {
-			if next[t] != uint32(v+1) {
-				next[t] = uint32(v + 1)
-				entries++
-			}
-		}
-	}
-	clear(next)
-	sl := sideLists{
-		start: make([]uint32, n+1),
-		types: make([]dict.EdgeType, 0, entries),
-		off:   make([]uint32, 0, entries+1),
-		ids:   make([]dict.VertexID, postings),
-	}
-	var seen []dict.EdgeType
-	cursor := uint32(0)
-	for v := 0; v < n; v++ {
-		sl.start[v] = uint32(len(sl.types))
-		nbs := adj(dict.VertexID(v))
-		seen = seen[:0]
-		for _, t := range nbs.AllTypes() {
-			if next[t] == 0 {
-				seen = append(seen, t)
-			}
-			next[t]++
-		}
-		slices.Sort(seen)
-		for _, t := range seen {
-			sl.types = append(sl.types, t)
-			sl.off = append(sl.off, cursor)
-			cursor, next[t] = cursor+next[t], cursor
-		}
-		for i := 0; i < nbs.Len(); i++ {
-			for _, t := range nbs.Types(i) {
-				sl.ids[next[t]] = nbs.V(i)
-				next[t]++
-			}
-		}
-		for _, t := range seen {
-			next[t] = 0
-		}
-	}
-	sl.start[n] = uint32(len(sl.types))
-	sl.off = append(sl.off, cursor)
-	return sl
-}
-
-// BuildNeighborhoodIndex constructs N+ and N− from the graph adjacency.
-func BuildNeighborhoodIndex(g *multigraph.Graph) *NeighborhoodIndex {
-	return &NeighborhoodIndex{in: buildSide(g, Incoming), out: buildSide(g, Outgoing)}
-}
-
-// Neighbors implements the paper's N probe: given matched data vertex v,
-// a direction, and a multi-edge T′ (sorted, duplicate-free), return
-//
-//	dir=Incoming: {v′ | (v′,v) ∈ E ∧ T′ ⊆ LE(v′,v)}
-//	dir=Outgoing: {v′ | (v,v′) ∈ E ∧ T′ ⊆ LE(v,v′)}
-//
-// sorted ascending. A single-type probe returns the stored list itself:
-// the result may alias the index and must not be modified.
-func (ni *NeighborhoodIndex) Neighbors(v dict.VertexID, dir Direction, types []dict.EdgeType) []dict.VertexID {
-	sl := &ni.out
-	if dir == Incoming {
-		sl = &ni.in
-	}
-	if int(v) >= len(sl.start)-1 {
-		return nil
-	}
-	return sl.of(v).Lookup(types)
-}
-
-// Bytes reports the size of N's arrays (for Table 5 size accounting): per
-// direction a 4-byte posting per (vertex, neighbour, type), an 8-byte
-// (type, offset) entry per distinct (vertex, type) and a 4-byte start per
-// vertex.
-func (ni *NeighborhoodIndex) Bytes() int64 {
-	n := 0
-	for _, sl := range []*sideLists{&ni.in, &ni.out} {
-		n += len(sl.start) + len(sl.types) + len(sl.off) + len(sl.ids)
-	}
-	return 4 * int64(n)
-}
-
 // Cardinalities are per-edge-type occurrence counts gathered while the
 // ensemble is built. They are the data statistics the cost-based query
 // planner (internal/plan) consumes: together with AttributeIndex list
@@ -299,7 +166,8 @@ func (c *Cardinalities) Fanout(dir Direction, t dict.EdgeType) float64 {
 	return float64(c.Edges[t]) / float64(src)
 }
 
-// BuildCardinalities scans the adjacency once per direction.
+// BuildCardinalities reads the graph's runs: each run of a vertex is one
+// (vertex, type) count and its length the pairs it adds to Edges.
 func BuildCardinalities(g *multigraph.Graph) *Cardinalities {
 	nT := g.NumEdgeTypes()
 	c := &Cardinalities{
@@ -308,27 +176,14 @@ func BuildCardinalities(g *multigraph.Graph) *Cardinalities {
 		Edges:       make([]int, nT),
 		NumVertices: g.NumVertices(),
 	}
-	// stamp[t] == v+1 marks that vertex v was already counted for type t,
-	// so multi-edges to distinct neighbours count the vertex only once.
-	stamp := make([]int, nT)
 	for v := 0; v < g.NumVertices(); v++ {
-		for _, t := range g.Out(dict.VertexID(v)).AllTypes() {
-			c.Edges[t]++
-			if stamp[t] != v+1 {
-				stamp[t] = v + 1
-				c.OutVertices[t]++
-			}
+		out := g.Out(dict.VertexID(v))
+		for i, t := range out.Types {
+			c.Edges[t] += int(out.Off[i+1] - out.Off[i])
+			c.OutVertices[t]++
 		}
-	}
-	for i := range stamp {
-		stamp[i] = 0
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, t := range g.In(dict.VertexID(v)).AllTypes() {
-			if stamp[t] != v+1 {
-				stamp[t] = v + 1
-				c.InVertices[t]++
-			}
+		for _, t := range g.In(dict.VertexID(v)).Types {
+			c.InVertices[t]++
 		}
 	}
 	return c
@@ -387,9 +242,23 @@ func (r GraphReader) SignatureCandidates(q multigraph.Synopsis) []dict.VertexID 
 	return r.Ix.S.Candidates(q)
 }
 
-// Neighbors probes the neighbourhood index N.
+// Neighbors implements the paper's N probe on the graph's runs: given
+// matched data vertex v, a direction, and a multi-edge T′ (sorted,
+// duplicate-free), return
+//
+//	dir=Incoming: {v′ | (v′,v) ∈ E ∧ T′ ⊆ LE(v′,v)}
+//	dir=Outgoing: {v′ | (v,v′) ∈ E ∧ T′ ⊆ LE(v,v′)}
+//
+// sorted ascending. A single-type probe returns the stored run itself:
+// the result may alias the graph and must not be modified.
 func (r GraphReader) Neighbors(v dict.VertexID, dir Direction, types []dict.EdgeType) []dict.VertexID {
-	return r.Ix.N.Neighbors(v, dir, types)
+	if int(v) >= r.G.NumVertices() {
+		return nil
+	}
+	if dir == Incoming {
+		return r.G.In(v).Lookup(types)
+	}
+	return r.G.Out(v).Lookup(types)
 }
 
 // AttrCandidates probes the inverted index A.
@@ -415,22 +284,20 @@ func (r GraphReader) HasEdgeTypes(from, to dict.VertexID, types []dict.EdgeType)
 // Cardinalities exposes the planner statistics.
 func (r GraphReader) Cardinalities() *Cardinalities { return r.Ix.Card }
 
-// Index is the ensemble I := {A, S, N} plus the cardinality statistics
-// gathered alongside it.
+// Index holds the ensemble's A and S plus the cardinality statistics
+// gathered alongside them; N is the graph's own adjacency.
 type Index struct {
 	A *AttributeIndex
 	S *SignatureIndex
-	N *NeighborhoodIndex
 	// Card holds per-edge-type cardinalities for the cost-based planner.
 	Card *Cardinalities
 }
 
-// Build constructs all three indexes and the planner statistics for g.
+// Build constructs A, S and the planner statistics for g.
 func Build(g *multigraph.Graph) *Index {
 	return &Index{
 		A:    BuildAttributeIndex(g),
 		S:    BuildSignatureIndex(g),
-		N:    BuildNeighborhoodIndex(g),
 		Card: BuildCardinalities(g),
 	}
 }

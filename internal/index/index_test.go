@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -167,11 +168,12 @@ func TestSignatureIndexCompleteness(t *testing.T) {
 // probing N+ of London with edge type wasBornIn yields {Nolan, Amy}.
 func TestNeighborhoodIndexFigure3(t *testing.T) {
 	g, ix := buildAll(t)
+	r := NewReader(g, ix)
 	london := lookupV(t, g, "London")
 	born := lookupT(t, g, "wasBornIn")
 	died := lookupT(t, g, "diedIn")
 
-	got := ix.N.Neighbors(london, Incoming, []dict.EdgeType{born})
+	got := r.Neighbors(london, Incoming, []dict.EdgeType{born})
 	wantSet := map[dict.VertexID]bool{
 		lookupV(t, g, "Christopher_Nolan"): true,
 		lookupV(t, g, "Amy_Winehouse"):     true,
@@ -185,7 +187,7 @@ func TestNeighborhoodIndexFigure3(t *testing.T) {
 	if born > died {
 		me = []dict.EdgeType{died, born}
 	}
-	got = ix.N.Neighbors(london, Incoming, me)
+	got = r.Neighbors(london, Incoming, me)
 	if len(got) != 1 || got[0] != lookupV(t, g, "Amy_Winehouse") {
 		t.Errorf("N+(London, {born,died}) = %v, want [Amy]", got)
 	}
@@ -193,21 +195,22 @@ func TestNeighborhoodIndexFigure3(t *testing.T) {
 
 func TestNeighborhoodIndexOutgoing(t *testing.T) {
 	g, ix := buildAll(t)
+	r := NewReader(g, ix)
 	amy := lookupV(t, g, "Amy_Winehouse")
 	lived := lookupT(t, g, "livedIn")
-	got := ix.N.Neighbors(amy, Outgoing, []dict.EdgeType{lived})
+	got := r.Neighbors(amy, Outgoing, []dict.EdgeType{lived})
 	if len(got) != 1 || got[0] != lookupV(t, g, "United_States") {
 		t.Errorf("N-(Amy, livedIn) = %v, want [United_States]", got)
 	}
 	// Direction matters: incoming probe must be empty.
-	if got := ix.N.Neighbors(amy, Incoming, []dict.EdgeType{lived}); got != nil {
+	if got := r.Neighbors(amy, Incoming, []dict.EdgeType{lived}); got != nil {
 		t.Errorf("N+(Amy, livedIn) = %v, want nil", got)
 	}
 }
 
 func TestNeighborhoodIndexBounds(t *testing.T) {
-	_, ix := buildAll(t)
-	if got := ix.N.Neighbors(dict.VertexID(9999), Incoming, []dict.EdgeType{0}); got != nil {
+	g, ix := buildAll(t)
+	if got := NewReader(g, ix).Neighbors(dict.VertexID(9999), Incoming, []dict.EdgeType{0}); got != nil {
 		t.Errorf("out-of-range vertex = %v", got)
 	}
 }
@@ -216,58 +219,6 @@ func TestDirectionString(t *testing.T) {
 	if Incoming.String() != "+" || Outgoing.String() != "-" {
 		t.Errorf("Direction strings: %s %s", Incoming, Outgoing)
 	}
-}
-
-// TestNeighborsAgainstAdjacency cross-checks every N probe against the
-// graph's adjacency on a random graph.
-func TestNeighborsAgainstAdjacency(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var b multigraph.Builder
-	for i := 0; i < 300; i++ {
-		s := rdf.NewIRI("v" + string(rune('A'+rng.Intn(20))))
-		o := rdf.NewIRI("v" + string(rune('A'+rng.Intn(20))))
-		if s == o {
-			continue
-		}
-		p := rdf.NewIRI("p" + string(rune('a'+rng.Intn(6))))
-		if err := b.Add(rdf.Triple{S: s, P: p, O: o}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := b.Build()
-	ix := Build(g)
-	for v := 0; v < g.NumVertices(); v++ {
-		vid := dict.VertexID(v)
-		in := g.In(vid)
-		for i := 0; i < in.Len(); i++ {
-			for _, et := range in.Types(i) {
-				got := ix.N.Neighbors(vid, Incoming, []dict.EdgeType{et})
-				if !containsVertex(got, in.V(i)) {
-					t.Fatalf("N+(%d, t%d) = %v missing %d", v, et, got, in.V(i))
-				}
-			}
-			got := ix.N.Neighbors(vid, Incoming, in.Types(i))
-			if !containsVertex(got, in.V(i)) {
-				t.Fatalf("N+(%d, full multi-edge) missing %d", v, in.V(i))
-			}
-		}
-		out := g.Out(vid)
-		for i := 0; i < out.Len(); i++ {
-			got := ix.N.Neighbors(vid, Outgoing, out.Types(i))
-			if !containsVertex(got, out.V(i)) {
-				t.Fatalf("N-(%d, full multi-edge) missing %d", v, out.V(i))
-			}
-		}
-	}
-}
-
-func containsVertex(lst []dict.VertexID, v dict.VertexID) bool {
-	for _, x := range lst {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // TestCardinalities cross-checks the planner statistics against a direct
@@ -326,17 +277,24 @@ func TestCardinalities(t *testing.T) {
 	}
 }
 
-// randomGraph builds nV vertices joined by nE random typed edges; vertex
-// "hub" additionally reaches one neighbour per edge type over hubTypes
-// distinct types and shares several types with each of a few neighbours.
+// randomGraph builds the graph of randomTriples.
 func randomGraph(t *testing.T, rng *rand.Rand, nV, nP, nE, hubTypes int) *multigraph.Graph {
 	t.Helper()
-	var b multigraph.Builder
+	g, err := multigraph.FromTriples(randomTriples(rng, nV, nP, nE, hubTypes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// randomTriples joins nV vertices by nE random typed edges, self-loops
+// among them; vertex "hub" additionally reaches one neighbour per edge
+// type over hubTypes distinct types and shares several types with each of
+// a few neighbours.
+func randomTriples(rng *rand.Rand, nV, nP, nE, hubTypes int) []rdf.Triple {
+	var ts []rdf.Triple
 	add := func(s, p, o string) {
-		t.Helper()
-		if err := b.Add(rdf.Triple{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: rdf.NewIRI(o)}); err != nil {
-			t.Fatal(err)
-		}
+		ts = append(ts, rdf.Triple{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: rdf.NewIRI(o)})
 	}
 	vert := func(i int) string { return fmt.Sprintf("http://g/v%d", i) }
 	for i := 0; i < nE; i++ {
@@ -347,7 +305,7 @@ func randomGraph(t *testing.T, rng *rand.Rand, nV, nP, nE, hubTypes int) *multig
 		add(vert(rng.Intn(nV)), fmt.Sprintf("http://g/h%d", i), "http://g/hub")
 		add("http://g/hub", fmt.Sprintf("http://g/h%d", i), vert(i%5))
 	}
-	return b.Build()
+	return ts
 }
 
 // TestSignatureCandidatesAgainstScan: on random graphs the S probe equals
@@ -445,55 +403,138 @@ func TestSignatureCandidatesOnCorpora(t *testing.T) {
 	}
 }
 
-// TestNeighborsAgainstTrie: N's lookup equals the OTIL trie walk (the
-// reference implementation) for every vertex and direction of a random
-// multigraph, for single types, stored multi-edges and random subsets —
-// including a hub with more than 256 edge types.
+// TestNeighborsAgainstTrie checks the graph's runs, which serve N,
+// against references built from the source triples alone, on a seeded
+// LUBM graph, a seeded DBpedia-like graph and a random graph with a hub of
+// more than 256 edge types, self-loops and vertices that are only ever
+// objects:
+//
+//   - the N probe equals the OTIL trie walk for every vertex and
+//     direction, for each stored multi-edge, each of its single types and
+//     mostly-absent type pairs;
+//   - HasEdgeTypes equals a map of the triples for every stored pair and
+//     for random pairs;
+//   - a decoded snapshot of the graph has identical runs.
 func TestNeighborsAgainstTrie(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := randomGraph(t, rng, 60, 6, 900, 300)
-	hub, ok := g.Terms().LookupVertex("http://g/hub")
-	if !ok {
-		t.Fatal("hub missing")
+	random := randomTriples(rng, 60, 6, 900, 300)
+	for i := range 20 { // in-only vertices
+		random = append(random, rdf.Triple{S: random[i].S, P: random[i].P, O: rdf.NewIRI(fmt.Sprintf("http://g/sink%d", i%7))})
 	}
-	hubTypes := map[dict.EdgeType]bool{}
-	hubOut := g.Out(hub)
-	for i := 0; i < hubOut.Len(); i++ {
-		for _, et := range hubOut.Types(i) {
-			hubTypes[et] = true
+	corpora := []struct {
+		name    string
+		triples []rdf.Triple
+	}{
+		{"random", random},
+		{"LUBM", datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 17})},
+		{"DBpedia-like", datagen.DBpediaLike(1, 23)},
+	}
+	for _, c := range corpora {
+		g, err := multigraph.FromTriples(c.triples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRunsAgainstTriples(t, c.name, g, c.triples, rng)
+	}
+	g, _ := multigraph.FromTriples(random)
+	hub, _ := g.Terms().LookupVertex("http://g/hub")
+	loops := 0
+	for _, tr := range random {
+		if tr.S == tr.O {
+			loops++
 		}
 	}
-	if len(hubTypes) < 256 {
-		t.Fatalf("hub has %d edge types, want ≥ 256", len(hubTypes))
+	if n := len(g.Out(hub).Types); n < 256 || loops == 0 {
+		t.Fatalf("random graph's hub has %d edge types and the triples %d self-loops, want ≥ 256 and some", n, loops)
 	}
-	ni := BuildNeighborhoodIndex(g)
-	for v := 0; v < g.NumVertices(); v++ {
-		vid := dict.VertexID(v)
-		for _, side := range []struct {
+}
+
+// checkRunsAgainstTriples runs TestNeighborsAgainstTrie's checks on g, the
+// graph of triples.
+func checkRunsAgainstTriples(t *testing.T, name string, g *multigraph.Graph, triples []rdf.Triple, rng *rand.Rand) {
+	t.Helper()
+	type pair struct{ s, o dict.VertexID }
+	ref := map[pair][]dict.EdgeType{}
+	for _, tr := range triples {
+		if tr.O.IsLiteral() {
+			continue
+		}
+		s, _ := g.Terms().LookupVertex(tr.S.Value)
+		o, _ := g.Terms().LookupVertex(tr.O.Value)
+		et, _ := g.Terms().LookupEdgeType(tr.P.Value)
+		ref[pair{s, o}] = append(ref[pair{s, o}], et)
+	}
+	n, nT := g.NumVertices(), g.NumEdgeTypes()
+	tries := make([][2]otil.Trie, n) // by Direction: in, out
+	queries := make([][2][][]dict.EdgeType, n)
+	for k, ts := range ref {
+		slices.Sort(ts)
+		ts = slices.Compact(ts)
+		ref[k] = ts
+		tries[k.o][Incoming].Insert(ts, k.s)
+		tries[k.s][Outgoing].Insert(ts, k.o)
+		for _, end := range []struct {
+			v   dict.VertexID
 			dir Direction
-			adj multigraph.Adjacency
-		}{{Incoming, g.In(vid)}, {Outgoing, g.Out(vid)}} {
-			var tr otil.Trie
-			var queries [][]dict.EdgeType
-			for i := 0; i < side.adj.Len(); i++ {
-				ts := side.adj.Types(i)
-				tr.Insert(ts, side.adj.V(i))
-				queries = append(queries, ts, ts[:1], ts[len(ts)-1:])
-				if len(ts) > 2 {
-					queries = append(queries, []dict.EdgeType{ts[0], ts[len(ts)-1]})
-				}
+		}{{k.o, Incoming}, {k.s, Outgoing}} {
+			q := &queries[end.v][end.dir]
+			*q = append(*q, ts)
+			for i := range ts {
+				*q = append(*q, ts[i:i+1])
 			}
-			for i := 0; i < 8; i++ { // mostly-absent combinations
-				a, b := dict.EdgeType(rng.Intn(g.NumEdgeTypes())), dict.EdgeType(rng.Intn(g.NumEdgeTypes()))
+		}
+	}
+	if g.NumEdges() != len(ref) {
+		t.Fatalf("%s: NumEdges = %d, the triples hold %d pairs", name, g.NumEdges(), len(ref))
+	}
+	r := NewReader(g, nil)
+	for v := 0; v < n; v++ {
+		for dir := Incoming; dir <= Outgoing; dir++ {
+			qs := queries[v][dir]
+			for range 4 { // mostly-absent combinations
+				a, b := dict.EdgeType(rng.Intn(nT)), dict.EdgeType(rng.Intn(nT))
 				if a != b {
-					queries = append(queries, []dict.EdgeType{min(a, b), max(a, b)})
+					qs = append(qs, []dict.EdgeType{min(a, b), max(a, b)})
 				}
 			}
-			for _, q := range queries {
-				got, want := ni.Neighbors(vid, side.dir, q), tr.LookupTrie(q)
-				if !slices.Equal(got, want) {
-					t.Fatalf("N%s(%d, %v) = %v, trie walk says %v", side.dir, v, q, got, want)
+			for _, q := range qs {
+				if got, want := r.Neighbors(dict.VertexID(v), dir, q), tries[v][dir].LookupTrie(q); !slices.Equal(got, want) {
+					t.Fatalf("%s: N%s(%d, %v) = %v, trie walk says %v", name, dir, v, q, got, want)
 				}
+			}
+		}
+	}
+	has := func(k pair, want []dict.EdgeType) {
+		if got := g.HasEdgeTypes(k.s, k.o, want); got != multigraph.ContainsTypes(ref[k], want) {
+			t.Fatalf("%s: HasEdgeTypes(%d, %d, %v) = %v, triples hold %v", name, k.s, k.o, want, got, ref[k])
+		}
+	}
+	for k, ts := range ref {
+		has(k, ts)
+		has(k, ts[len(ts)-1:])
+		has(pair{k.o, k.s}, ts[:1])
+	}
+	for range 2000 {
+		has(pair{dict.VertexID(rng.Intn(n)), dict.VertexID(rng.Intn(n))}, []dict.EdgeType{dict.EdgeType(rng.Intn(nT))})
+	}
+	var buf bytes.Buffer
+	if err := g.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := multigraph.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.NumEdges() != g.NumEdges() || dec.Bytes() != g.Bytes() {
+		t.Fatalf("%s: decoded graph has %d pairs in %d bytes, built %d in %d", name, dec.NumEdges(), dec.Bytes(), g.NumEdges(), g.Bytes())
+	}
+	for v := 0; v < n; v++ {
+		vid := dict.VertexID(v)
+		for _, ps := range [][2]otil.Postings{{g.In(vid), dec.In(vid)}, {g.Out(vid), dec.Out(vid)}} {
+			a, b := ps[0], ps[1]
+			if !slices.Equal(a.Types, b.Types) || !slices.Equal(a.Off, b.Off) ||
+				!slices.Equal(a.IDs[a.Off[0]:a.Off[len(a.Types)]], b.IDs[b.Off[0]:b.Off[len(b.Types)]]) {
+				t.Fatalf("%s: runs of %d differ after Decode(Encode(·))", name, v)
 			}
 		}
 	}
@@ -505,10 +546,10 @@ func TestNeighborsSingleTypeAllocs(t *testing.T) {
 	g := randomGraph(t, rand.New(rand.NewSource(4)), 60, 6, 900, 0)
 	r := NewReader(g, Build(g))
 	var v dict.VertexID
-	for g.Out(v).Len() == 0 {
+	for len(g.Out(v).Types) == 0 {
 		v++
 	}
-	q := g.Out(v).Types(0)[:1]
+	q := g.Out(v).Types[:1]
 	var got []dict.VertexID
 	if allocs := testing.AllocsPerRun(100, func() { got = r.Neighbors(v, Outgoing, q) }); allocs != 0 {
 		t.Errorf("single-type Neighbors probe allocates %.0f times per call", allocs)

@@ -2,8 +2,10 @@ package multigraph
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"repro/internal/dict"
 	"repro/internal/rdf"
 )
 
@@ -88,4 +90,102 @@ func tripleOf(s, p, o string) rdf.Triple {
 		P: rdf.NewIRI("http://y/" + p),
 		O: rdf.NewIRI("http://x/" + o),
 	}
+}
+
+// FuzzBuildGraph builds graphs from small triple sets drawn from the input,
+// three bytes a triple: subject, predicate and object ids over eight
+// vertices and four predicates, an object byte from 0xf0 up being one of
+// sixteen literals. The graph must agree with a naive reference, the set
+// of triples it was built from: every run lists exactly the labelled
+// edges of its vertex and type, HasEdgeTypes and the regrouped multi-edges
+// answer from the same set, and the pair count is the set's. Its snapshot
+// must decode to identical arrays that re-encode to the same bytes.
+func FuzzBuildGraph(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 1, 1, 1, 0, 0, 2, 2, 2, 3, 3, 0xf3})
+	f.Add([]byte{5, 0, 5, 5, 1, 5, 5, 0, 5, 6, 3, 5, 7, 2, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type label struct {
+			s, o int
+			p    byte
+		}
+		ref := map[label]bool{}
+		var ts []rdf.Triple
+		v := func(i int) rdf.Term { return rdf.NewIRI("http://x/v" + itoa(i)) }
+		for i := 0; i+3 <= len(data) && i < 3*64; i += 3 {
+			s, p, o := int(data[i]%8), data[i+1]%4, data[i+2]
+			tr := rdf.Triple{S: v(s), P: rdf.NewIRI("http://y/p" + itoa(int(p)))}
+			if o >= 0xf0 {
+				tr.O = rdf.NewLiteral("l" + itoa(int(o-0xf0)))
+			} else {
+				tr.O = v(int(o % 8))
+				ref[label{s, int(o % 8), p}] = true
+			}
+			ts = append(ts, tr)
+		}
+		g, err := FromTriples(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// vid and pid map reference indexes to the graph's ids (absent: -1).
+		vid := func(i int) int {
+			id, ok := g.Terms().LookupVertex("http://x/v" + itoa(i))
+			if !ok {
+				return -1
+			}
+			return int(id)
+		}
+		pid := func(p byte) int {
+			id, ok := g.Terms().LookupEdgeType("http://y/p" + itoa(int(p)))
+			if !ok {
+				return -1
+			}
+			return int(id)
+		}
+		inRef := func(s, o int, p dict.EdgeType) bool {
+			for l := range ref {
+				if vid(l.s) == s && vid(l.o) == o && pid(l.p) == int(p) {
+					return true
+				}
+			}
+			return false
+		}
+		labels, pairs := 0, map[[2]int]bool{}
+		for l := range ref {
+			pairs[[2]int{l.s, l.o}] = true
+		}
+		for s := range g.NumVertices() {
+			var m MultiEdges
+			m.Regroup(g.Out(dict.VertexID(s)))
+			for i := range m.Len() {
+				for _, p := range m.Types(i) {
+					if !inRef(s, int(m.V(i)), p) || !g.HasEdgeTypes(dict.VertexID(s), m.V(i), []dict.EdgeType{p}) {
+						t.Fatalf("edge %d→%d of type %d is not a source triple", s, m.V(i), p)
+					}
+					if !slices.Contains(g.In(m.V(i)).List(p), dict.VertexID(s)) {
+						t.Fatalf("edge %d→%d of type %d missing from the in side", s, m.V(i), p)
+					}
+					labels++
+				}
+			}
+			for o := range g.NumVertices() {
+				for p := range g.NumEdgeTypes() {
+					if want := inRef(s, o, dict.EdgeType(p)); g.HasEdgeTypes(dict.VertexID(s), dict.VertexID(o), []dict.EdgeType{dict.EdgeType(p)}) != want {
+						t.Fatalf("HasEdgeTypes(%d, %d, %d) != %v", s, o, p, want)
+					}
+				}
+			}
+		}
+		if labels != len(ref) || g.NumEdges() != len(pairs) {
+			t.Fatalf("graph holds %d labels on %d pairs, the triples %d on %d", labels, g.NumEdges(), len(ref), len(pairs))
+		}
+		snap := encoded(t, g)
+		dec, err := Decode(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphsEqual(t, g, dec)
+		if !bytes.Equal(encoded(t, dec), snap) {
+			t.Fatal("Encode→Decode→Encode is not a fixed point")
+		}
+	})
 }

@@ -75,13 +75,14 @@ func TestGoldenSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	loops, multi, typed, tagged := 0, 0, 0, 0
+	var m MultiEdges
 	for v := 0; v < g.NumVertices(); v++ {
-		vid := dict.VertexID(v)
-		if g.EdgeTypes(vid, vid) != nil {
-			loops++
-		}
-		for w := 0; w < g.NumVertices(); w++ {
-			if len(g.EdgeTypes(vid, dict.VertexID(w))) > 1 {
+		m.Regroup(g.Out(dict.VertexID(v)))
+		for i := 0; i < m.Len(); i++ {
+			if m.V(i) == dict.VertexID(v) {
+				loops++
+			}
+			if len(m.Types(i)) > 1 {
 				multi++
 			}
 		}

@@ -8,6 +8,13 @@
 //   - a literal object is folded, together with its predicate, into a
 //     vertex attribute <p, o> on the subject.
 //
+// Each direction of the adjacency is stored type-major, as the inverted
+// lists of the per-vertex OTILs of Section 4.3: for every vertex, runs of
+// edge types in ascending order, each with the ascending neighbours whose
+// multi-edge contains the type. These runs are the neighbourhood index N;
+// no other copy of the adjacency exists. MultiEdges regroups a vertex's
+// runs by neighbour for the snapshot codec and the signatures.
+//
 // The package also computes vertex signatures and their 8-field synopses
 // (Section 4.2, Table 3), which feed the S index.
 package multigraph
@@ -19,6 +26,7 @@ import (
 	"slices"
 
 	"repro/internal/dict"
+	"repro/internal/otil"
 	"repro/internal/rdf"
 )
 
@@ -39,60 +47,34 @@ type Graph struct {
 	attrOff []uint32
 	attrIDs []dict.AttrID
 
-	numTriples int
+	numTriples, numEdges int
 }
 
-// side is one direction in compressed sparse row form: vertex v's
-// neighbours are nbr[off[v]:off[v+1]], ascending, and the multi-edge of
-// entry e is types[tOff[e]:tOff[e+1]], ascending and duplicate-free.
-// Offsets are 32-bit, so a side holds fewer than 2³² edge labels.
+// side is one direction of the adjacency in type-major form, the inverted
+// lists of the paper's per-vertex OTILs (Section 4.3): vertex v's edge
+// types are types[start[v]:start[v+1]], ascending, and run r's neighbours
+// — those whose multi-edge with v contains types[r] — are
+// ids[off[r]:off[r+1]], ascending. Offsets are 32-bit, so a side holds
+// fewer than 2³² edge labels.
 type side struct {
-	off, tOff []uint32
-	nbr       []dict.VertexID
-	types     []dict.EdgeType
-}
-
-// of returns vertex v's view of the side.
-func (s *side) of(v dict.VertexID) Adjacency {
-	lo, hi := s.off[v], s.off[v+1]
-	return Adjacency{nbr: s.nbr[lo:hi:hi], tOff: s.tOff[lo : hi+1], types: s.types}
-}
-
-// Adjacency is one vertex's neighbours in one direction, in ascending id
-// order, each with the multi-edge connecting it. It is a view into the
-// graph's arrays: it does not allocate, and nothing it returns may be
-// modified.
-type Adjacency struct {
-	nbr   []dict.VertexID
-	tOff  []uint32
+	start []uint32
 	types []dict.EdgeType
+	off   []uint32
+	ids   []dict.VertexID
 }
 
-// Len reports the number of distinct neighbours.
-func (a Adjacency) Len() int { return len(a.nbr) }
-
-// V returns the i-th neighbour.
-func (a Adjacency) V(i int) dict.VertexID { return a.nbr[i] }
-
-// Types returns the multi-edge to the i-th neighbour, ascending and
-// duplicate-free.
-func (a Adjacency) Types(i int) []dict.EdgeType {
-	lo, hi := a.tOff[i], a.tOff[i+1]
-	return a.types[lo:hi:hi]
-}
-
-// AllTypes returns the multi-edges of all the neighbours, in their order.
-func (a Adjacency) AllTypes() []dict.EdgeType {
-	lo, hi := a.tOff[0], a.tOff[len(a.nbr)]
-	return a.types[lo:hi:hi]
+// of returns vertex v's runs: a view into the side's arrays.
+func (s *side) of(v dict.VertexID) otil.Postings {
+	lo, hi := s.start[v], s.start[v+1]
+	return otil.Postings{Types: s.types[lo:hi:hi], Off: s.off[lo : hi+1], IDs: s.ids}
 }
 
 // NumVertices reports |V|.
-func (g *Graph) NumVertices() int { return max(len(g.out.off)-1, 0) }
+func (g *Graph) NumVertices() int { return max(len(g.out.start)-1, 0) }
 
 // NumEdges reports the number of distinct directed vertex pairs carrying at
 // least one edge type (the paper's "# Edges" in Table 4).
-func (g *Graph) NumEdges() int { return len(g.out.nbr) }
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 // NumEdgeTypes reports |T|, the number of distinct predicates between IRIs.
 func (g *Graph) NumEdgeTypes() int { return g.terms.EdgeTypes.Len() }
@@ -108,14 +90,26 @@ func (g *Graph) Terms() *dict.Snapshot { return &g.terms }
 // NumTriples reports the number of source RDF triples.
 func (g *Graph) NumTriples() int { return g.numTriples }
 
-// Entries reports the number of distinct edge and literal triples stored.
-func (g *Graph) Entries() (labels, attrs int) { return len(g.out.types), len(g.attrIDs) }
+// Bytes reports the size of the graph's arrays and of its dictionaries
+// (for Table 5 size accounting): per side a 4-byte start per vertex, an
+// 8-byte (type, offset) entry per run and a 4-byte id per edge label; a
+// 4-byte offset per vertex and a 4-byte id per attribute.
+func (g *Graph) Bytes() int64 {
+	n := len(g.attrOff) + len(g.attrIDs)
+	for _, s := range []*side{&g.out, &g.in} {
+		n += len(s.start) + len(s.types) + len(s.off) + len(s.ids)
+	}
+	return 4*int64(n) + g.terms.Bytes()
+}
 
-// Out returns the outgoing ("-") adjacency of v, sorted by neighbour id.
-func (g *Graph) Out(v dict.VertexID) Adjacency { return g.out.of(v) }
+// Out returns the outgoing ("-") runs of v: per edge type, ascending, the
+// ascending targets of v's edges of that type. The result is a view into
+// the graph's arrays; nothing it returns may be modified.
+func (g *Graph) Out(v dict.VertexID) otil.Postings { return g.out.of(v) }
 
-// In returns the incoming ("+") adjacency of v, sorted by neighbour id.
-func (g *Graph) In(v dict.VertexID) Adjacency { return g.in.of(v) }
+// In returns the incoming ("+") runs of v: per edge type, ascending, the
+// ascending sources of the edges of that type into v.
+func (g *Graph) In(v dict.VertexID) otil.Postings { return g.in.of(v) }
 
 // Attrs returns the sorted attribute set of v (the paper's LV(v), minus the
 // implicit null attribute every vertex carries). The returned slice must
@@ -131,20 +125,16 @@ func (g *Graph) HasAttrs(v dict.VertexID, want []dict.AttrID) bool {
 	return ContainsTypes(g.Attrs(v), want)
 }
 
-// EdgeTypes returns the multi-edge label set LE(from, to), or nil when no
-// edge exists. The returned slice must not be modified.
-func (g *Graph) EdgeTypes(from, to dict.VertexID) []dict.EdgeType {
-	adj := g.Out(from)
-	if i, ok := slices.BinarySearch(adj.nbr, to); ok {
-		return adj.Types(i)
-	}
-	return nil
-}
-
-// HasEdgeTypes reports whether edge from→to exists and its label set
-// contains every type in want (want must be sorted ascending).
+// HasEdgeTypes reports whether the edge from→to carries every type in
+// want: one binary search for each type's run and one in the run.
 func (g *Graph) HasEdgeTypes(from, to dict.VertexID, want []dict.EdgeType) bool {
-	return ContainsTypes(g.EdgeTypes(from, to), want)
+	out := g.Out(from)
+	for _, t := range want {
+		if !otil.ContainsSorted(out.List(t), to) {
+			return false
+		}
+	}
+	return true
 }
 
 // ContainsTypes reports whether the sorted id set have contains every
@@ -226,7 +216,7 @@ func (b *Builder) Build() *Graph {
 	n := b.dicts.Vertices.Len()
 	g := &Graph{Dicts: b.dicts, numTriples: b.numTriples}
 	slices.SortFunc(b.edges, func(x, y edge) int {
-		return cmp.Or(cmp.Compare(x.s, y.s), cmp.Compare(x.o, y.o), cmp.Compare(x.t, y.t))
+		return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.s, y.s), cmp.Compare(x.o, y.o))
 	})
 	es := slices.Compact(b.edges)
 	slices.Sort(b.attrs)
@@ -234,72 +224,89 @@ func (b *Builder) Build() *Graph {
 	if len(es) > math.MaxUint32 || len(attrs) > math.MaxUint32 {
 		panic(fmt.Sprintf("multigraph: %d edge labels or %d attributes exceed the graph's 32-bit offsets", len(es), len(attrs)))
 	}
-	pairs := 0
-	for i := range es {
-		if i == 0 || es[i].s != es[i-1].s || es[i].o != es[i-1].o {
-			pairs++
-		}
-	}
-	out := &g.out
-	out.off, out.tOff = make([]uint32, n+1), make([]uint32, 0, pairs+1)
-	out.nbr, out.types = make([]dict.VertexID, 0, pairs), make([]dict.EdgeType, len(es))
-	for i, e := range es {
-		if i == 0 || e.s != es[i-1].s || e.o != es[i-1].o {
-			out.off[e.s+1]++
-			out.nbr = append(out.nbr, e.o)
-			out.tOff = append(out.tOff, uint32(i))
-		}
-		out.types[i] = e.t
-	}
-	out.tOff = append(out.tOff, uint32(len(es)))
+	g.layout(n, es, nil)
 	g.attrOff, g.attrIDs = make([]uint32, n+1), make([]dict.AttrID, len(attrs))
 	for i, k := range attrs {
 		g.attrOff[k>>32+1]++
 		g.attrIDs[i] = dict.AttrID(k)
 	}
 	for v := 1; v <= n; v++ {
-		out.off[v] += out.off[v-1]
 		g.attrOff[v] += g.attrOff[v-1]
 	}
-	g.in = out.transpose()
 	g.terms = g.Dicts.Snapshot()
 	return g
 }
 
-// transpose derives the in side from the out side for Build and Decode: a
-// counting sort of the out entries by target, visiting sources in
-// ascending order, so every in-list comes out sorted. Each in-entry gets
-// its own copy of the multi-edge, so both sides read their types in order.
-func (s *side) transpose() side {
-	n := len(s.off) - 1
-	t := side{
-		off: make([]uint32, n+1), tOff: make([]uint32, len(s.nbr)+1),
-		nbr: make([]dict.VertexID, len(s.nbr)), types: make([]dict.EdgeType, len(s.types)),
+// layout fills both sides and the pair count from the graph's distinct
+// edges in (type, source, target) order, for Build and Decode. Both sides
+// share 2n+1 entries of scratch, allocated unless the caller passes them.
+func (g *Graph) layout(n int, es []edge, scratch []uint32) {
+	if len(scratch) < 2*n+1 {
+		scratch = make([]uint32, 2*n+1)
 	}
-	for _, w := range s.nbr {
-		t.off[w+1]++
-	}
-	for v := 1; v <= n; v++ {
-		t.off[v] += t.off[v-1]
-	}
-	// Place every entry, parking its out-side index in tOff, then replace
-	// each index by the offset of the entry's copied types.
-	for v := 0; v < n; v++ {
-		for e := s.off[v]; e < s.off[v+1]; e++ {
-			w := s.nbr[e]
-			t.nbr[t.off[w]], t.tOff[t.off[w]] = dict.VertexID(v), e
-			t.off[w]++
+	g.out = fill(n, es, false, scratch)
+	g.in = fill(n, es, true, scratch)
+	seen := scratch[:n] // seen[w] == v+1: pair v→w is counted
+	clear(seen)
+	for v := range n {
+		for _, w := range g.out.ids[g.out.off[g.out.start[v]]:g.out.off[g.out.start[v+1]]] {
+			if seen[w] != uint32(v+1) {
+				seen[w] = uint32(v + 1)
+				g.numEdges++
+			}
 		}
 	}
-	copy(t.off[1:], t.off[:n])
-	t.off[0] = 0
-	k := uint32(0)
-	for j, e := range t.tOff[:len(t.nbr)] {
-		t.tOff[j] = k
-		k += uint32(copy(t.types[k:], s.types[s.tOff[e]:s.tOff[e+1]]))
+}
+
+// fill lays out one side by a stable counting sort of the edges, given in
+// (type, source, target) order, by the vertex the side is read from: the
+// source for out, the target for in. Each vertex's edges then arrive in
+// (type, neighbour) order, so its runs and their ascending lists are
+// written as they come, with no further sort. The first pass counts each
+// vertex's labels and runs, the second places them; seen[v] == t+1 marks
+// v's run of type t as begun, which works because types never decrease.
+func fill(n int, es []edge, in bool, scratch []uint32) side {
+	at, seen := scratch[:n+1], scratch[n+1:2*n+1] // at: per-vertex label counts, then write cursors
+	clear(at)
+	clear(seen)
+	s := side{start: make([]uint32, n+1)}
+	for _, e := range es {
+		v := e.s
+		if in {
+			v = e.o
+		}
+		at[v+1]++
+		if seen[v] != uint32(e.t)+1 {
+			seen[v] = uint32(e.t) + 1
+			s.start[v+1]++
+		}
 	}
-	t.tOff[len(t.nbr)] = k
-	return t
+	for v := 1; v <= n; v++ {
+		s.start[v] += s.start[v-1]
+		at[v] += at[v-1]
+	}
+	runs := s.start[n]
+	s.types, s.off, s.ids = make([]dict.EdgeType, runs), make([]uint32, runs+1), make([]dict.VertexID, len(es))
+	clear(seen)
+	// start[v] serves as v's run cursor and is shifted back afterwards.
+	for _, e := range es {
+		v, w := e.s, e.o
+		if in {
+			v, w = w, v
+		}
+		if seen[v] != uint32(e.t)+1 {
+			seen[v] = uint32(e.t) + 1
+			r := s.start[v]
+			s.types[r], s.off[r] = e.t, at[v]
+			s.start[v]++
+		}
+		s.ids[at[v]] = w
+		at[v]++
+	}
+	copy(s.start[1:], s.start[:n])
+	s.start[0] = 0
+	s.off[runs] = uint32(len(es))
+	return s
 }
 
 // FromTriples is a convenience that builds a Graph from a triple slice.

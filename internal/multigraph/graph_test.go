@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dict"
+	"repro/internal/otil"
 	"repro/internal/rdf"
 )
 
@@ -121,64 +122,61 @@ func TestFigure1MultiEdge(t *testing.T) {
 	born := etype(t, g, "wasBornIn")
 	died := etype(t, g, "diedIn")
 
-	types := g.EdgeTypes(amy, london)
-	if len(types) != 2 {
-		t.Fatalf("EdgeTypes(Amy, London) = %v, want 2 types", types)
-	}
 	if !g.HasEdgeTypes(amy, london, []dict.EdgeType{min(born, died), max(born, died)}) {
 		t.Error("multi-edge {wasBornIn, diedIn} not found")
 	}
-	if g.EdgeTypes(london, amy) != nil {
-		t.Error("reverse edge should not exist (directed)")
+	_, out := g.Signature(amy)
+	if n := len(out); n != 4 {
+		t.Fatalf("Amy has %d outgoing multi-edges, want 4", n)
 	}
-	if g.EdgeTypes(amy, amy) != nil {
-		t.Error("self edge should not exist")
-	}
-}
-
-func TestInOutConsistency(t *testing.T) {
-	g := buildFigure1(t)
-	// Every out-edge must appear as an in-edge on the other side, with the
-	// identical type set, and vice versa.
-	for v := 0; v < g.NumVertices(); v++ {
-		out := g.Out(dict.VertexID(v))
-		for i := 0; i < out.Len(); i++ {
-			w := out.V(i)
-			found := false
-			in := g.In(w)
-			for j := 0; j < in.Len(); j++ {
-				if in.V(j) == dict.VertexID(v) {
-					found = true
-					if !slices.Equal(in.Types(j), out.Types(i)) {
-						t.Errorf("type sets differ on %d→%d", v, w)
-					}
-				}
-			}
-			if !found {
-				t.Errorf("edge %d→%d missing from in-list", v, w)
-			}
+	for _, et := range []dict.EdgeType{born, died} {
+		if g.HasEdgeTypes(london, amy, []dict.EdgeType{et}) {
+			t.Error("reverse edge should not exist (directed)")
+		}
+		if g.HasEdgeTypes(amy, amy, []dict.EdgeType{et}) {
+			t.Error("self edge should not exist")
 		}
 	}
 }
 
+// TestInOutConsistency: every labelled edge v→w of type t is in v's out
+// run of t and in w's in run of t, and the two sides hold as many labels.
+func TestInOutConsistency(t *testing.T) {
+	g := buildFigure1(t)
+	outs, ins := 0, 0
+	for v := 0; v < g.NumVertices(); v++ {
+		vid := dict.VertexID(v)
+		out, in := g.Out(vid), g.In(vid)
+		for _, et := range out.Types {
+			for _, w := range out.List(et) {
+				outs++
+				if !slices.Contains(g.In(w).List(et), vid) {
+					t.Errorf("edge %d→%d of type %d missing from the in side", v, w, et)
+				}
+			}
+		}
+		for _, et := range in.Types {
+			ins += len(in.List(et))
+		}
+	}
+	if outs != ins {
+		t.Errorf("out side holds %d labels, in side %d", outs, ins)
+	}
+}
+
+// TestAdjacencySorted: every vertex's runs are by strictly ascending type, and
+// each run is a non-empty, strictly ascending neighbour list.
 func TestAdjacencySorted(t *testing.T) {
 	g := buildFigure1(t)
 	for v := 0; v < g.NumVertices(); v++ {
-		for _, adj := range []Adjacency{g.Out(dict.VertexID(v)), g.In(dict.VertexID(v))} {
-			for i := 1; i < adj.Len(); i++ {
-				if adj.V(i-1) >= adj.V(i) {
-					t.Fatalf("adjacency of %d not sorted: %v", v, adj)
+		for _, p := range []otil.Postings{g.Out(dict.VertexID(v)), g.In(dict.VertexID(v))} {
+			for i, et := range p.Types {
+				if i > 0 && p.Types[i-1] >= et {
+					t.Fatalf("runs of %d not by ascending type: %v", v, p.Types)
 				}
-			}
-			var all []dict.EdgeType
-			for i := 0; i < adj.Len(); i++ {
-				if ts := adj.Types(i); len(ts) == 0 || !slices.IsSorted(ts) || len(slices.Compact(slices.Clone(ts))) != len(ts) {
-					t.Fatalf("types of %d→%d not sorted and unique: %v", v, adj.V(i), ts)
+				if l := p.List(et); len(l) == 0 || !slices.IsSorted(l) || len(slices.Compact(slices.Clone(l))) != len(l) {
+					t.Fatalf("run %d of %d not sorted and unique: %v", et, v, l)
 				}
-				all = append(all, adj.Types(i)...)
-			}
-			if !slices.Equal(adj.AllTypes(), all) {
-				t.Fatalf("AllTypes of %d = %v, want the multi-edges concatenated: %v", v, adj.AllTypes(), all)
 			}
 		}
 	}
@@ -220,8 +218,8 @@ func TestDuplicateTriplesCollapse(t *testing.T) {
 	if got := g.Attrs(a); len(got) != 1 {
 		t.Errorf("attrs = %v, want 1", got)
 	}
-	if ts := g.EdgeTypes(a, 1); len(ts) != 1 {
-		t.Errorf("edge types = %v, want 1", ts)
+	if out := g.Out(a); len(out.Types) != 1 || len(out.List(out.Types[0])) != 1 {
+		t.Errorf("out runs = %v, want one edge label", out)
 	}
 	if g.NumTriples() != 4 {
 		t.Errorf("NumTriples = %d, want 4 (raw count)", g.NumTriples())
@@ -291,21 +289,22 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
-// TestViewsDoNotAllocate: adjacency views, edge-type lookups and vertex
+// TestViewsDoNotAllocate: run views, edge-type checks and vertex
 // synopses read the flat arrays without allocating.
 func TestViewsDoNotAllocate(t *testing.T) {
 	g := buildFigure1(t)
 	amy, london := vid(t, g, "Amy_Winehouse"), vid(t, g, "London")
+	born := etype(t, g, "wasBornIn")
 	allocs := testing.AllocsPerRun(50, func() {
 		for v := 0; v < g.NumVertices(); v++ {
 			in, out := g.In(dict.VertexID(v)), g.Out(dict.VertexID(v))
-			for i := 0; i < in.Len(); i++ {
-				_ = in.Types(i)
+			for _, et := range in.Types {
+				_ = in.List(et)
 			}
-			_ = out.Len()
+			_ = len(out.Types)
 			_ = g.VertexSynopsis(dict.VertexID(v))
 		}
-		_ = g.EdgeTypes(amy, london)
+		_ = g.HasEdgeTypes(amy, london, []dict.EdgeType{born})
 	})
 	if allocs != 0 {
 		t.Errorf("views allocated %.0f times per pass", allocs)

@@ -89,13 +89,14 @@ func (g *Graph) Encode(w io.Writer) error {
 		e.str(a.Lang)
 	}
 	e.uvarint(uint64(g.numTriples))
-	// Adjacency (out side only; the in side is reconstructed).
+	// Adjacency (out side only, by neighbour; the in side is reconstructed).
+	var m MultiEdges
 	for v := 0; v < g.NumVertices(); v++ {
-		adj := g.Out(dict.VertexID(v))
-		e.uvarint(uint64(adj.Len()))
-		for i := 0; i < adj.Len(); i++ {
-			e.uvarint(uint64(adj.V(i)))
-			writeIDs(e, adj.Types(i))
+		m.Regroup(g.Out(dict.VertexID(v)))
+		e.uvarint(uint64(m.Len()))
+		for i := 0; i < m.Len(); i++ {
+			e.uvarint(uint64(m.V(i)))
+			writeIDs(e, m.Types(i))
 		}
 	}
 	// Attributes.
@@ -247,13 +248,16 @@ func readIDs[T ~uint32](d *decoder, dst []T, k, n int, what string) []T {
 	return dst
 }
 
-// sections decodes the adjacency and attribute sections into g's arrays.
-// On a graph without arrays it only checks the sections and counts their
-// entries, each count bounded by the bytes the walk consumes, so that the
-// arrays can be allocated once at their exact size before a second walk,
-// which then cannot fail, fills them.
-func (d *decoder) sections(g *Graph, nV, nT, nA int) (pairs, labels, attrs int) {
-	fill := g.out.off != nil
+// sections decodes the adjacency and attribute sections. Without es it
+// only checks them, counts the edge labels of each type into byType[t+1]
+// and the attributes, each count bounded by the bytes the walk consumes,
+// so that the arrays can be allocated once at their exact size before a
+// second walk, which then cannot fail, fills them. That walk places each
+// edge at its type's cursor byType[t], leaving es in (type, source,
+// target) order, and fills g's attribute arrays.
+func (d *decoder) sections(g *Graph, es []edge, byType []uint32, nV, nT, nA int) (labels, attrs int) {
+	var tbuf [16]dict.EdgeType
+	ts := tbuf[:0]
 	for v := 0; v < nV && d.err == nil; v++ {
 		prevTarget := -1
 		// A neighbour takes at least three bytes: target, cardinality, type.
@@ -271,29 +275,30 @@ func (d *decoder) sections(g *Graph, nV, nT, nA int) (pairs, labels, attrs int) 
 			if d.err != nil {
 				return
 			}
-			prevTarget, pairs, labels = int(target), pairs+1, labels+k
-			if fill {
-				g.out.nbr = append(g.out.nbr, dict.VertexID(target))
-				g.out.tOff = append(g.out.tOff, uint32(len(g.out.types)))
+			prevTarget, labels = int(target), labels+k
+			ts = readIDs(d, ts[:0], k, nT, "edge-type")
+			for _, t := range ts {
+				if es == nil {
+					byType[t+1]++
+					continue
+				}
+				es[byType[t]] = edge{dict.VertexID(v), dict.VertexID(target), t}
+				byType[t]++
 			}
-			g.out.types = readIDs(d, g.out.types, k, nT, "edge-type")
-		}
-		if fill {
-			g.out.off[v+1] = uint32(len(g.out.nbr))
 		}
 	}
 	for v := 0; v < nV && d.err == nil; v++ {
 		k := d.count(1, "attribute count")
 		attrs += k
 		g.attrIDs = readIDs(d, g.attrIDs, k, nA, "attribute")
-		if fill {
+		if es != nil {
 			g.attrOff[v+1] = uint32(len(g.attrIDs))
 		}
 	}
 	if labels > math.MaxUint32 || attrs > math.MaxUint32 {
 		d.fail("multigraph: %d edge labels or %d attributes exceed the graph's 32-bit offsets", labels, attrs)
 	}
-	return pairs, labels, attrs
+	return labels, attrs
 }
 
 // graph decodes everything after the header; on error it returns no graph.
@@ -348,23 +353,23 @@ func (d *decoder) graph() (*Graph, error) {
 		return nil, d.err
 	}
 	// Adjacency and attributes: a checking walk sizes the arrays, a
-	// second walk fills them, and the in side is derived from the out side.
+	// second walk fills them, and both sides are laid out from the edges.
 	mark := d.pos
-	pairs, labels, attrs := d.sections(&Graph{}, nV, nT, nA)
+	byType := make([]uint32, max(nT+1, 2*nV+1)) // then the layout's scratch
+	labels, attrs := d.sections(&Graph{}, nil, byType, nV, nT, nA)
 	if d.err != nil {
 		return nil, d.err
 	}
 	d.pos = mark
-	g.out = side{
-		off: make([]uint32, nV+1), tOff: make([]uint32, 0, pairs+1),
-		nbr: make([]dict.VertexID, 0, pairs), types: make([]dict.EdgeType, 0, labels),
+	for t := 1; t <= nT; t++ {
+		byType[t] += byType[t-1]
 	}
+	es := make([]edge, labels)
 	g.attrOff, g.attrIDs = make([]uint32, nV+1), make([]dict.AttrID, 0, attrs)
-	if d.sections(g, nV, nT, nA); d.err != nil {
+	if d.sections(g, es, byType, nV, nT, nA); d.err != nil {
 		return nil, d.err
 	}
-	g.out.tOff = append(g.out.tOff, uint32(len(g.out.types)))
-	g.in = g.out.transpose()
+	g.layout(nV, es, byType)
 	g.terms = g.Dicts.Snapshot()
 	return g, nil
 }

@@ -41,26 +41,16 @@ func graphsEqual(t *testing.T, a, b *Graph) {
 		if a.Terms().VertexIRI(vid) != b.Terms().VertexIRI(vid) {
 			t.Fatalf("vertex %d IRI differs", v)
 		}
-		for _, sides := range [][2]Adjacency{{a.Out(vid), b.Out(vid)}, {a.In(vid), b.In(vid)}} {
-			x, y := sides[0], sides[1]
-			if x.Len() != y.Len() {
-				t.Fatalf("degree of %d differs", v)
-			}
-			for i := 0; i < x.Len(); i++ {
-				if x.V(i) != y.V(i) || !slices.Equal(x.Types(i), y.Types(i)) {
-					t.Fatalf("neighbour %d of %d differs", i, v)
-				}
-			}
+	}
+	for _, sides := range [][2]*side{{&a.out, &b.out}, {&a.in, &b.in}} {
+		x, y := sides[0], sides[1]
+		if !slices.Equal(x.start, y.start) || !slices.Equal(x.types, y.types) ||
+			!slices.Equal(x.off, y.off) || !slices.Equal(x.ids, y.ids) {
+			t.Fatal("adjacency arrays differ")
 		}
-		aa, ba := a.Attrs(vid), b.Attrs(vid)
-		if len(aa) != len(ba) {
-			t.Fatalf("attrs of %d differ", v)
-		}
-		for i := range aa {
-			if aa[i] != ba[i] {
-				t.Fatalf("attr %d of %d differs", i, v)
-			}
-		}
+	}
+	if !slices.Equal(a.attrOff, b.attrOff) || !slices.Equal(a.attrIDs, b.attrIDs) {
+		t.Fatal("attribute arrays differ")
 	}
 	for i := 0; i < a.NumEdgeTypes(); i++ {
 		if a.Terms().EdgeTypeIRI(dict.EdgeType(i)) != b.Terms().EdgeTypeIRI(dict.EdgeType(i)) {

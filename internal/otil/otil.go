@@ -11,10 +11,11 @@
 //
 // The served index only ever reads the inverted lists, so that half stands
 // alone as Postings: a type-sorted array of ascending neighbour lists with
-// the one lookup implementation (index.NeighborhoodIndex keeps one flat
-// Postings per direction and slices a vertex's share out of it). Trie adds
-// the trie half on top: it is the reference implementation the tests and
-// the ablation benchmark compare against (LookupTrie, skip-descent walk).
+// the one lookup implementation. The data graph stores its adjacency in
+// this form, one flat set of arrays per direction, and multigraph.Graph's
+// In and Out slice a vertex's share out of them. Trie adds the trie half
+// on top: it is the reference implementation the tests and the ablation
+// benchmark compare against (LookupTrie, skip-descent walk).
 package otil
 
 import (

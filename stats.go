@@ -27,8 +27,11 @@ type Stats struct {
 	// DatabaseBuildTime and IndexBuildTime are the offline-stage timings.
 	DatabaseBuildTime time.Duration
 	IndexBuildTime    time.Duration
-	// DatabaseBytes and IndexBytes are analytic size estimates of the
-	// multigraph and the index ensemble I = {A, S, N}.
+	// DatabaseBytes is the size of the multigraph's arrays and
+	// dictionaries. The graph's type-major adjacency is the paper's
+	// neighbourhood index N, so N's bytes count here. IndexBytes is the
+	// size of the rest of the ensemble I = {A, S, N}: A's postings and
+	// S's level arrays.
 	DatabaseBytes int64
 	IndexBytes    int64
 }
