@@ -221,6 +221,48 @@ func TestDirectionString(t *testing.T) {
 	}
 }
 
+// TestNeighborsAgainstAdjacency cross-checks every N probe against the
+// graph's neighbour-major adjacency (its runs regrouped into multi-edges)
+// on a random graph: each neighbour is found under each of its types and
+// under its full multi-edge.
+func TestNeighborsAgainstAdjacency(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var b multigraph.Builder
+	for i := 0; i < 300; i++ {
+		s := rdf.NewIRI("v" + string(rune('A'+rng.Intn(20))))
+		o := rdf.NewIRI("v" + string(rune('A'+rng.Intn(20))))
+		if s == o {
+			continue
+		}
+		p := rdf.NewIRI("p" + string(rune('a'+rng.Intn(6))))
+		if err := b.Add(rdf.Triple{S: s, P: p, O: o}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build()
+	r := NewReader(g, Build(g))
+	var m multigraph.MultiEdges
+	for v := 0; v < g.NumVertices(); v++ {
+		vid := dict.VertexID(v)
+		for _, side := range []struct {
+			dir Direction
+			p   otil.Postings
+		}{{Incoming, g.In(vid)}, {Outgoing, g.Out(vid)}} {
+			m.Regroup(side.p)
+			for i := 0; i < m.Len(); i++ {
+				for _, et := range m.Types(i) {
+					if got := r.Neighbors(vid, side.dir, []dict.EdgeType{et}); !slices.Contains(got, m.V(i)) {
+						t.Fatalf("N%s(%d, t%d) = %v missing %d", side.dir, v, et, got, m.V(i))
+					}
+				}
+				if got := r.Neighbors(vid, side.dir, m.Types(i)); !slices.Contains(got, m.V(i)) {
+					t.Fatalf("N%s(%d, full multi-edge) missing %d", side.dir, v, m.V(i))
+				}
+			}
+		}
+	}
+}
+
 // TestCardinalities cross-checks the planner statistics against a direct
 // adjacency scan on a small graph with multi-edges and skewed type usage.
 func TestCardinalities(t *testing.T) {
