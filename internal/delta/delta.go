@@ -744,7 +744,7 @@ func (w *writer) internVertex(iri string) dict.VertexID {
 // baseHasEdge reports whether the frozen base carries type et on s→o.
 func (w *writer) baseHasEdge(s, o dict.VertexID, et dict.EdgeType) bool {
 	return int(s) < w.sh.baseNV && int(o) < w.sh.baseNV &&
-		otil.ContainsSorted(w.sh.g.Out(s).List(et), o)
+		w.sh.g.HasEdgeTypes(s, o, []dict.EdgeType{et})
 }
 
 // basePairExists reports whether the frozen base has any edge on the pair:

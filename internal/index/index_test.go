@@ -452,8 +452,8 @@ func TestSignatureCandidatesOnCorpora(t *testing.T) {
 // objects:
 //
 //   - the N probe equals the OTIL trie walk for every vertex and
-//     direction, for each stored multi-edge, each of its single types and
-//     mostly-absent type pairs;
+//     direction, for each stored multi-edge, each of its single types, its
+//     first and last types together and mostly-absent type pairs;
 //   - HasEdgeTypes equals a map of the triples for every stored pair and
 //     for random pairs;
 //   - a decoded snapshot of the graph has identical runs.
@@ -524,6 +524,9 @@ func checkRunsAgainstTriples(t *testing.T, name string, g *multigraph.Graph, tri
 			for i := range ts {
 				*q = append(*q, ts[i:i+1])
 			}
+			if len(ts) > 2 { // a strict subset that skips the middle types
+				*q = append(*q, []dict.EdgeType{ts[0], ts[len(ts)-1]})
+			}
 		}
 	}
 	if g.NumEdges() != len(ref) {
@@ -533,7 +536,7 @@ func checkRunsAgainstTriples(t *testing.T, name string, g *multigraph.Graph, tri
 	for v := 0; v < n; v++ {
 		for dir := Incoming; dir <= Outgoing; dir++ {
 			qs := queries[v][dir]
-			for range 4 { // mostly-absent combinations
+			for range 8 { // mostly-absent combinations
 				a, b := dict.EdgeType(rng.Intn(nT)), dict.EdgeType(rng.Intn(nT))
 				if a != b {
 					qs = append(qs, []dict.EdgeType{min(a, b), max(a, b)})

@@ -129,12 +129,21 @@ func TestFigure1MultiEdge(t *testing.T) {
 	if n := len(out); n != 4 {
 		t.Fatalf("Amy has %d outgoing multi-edges, want 4", n)
 	}
-	for _, et := range []dict.EdgeType{born, died} {
+	var m MultiEdges
+	m.Regroup(g.Out(amy))
+	i, ok := slices.BinarySearch(m.nbrs, london)
+	if !ok {
+		t.Fatal("Amy's regrouped out side has no multi-edge to London")
+	}
+	if ts := m.Types(i); !slices.Equal(ts, []dict.EdgeType{min(born, died), max(born, died)}) {
+		t.Fatalf("multi-edge Amy→London regroups to %v, want exactly {wasBornIn, diedIn}", ts)
+	}
+	for et := range dict.EdgeType(g.NumEdgeTypes()) {
 		if g.HasEdgeTypes(london, amy, []dict.EdgeType{et}) {
-			t.Error("reverse edge should not exist (directed)")
+			t.Errorf("reverse edge of type %d should not exist (directed)", et)
 		}
 		if g.HasEdgeTypes(amy, amy, []dict.EdgeType{et}) {
-			t.Error("self edge should not exist")
+			t.Errorf("self edge of type %d should not exist", et)
 		}
 	}
 }
