@@ -11,8 +11,9 @@
 // snapshot and never block writers or observe torn updates (MVCC).
 // Writers serialize behind a mutex; past a configurable overlay size,
 // background compaction rebuilds base+delta into a fresh generation —
-// reusing the offline-stage Builder/index machinery — and swaps it in,
-// refreshing the planner statistics as a side effect.
+// the overlay's id-level walk fed to the offline-stage Builder, then the
+// index build — and swaps it in, refreshing the planner statistics as a
+// side effect.
 package core
 
 import (
@@ -175,26 +176,7 @@ func writeSnapshot(w io.Writer, sn *Snapshot) error {
 	if sn.Delta.Empty() {
 		return sn.Graph.Encode(w)
 	}
-	g, err := materialize(sn.Delta)
-	if err != nil {
-		return err
-	}
-	return g.Encode(w)
-}
-
-// materialize rebuilds a frozen graph from a delta view's merged triple
-// stream (the compaction and snapshot-save workhorse).
-func materialize(v *delta.View) (*multigraph.Graph, error) {
-	var b multigraph.Builder
-	var addErr error
-	v.Triples(func(t rdf.Triple) bool {
-		addErr = b.Add(t)
-		return addErr == nil
-	})
-	if addErr != nil {
-		return nil, addErr
-	}
-	return b.Build(), nil
+	return sn.Delta.Rebuild().Encode(w)
 }
 
 // LoadStore reads a snapshot written by Save and rebuilds the index

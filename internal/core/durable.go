@@ -76,7 +76,10 @@ type durable struct {
 // replays every surviving record since the last checkpoint into the store
 // — in order, through the normal mutation path — and attaches the log so
 // every later mutation is logged and fsynced (per the policy) before it
-// is published. It returns the number of records replayed.
+// is published. It returns the number of records replayed. Replay
+// compacts nothing, so its result does not depend on timing; then an
+// overlay past the threshold starts one background compaction, and under
+// CheckpointOnCompact one checkpoint after it.
 //
 // Attach before sharing the store: replay mutates it, and the caller must
 // discard the store if AttachWAL fails partway through a replay.
@@ -111,6 +114,7 @@ func (s *Store) AttachWAL(dir string, o WALOptions) (int, error) {
 		syncAlways:     o.Policy == wal.SyncAlways,
 		baseLoaded:     o.BaseLoaded,
 	})
+	s.maybeCompact()
 	return log.Stats().Replayed, nil
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/rdf"
@@ -323,5 +325,86 @@ func TestCheckpointAfterCloseFailsFast(t *testing.T) {
 	}
 	if err := s.Clear(); !errors.Is(err, ErrDurability) {
 		t.Fatalf("Clear after close: %v, want ErrDurability", err)
+	}
+}
+
+// TestReplayCompactsOnceAfter: replaying a log whose records cross the
+// compaction threshold many times compacts nothing while it runs; the
+// attached store then compacts exactly once, which leaves the overlay
+// empty and the triple set as it was, so every reopen saves the same
+// bytes. Under CheckpointOnCompact that one compaction is followed by one
+// checkpoint.
+func TestReplayCompactsOnceAfter(t *testing.T) {
+	const threshold = 16
+	dir := t.TempDir()
+	s := newEmpty(t)
+	if _, err := s.AttachWAL(dir, WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	s.SetCompactThreshold(0)
+	for i := range 60 {
+		b := walBatch{}
+		for j := range 6 {
+			b.adds = append(b.adds, tri(fmt.Sprintf("http://x/s%d", i), fmt.Sprintf("http://x/p%d", j%3), fmt.Sprintf("http://x/o%d", (i+j)%40)))
+		}
+		b.adds = append(b.adds, lit(fmt.Sprintf("http://x/s%d", i), "http://x/name", fmt.Sprintf("n%d", i%7)))
+		if i > 0 {
+			b.dels = []rdf.Triple{tri(fmt.Sprintf("http://x/s%d", i-1), "http://x/p0", fmt.Sprintf("http://x/o%d", (i-1)%40))}
+		}
+		applyBatch(t, s, b)
+	}
+	want := tripleSet(s)
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopen := func(o WALOptions) *Store {
+		t.Helper()
+		r := newEmpty(t)
+		r.SetCompactThreshold(threshold)
+		if n, err := r.AttachWAL(dir, o); err != nil || n != 60 {
+			t.Fatalf("AttachWAL: replayed %d records, err %v; want 60", n, err)
+		}
+		r.WaitCompaction()
+		if gi := r.GenerationInfo(); gi.Compactions != 1 || gi.Generation != 1 {
+			t.Fatalf("%d compactions, generation %d: want one compaction, after replay", gi.Compactions, gi.Generation)
+		}
+		if d := r.Snapshot().Delta; !d.Empty() {
+			t.Fatalf("overlay holds %d entries after the compaction", d.Size())
+		}
+		if got := tripleSet(r); !slices.Equal(got, want) {
+			t.Fatalf("reopened store holds %d triples, want %d", len(got), len(want))
+		}
+		return r
+	}
+	var first []byte
+	for i := range 3 {
+		r := reopen(WALOptions{})
+		var buf bytes.Buffer
+		if err := r.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("reopen %d saves other bytes than the first", i)
+		}
+		if err := r.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := reopen(WALOptions{CheckpointOnCompact: true})
+	if di := r.DurabilityInfo(); di.Checkpoints != 1 || di.LastCheckpointError != "" {
+		t.Fatalf("%d checkpoints (last error %q), want one after the compaction", di.Checkpoints, di.LastCheckpointError)
+	}
+	if err := r.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(CheckpointSnapshotPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, first) {
+		t.Fatal("the checkpoint holds other bytes than Save")
 	}
 }

@@ -289,7 +289,8 @@ const (
 	// logExternal appends records that carry the primary's sequences
 	// (a follower's ApplyReplicated).
 	logExternal
-	// logNone logs nothing: the records come from the log (replay).
+	// logNone logs nothing and claims no compaction: the records come
+	// from the log (replay).
 	logNone
 )
 
@@ -391,23 +392,32 @@ func (s *Store) commit(recs []wal.Record, mode logMode) error {
 	if mode == logLocal {
 		l.recordGroup(uint64(len(recs)))
 	}
-	done := l.claimCompactionLocked(false)
 	l.mu.Unlock()
-	if done != nil {
-		go s.runClaimedCompaction(done) //nolint:errcheck // unreachable for validated records
+	if mode != logNone {
+		s.maybeCompact() // replay's one compaction follows it (AttachWAL)
 	}
 	return nil
 }
 
-// claimCompactionLocked claims the compaction slot and returns the
+// maybeCompact claims a compaction when the overlay has outgrown the
+// threshold and runs it in the background.
+func (s *Store) maybeCompact() {
+	if done := s.live.claimCompaction(false); done != nil {
+		go s.runClaimedCompaction(done) //nolint:errcheck // unreachable for validated records
+	}
+}
+
+// claimCompaction claims the compaction slot and returns the
 // cycle's done channel, or nil when a compaction is already running or
 // none is due. Without force a compaction is due once the overlay has
 // outgrown the threshold; with force (Compact) whenever the overlay is
 // non-empty or has interned terms into the base's dictionaries (a batch
 // that inserted and then deleted triples with new terms leaves them
-// there; only a new generation drops them). The caller must release l.mu
-// and then run runClaimedCompaction(done). Caller holds l.mu.
-func (l *liveState) claimCompactionLocked(force bool) chan struct{} {
+// there; only a new generation drops them). The caller must then run
+// runClaimedCompaction(done).
+func (l *liveState) claimCompaction(force bool) chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.compacting {
 		return nil
 	}
@@ -428,7 +438,7 @@ func (l *liveState) claimCompactionLocked(force bool) chan struct{} {
 }
 
 // runClaimedCompaction runs a compaction cycle claimed with
-// claimCompactionLocked, including the post-compaction auto checkpoint.
+// claimCompaction, including the post-compaction auto checkpoint.
 // compactDone stays set (and done open) until the checkpoint has run, so
 // WaitCompaction observers see the whole cycle.
 func (s *Store) runClaimedCompaction(done chan struct{}) error {
@@ -453,10 +463,7 @@ func (s *Store) runClaimedCompaction(done chan struct{}) error {
 // a compaction is already running it waits for that one instead.
 // Compacting an empty overlay is a no-op.
 func (s *Store) Compact() error {
-	l := &s.live
-	l.mu.Lock()
-	done := l.claimCompactionLocked(true)
-	l.mu.Unlock()
+	done := s.live.claimCompaction(true)
 	if done == nil {
 		s.WaitCompaction()
 		return nil
@@ -495,15 +502,7 @@ func (s *Store) runCompaction() error {
 	// Offline stage for the new generation — off-lock: readers keep
 	// querying the current snapshot, writers keep appending to the log.
 	buildStart := time.Now()
-	g, err := materialize(cur.Delta)
-	if err != nil {
-		// Cannot happen for validated mutations; keep the old generation.
-		l.mu.Lock()
-		l.compacting = false
-		l.log = nil
-		l.mu.Unlock()
-		return err
-	}
+	g := cur.Delta.Rebuild()
 	next := newGeneration(g, time.Since(buildStart))
 
 	l.mu.Lock()
@@ -525,6 +524,7 @@ func (s *Store) runCompaction() error {
 	// logged sequence in order is idempotent (each triple ends in the
 	// state its last operation dictates), so the result is exact.
 	for _, m := range tail {
+		var err error
 		if next.Delta, err = next.Delta.Apply(m.Adds, m.Dels); err != nil {
 			return err // validated at commit time; unreachable
 		}

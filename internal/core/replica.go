@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/delta"
+	"repro/internal/multigraph"
+	"repro/internal/rdf"
 	"repro/internal/wal"
 )
 
@@ -34,19 +35,14 @@ func (c storeConsumer) Consume(r wal.Record) error {
 // (the shared overlay cannot roll back a half-applied group).
 func validateRecord(r wal.Record) error {
 	switch r.Kind {
-	case wal.KindMutation:
-		for _, t := range r.Dels {
-			if err := delta.Validate(t); err != nil {
-				return err
+	case wal.KindMutation, wal.KindClear: // a clear carries no triples
+		for _, ts := range [][]rdf.Triple{r.Dels, r.Adds} {
+			for _, t := range ts {
+				if err := multigraph.Validate(t); err != nil {
+					return err
+				}
 			}
 		}
-		for _, t := range r.Adds {
-			if err := delta.Validate(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	case wal.KindClear:
 		return nil
 	default:
 		return fmt.Errorf("core: unknown WAL record kind %v", r.Kind)

@@ -50,8 +50,8 @@
 package delta
 
 import (
+	"cmp"
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -352,7 +352,7 @@ func (v *View) touchList(vid dict.VertexID, dir index.Direction) []dict.VertexID
 func (v *View) Neighbors(vid dict.VertexID, dir index.Direction, types []dict.EdgeType) []dict.VertexID {
 	base := index.NewReader(v.sh.g, v.sh.ix).Neighbors(vid, dir, types)
 	touch := v.touchList(vid, dir)
-	if len(touch) == 0 {
+	if len(touch) == 0 || len(types) == 0 { // no types name no neighbours
 		return base
 	}
 	out := make([]dict.VertexID, 0, len(base)+len(touch))
@@ -534,82 +534,57 @@ func (v *View) blendCardinalities(base *index.Cardinalities) *index.Cardinalitie
 
 // ---- enumeration -------------------------------------------------------
 
-// Triples enumerates the merged triple set deterministically (base scan
-// in vertex order with tombstones skipped, then overlay additions in
-// sorted order), stopping early when yield returns false. Compaction and
-// snapshot Save rebuild a fresh generation from exactly this stream. It
-// is safe to enumerate while later batches are applied to the same
-// overlay: the stream reflects exactly this View's version.
-func (v *View) Triples(yield func(rdf.Triple) bool) bool {
+// walk enumerates the merged triple set by id: the base by vertex (its
+// multi-edges by neighbour, then its attributes) less the tombstones, then
+// the overlay's added edges and attributes, each by subject, object and
+// type; an attribute is dict.EncodeAttrBinding(a) in the object slot. Only
+// a vertex with an outgoing touch entry probes the pair map. It reads this
+// View's version only and stops when yield returns false.
+func (v *View) walk(yield func(s, o dict.VertexID, t dict.EdgeType) bool) bool {
 	var out multigraph.MultiEdges
 	for i := 0; i < v.sh.baseNV; i++ {
 		vid := dict.VertexID(i)
-		s := rdf.NewResource(v.VertexIRI(vid))
 		out.Regroup(v.sh.g.Out(vid))
-		for i := 0; i < out.Len(); i++ {
-			w := out.V(i)
-			pd, hasPD := v.sh.pairs.get(edgeKey{vid, w}, v.ver)
-			o := rdf.NewResource(v.VertexIRI(w))
-			for _, t := range out.Types(i) {
-				if hasPD && otil.ContainsSorted(pd.del, t) {
-					continue
-				}
-				if !yield(rdf.Triple{S: s, P: rdf.NewIRI(v.EdgeTypeIRI(t)), O: o}) {
+		touched := v.sh.outTouch.load(vid) != nil
+		for j := 0; j < out.Len(); j++ {
+			var pd pairDelta
+			if touched {
+				pd, _ = v.sh.pairs.get(edgeKey{vid, out.V(j)}, v.ver)
+			}
+			for _, t := range out.Types(j) {
+				if !otil.ContainsSorted(pd.del, t) && !yield(vid, out.V(j), t) {
 					return false
 				}
 			}
 		}
 		da, _ := v.sh.delAttrs.get(vid, v.ver)
 		for _, a := range v.sh.g.Attrs(vid) {
-			if otil.ContainsSorted(da, a) {
-				continue
-			}
-			at := v.Attr(a)
-			if !yield(rdf.Triple{S: s, P: rdf.NewIRI(at.Predicate), O: at.Literal()}) {
+			if !otil.ContainsSorted(da, a) && !yield(vid, dict.EncodeAttrBinding(a), 0) {
 				return false
 			}
 		}
 	}
-	type pairEnt struct {
-		k  edgeKey
-		pd pairDelta
+	type idTriple struct {
+		s, o dict.VertexID
+		t    dict.EdgeType
 	}
-	var pes []pairEnt
+	var edges, attrs []idTriple
 	v.sh.pairs.rangeVisible(v.ver, func(k edgeKey, pd pairDelta) {
-		if len(pd.add) > 0 {
-			pes = append(pes, pairEnt{k, pd})
+		for _, t := range pd.add {
+			edges = append(edges, idTriple{k.from, k.to, t})
 		}
 	})
-	sort.Slice(pes, func(i, j int) bool {
-		if pes[i].k.from != pes[j].k.from {
-			return pes[i].k.from < pes[j].k.from
-		}
-		return pes[i].k.to < pes[j].k.to
-	})
-	for _, pe := range pes {
-		s, o := rdf.NewResource(v.VertexIRI(pe.k.from)), rdf.NewResource(v.VertexIRI(pe.k.to))
-		for _, t := range pe.pd.add {
-			if !yield(rdf.Triple{S: s, P: rdf.NewIRI(v.EdgeTypeIRI(t)), O: o}) {
-				return false
-			}
-		}
-	}
-	type attrEnt struct {
-		vid dict.VertexID
-		as  []dict.AttrID
-	}
-	var aes []attrEnt
 	v.sh.addAttrs.rangeVisible(v.ver, func(vid dict.VertexID, as []dict.AttrID) {
-		if len(as) > 0 {
-			aes = append(aes, attrEnt{vid, as})
+		for _, a := range as {
+			attrs = append(attrs, idTriple{vid, dict.EncodeAttrBinding(a), 0})
 		}
 	})
-	sort.Slice(aes, func(i, j int) bool { return aes[i].vid < aes[j].vid })
-	for _, ae := range aes {
-		s := rdf.NewResource(v.VertexIRI(ae.vid))
-		for _, a := range ae.as {
-			at := v.Attr(a)
-			if !yield(rdf.Triple{S: s, P: rdf.NewIRI(at.Predicate), O: at.Literal()}) {
+	for _, ts := range [][]idTriple{edges, attrs} {
+		slices.SortFunc(ts, func(a, b idTriple) int {
+			return cmp.Or(cmp.Compare(a.s, b.s), cmp.Compare(a.o, b.o), cmp.Compare(a.t, b.t))
+		})
+		for _, x := range ts {
+			if !yield(x.s, x.o, x.t) {
 				return false
 			}
 		}
@@ -617,27 +592,60 @@ func (v *View) Triples(yield func(rdf.Triple) bool) bool {
 	return true
 }
 
-// ---- mutation ----------------------------------------------------------
-
-// Validate checks that a triple is applicable: subject and predicate
-// must be IRIs, the object an IRI or literal. Mutation entry points call
-// it up front so a replayed log can never fail mid-apply.
-func Validate(t rdf.Triple) error {
-	if !t.S.IsResource() {
-		return fmt.Errorf("delta: subject must be an IRI or blank node: %v", t)
-	}
-	if !t.P.IsIRI() {
-		return fmt.Errorf("delta: predicate must be an IRI: %v", t)
-	}
-	if t.O.Datatype != "" && t.O.Lang != "" {
-		// At most one annotation per literal (rdf.Term invariant); an
-		// attribute interned with both would be unloadable from a
-		// snapshot. Explicit xsd:string needs no rejection — interning
-		// normalizes it (dict.AttributeOf), matching WAL replay.
-		return fmt.Errorf("delta: literal with both datatype and language tag: %v", t)
-	}
-	return nil
+// Triples enumerates the merged triple set in the walk's order, resolved
+// to strings, stopping early when yield returns false. Like the walk, it
+// reflects exactly this View's version.
+func (v *View) Triples(yield func(rdf.Triple) bool) bool {
+	return v.walk(func(s, o dict.VertexID, t dict.EdgeType) bool {
+		tr := rdf.Triple{S: rdf.NewResource(v.VertexIRI(s))}
+		if dict.IsAttrBinding(o) {
+			at := v.Attr(dict.AttrBinding(o))
+			tr.P, tr.O = rdf.NewIRI(at.Predicate), at.Literal()
+		} else {
+			tr.P, tr.O = rdf.NewIRI(v.EdgeTypeIRI(t)), rdf.NewResource(v.VertexIRI(o))
+		}
+		return yield(tr)
+	})
 }
+
+// Rebuild builds the merged view into a fresh generation: the graph a
+// Builder fed Triples builds (same ids, dictionaries and encoding), but
+// copying each live term into the new dictionaries once, on first sight,
+// in Builder.Add's order. Its remaps are sized by the View's own bounds,
+// so writers may intern meanwhile.
+func (v *View) Rebuild() *multigraph.Graph {
+	var b multigraph.Builder
+	// Each remap holds the new id + 1, zero for a term not yet seen.
+	vs := make([]dict.VertexID, v.NumVertices())
+	ts := make([]dict.EdgeType, v.NumEdgeTypes())
+	as := make([]dict.AttrID, v.NumAttrs())
+	vertex := func(x dict.VertexID) dict.VertexID {
+		if vs[x] == 0 {
+			vs[x] = b.Dicts.InternVertex(v.VertexIRI(x)) + 1
+		}
+		return vs[x] - 1
+	}
+	v.walk(func(s, o dict.VertexID, t dict.EdgeType) bool {
+		s = vertex(s)
+		if a := dict.AttrBinding(o); dict.IsAttrBinding(o) {
+			if as[a] == 0 {
+				at := v.Attr(a)
+				as[a] = b.Dicts.InternAttr(at.Predicate, at.Literal()) + 1
+			}
+			b.AddAttr(s, as[a]-1)
+		} else {
+			o = vertex(o)
+			if ts[t] == 0 {
+				ts[t] = b.Dicts.InternEdgeType(v.EdgeTypeIRI(t)) + 1
+			}
+			b.AddEdge(s, o, ts[t]-1)
+		}
+		return true
+	})
+	return b.Build()
+}
+
+// ---- mutation ----------------------------------------------------------
 
 // ErrStaleApply is returned when Apply is called on a View that is no
 // longer the newest of its overlay: the shared writer state has moved
@@ -655,14 +663,11 @@ var ErrStaleApply = errors.New("delta: Apply on a stale view (a newer view was a
 // otherwise), and calls must be serialized by the owner. Readers of any
 // published View may run concurrently.
 func (v *View) Apply(adds, dels []rdf.Triple) (*View, error) {
-	for _, t := range dels {
-		if err := Validate(t); err != nil {
-			return nil, err
-		}
-	}
-	for _, t := range adds {
-		if err := Validate(t); err != nil {
-			return nil, err
+	for _, ts := range [][]rdf.Triple{dels, adds} {
+		for _, t := range ts {
+			if err := multigraph.Validate(t); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if v.ver != v.sh.ver {

@@ -95,6 +95,14 @@ func TestViewAddAndDeleteEdges(t *testing.T) {
 	if !reflect.DeepEqual(nb, []dict.VertexID{a, b}) {
 		t.Errorf("c knows-in = %v, want [a b]", nb)
 	}
+	// No types name no neighbours, as in the base, touched vertex or not.
+	for _, x := range []dict.VertexID{a, b, c} {
+		for _, dir := range []index.Direction{index.Outgoing, index.Incoming} {
+			if nb := v2.Neighbors(x, dir, nil); nb != nil {
+				t.Errorf("Neighbors(%v, %v, no types) = %v, want nil", x, dir, nb)
+			}
+		}
+	}
 }
 
 func TestViewReAddCancelsTombstone(t *testing.T) {
@@ -263,7 +271,9 @@ func TestViewNoOpMutations(t *testing.T) {
 
 // TestViewMatchesRebuild is the semantic property test: after a random
 // add/delete sequence, every probe of the overlay view must agree with a
-// graph rebuilt from scratch over the merged triple set.
+// graph rebuilt from scratch over the merged triple set. Rebuild, on the
+// newest View and on one the later batches have overtaken, must build
+// what a Builder fed the View's Triples builds.
 func TestViewMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	uri := func(kind string, n int) string { return fmt.Sprintf("http://%s/%d", kind, n) }
@@ -296,7 +306,11 @@ func TestViewMatchesRebuild(t *testing.T) {
 		for _, bt := range baseTriples {
 			merged[bt.String()] = bt
 		}
+		var overtaken *View
 		for b := 0; b < 5; b++ {
+			if b == 2 {
+				overtaken = v
+			}
 			var adds, dels []rdf.Triple
 			for i := 0; i < 10; i++ {
 				var tr3 rdf.Triple
@@ -342,6 +356,8 @@ func TestViewMatchesRebuild(t *testing.T) {
 		if v.NumTriples() != len(merged) {
 			t.Fatalf("trial %d: NumTriples = %d, want %d", trial, v.NumTriples(), len(merged))
 		}
+		checkRebuild(t, v)
+		checkRebuild(t, overtaken)
 
 		// Rebuild from scratch and compare probes vertex by vertex.
 		var rb []rdf.Triple

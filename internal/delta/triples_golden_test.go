@@ -67,7 +67,8 @@ func triplesGoldenView(t *testing.T) *View {
 // TestTriplesGolden pins the sequence View.Triples yields over a base and
 // an overlay. Compaction interns the stream's terms in this order, so the
 // sequence fixes the ids of the next generation and, with them, the row
-// order of every answer after a compaction. The golden holds the triple
+// order of every answer after a compaction; the test also checks that
+// Rebuild builds the graph a Builder fed this stream builds. The golden holds the triple
 // count, the SHA-256 of the whole N-Triples stream and every 256th line,
 // so a change shows where the order first moved. Run with -update to
 // rewrite it after a deliberate change of order.
@@ -98,6 +99,7 @@ func TestTriplesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	checkRebuild(t, v)
 	want, err := os.ReadFile(triplesGoldenPath)
 	if err != nil {
 		t.Fatal(err)

@@ -154,12 +154,11 @@ func ContainsTypes[T ~uint32](have, want []T) bool {
 }
 
 // Builder accumulates RDF triples and produces a Graph. The zero value is
-// ready to use.
+// ready to use. AddEdge and AddAttr take ids its caller interned in Dicts.
 type Builder struct {
-	dicts      dict.Dictionaries
-	edges      []edge
-	attrs      []uint64 // packed (subject, attribute) pairs
-	numTriples int
+	Dicts dict.Dictionaries
+	edges []edge
+	attrs []uint64 // packed (subject, attribute) pairs
 }
 
 // edge is one edge triple s → o of type t, by id.
@@ -168,10 +167,9 @@ type edge struct {
 	t    dict.EdgeType
 }
 
-// Add ingests one RDF triple, applying the four transformation protocols.
-// It returns an error when the triple violates the RDF model (literal
-// subject or predicate).
-func (b *Builder) Add(t rdf.Triple) error {
+// Validate checks a triple against the RDF model: an IRI or blank subject,
+// an IRI predicate, and at most one of a literal's datatype and language.
+func Validate(t rdf.Triple) error {
 	if !t.S.IsResource() {
 		return fmt.Errorf("multigraph: subject must be an IRI or blank node: %v", t)
 	}
@@ -183,15 +181,33 @@ func (b *Builder) Add(t rdf.Triple) error {
 		// intern an attribute the snapshot format refuses to reload.
 		return fmt.Errorf("multigraph: literal with both datatype and language tag: %v", t)
 	}
-	b.numTriples++
-	s := b.dicts.InternVertex(t.S.Value)
-	if t.O.IsLiteral() {
-		b.attrs = append(b.attrs, uint64(s)<<32|uint64(b.dicts.InternAttr(t.P.Value, t.O)))
-		return nil
-	}
-	o := b.dicts.InternVertex(t.O.Value)
-	b.edges = append(b.edges, edge{s, o, b.dicts.InternEdgeType(t.P.Value)})
 	return nil
+}
+
+// Add ingests one RDF triple, applying the four transformation protocols:
+// it validates it and interns its subject, object, then type or attribute.
+func (b *Builder) Add(t rdf.Triple) error {
+	if err := Validate(t); err != nil {
+		return err
+	}
+	s := b.Dicts.InternVertex(t.S.Value)
+	if t.O.IsLiteral() {
+		b.AddAttr(s, b.Dicts.InternAttr(t.P.Value, t.O))
+	} else {
+		o := b.Dicts.InternVertex(t.O.Value)
+		b.AddEdge(s, o, b.Dicts.InternEdgeType(t.P.Value))
+	}
+	return nil
+}
+
+// AddEdge adds the edge triple s → o of type t.
+func (b *Builder) AddEdge(s, o dict.VertexID, t dict.EdgeType) {
+	b.edges = append(b.edges, edge{s, o, t})
+}
+
+// AddAttr adds the attribute triple that puts a on s.
+func (b *Builder) AddAttr(s dict.VertexID, a dict.AttrID) {
+	b.attrs = append(b.attrs, uint64(s)<<32|uint64(a))
 }
 
 // AddAll ingests a batch of triples, stopping at the first error.
@@ -204,17 +220,14 @@ func (b *Builder) AddAll(ts []rdf.Triple) error {
 	return nil
 }
 
-// NumTriples reports how many triples have been added so far.
-func (b *Builder) NumTriples() int { return b.numTriples }
-
 // Build finalizes the accumulated triples into an immutable Graph: one
 // sort of the edge triples and one of the attribute pairs, each emitted
 // without its duplicates. It panics when the distinct edge labels or
 // attributes reach 2³², which the graph's 32-bit offsets cannot address.
 // The Builder must not be used afterwards.
 func (b *Builder) Build() *Graph {
-	n := b.dicts.Vertices.Len()
-	g := &Graph{Dicts: b.dicts, numTriples: b.numTriples}
+	n := b.Dicts.Vertices.Len()
+	g := &Graph{Dicts: b.Dicts, numTriples: len(b.edges) + len(b.attrs)}
 	slices.SortFunc(b.edges, func(x, y edge) int {
 		return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.s, y.s), cmp.Compare(x.o, y.o))
 	})
