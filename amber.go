@@ -4,9 +4,10 @@
 //
 // AMbER answers SPARQL SELECT/WHERE queries by representing the RDF data
 // as a directed, vertex-attributed multigraph, indexing it offline with
-// three structures (an attribute inverted index, an R-tree of vertex
-// signature synopses, and per-vertex neighbourhood tries), and reducing
-// query answering to sub-multigraph homomorphism search.
+// three structures (an attribute inverted index and the per-vertex
+// neighbourhood index, both stored as the multigraph's own arrays, and an
+// R-tree of vertex signature synopses), and reducing query answering to
+// sub-multigraph homomorphism search.
 //
 // Typical use:
 //

@@ -32,11 +32,11 @@ import (
 type BuildStats struct {
 	// DatabaseTime is the time to transform the tripleset into G.
 	DatabaseTime time.Duration
-	// IndexTime is the time to build A, S and the planner statistics; N
-	// is G's adjacency, built with G.
+	// IndexTime is the time to build S and the planner statistics; A
+	// and N are G's attribute side and adjacency, built with G.
 	IndexTime time.Duration
-	// DatabaseBytes is the size of G's arrays and dictionaries, N's among
-	// them; IndexBytes is the size of A's and S's.
+	// DatabaseBytes is the size of G's arrays and dictionaries, A's and
+	// N's among them; IndexBytes is the size of S's.
 	DatabaseBytes int64
 	IndexBytes    int64
 }
@@ -136,7 +136,7 @@ func newGeneration(g *multigraph.Graph, dbTime time.Duration) *Snapshot {
 			DatabaseTime:  dbTime,
 			IndexTime:     time.Since(start),
 			DatabaseBytes: g.Bytes(),
-			IndexBytes:    estimateIndexBytes(ix),
+			IndexBytes:    ix.S.Bytes(),
 		},
 	}
 }
@@ -159,24 +159,19 @@ func (s *Store) BuildInfo() BuildStats { return s.Snapshot().Build }
 // mutation, compaction and clear.
 func (s *Store) Epoch() uint64 { return s.Snapshot().Epoch }
 
-// estimateIndexBytes is the size of A's postings and S's level arrays; N
-// is the graph's adjacency and counts in the graph's Bytes.
-func estimateIndexBytes(ix *index.Index) int64 {
-	return 4*int64(ix.A.Entries()) + ix.S.Bytes()
-}
-
 // Save writes a binary snapshot of the merged data multigraph (base plus
 // any uncompacted delta). Loading it with LoadStore skips RDF parsing;
 // indexes are rebuilt deterministically.
-func (s *Store) Save(w io.Writer) error { return writeSnapshot(w, s.Snapshot()) }
+func (s *Store) Save(w io.Writer) error { return s.Snapshot().merged().Encode(w) }
 
-// writeSnapshot encodes the snapshot's merged multigraph. Save,
-// Checkpoint and SaveReplica all write through it.
-func writeSnapshot(w io.Writer, sn *Snapshot) error {
+// merged returns the snapshot's merged multigraph: the base itself when
+// the overlay is empty, else a rebuild of base plus overlay. Save,
+// Checkpoint and SaveReplica all encode it.
+func (sn *Snapshot) merged() *multigraph.Graph {
 	if sn.Delta.Empty() {
-		return sn.Graph.Encode(w)
+		return sn.Graph
 	}
-	return sn.Delta.Rebuild().Encode(w)
+	return sn.Delta.Rebuild()
 }
 
 // LoadStore reads a snapshot written by Save and rebuilds the index

@@ -45,7 +45,7 @@ func TestNewStoreFromReader(t *testing.T) {
 	if s.Graph().NumVertices() != 9 {
 		t.Errorf("vertices = %d, want 9", s.Graph().NumVertices())
 	}
-	if s.Index() == nil || s.Index().A == nil || s.Index().S == nil {
+	if s.Index() == nil || s.Index().S == nil {
 		t.Fatal("indexes not built")
 	}
 	if s.BuildInfo().DatabaseBytes <= 0 || s.BuildInfo().IndexBytes <= 0 {

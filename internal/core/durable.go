@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/multigraph"
 	"repro/internal/wal"
 )
 
@@ -67,7 +68,7 @@ type durable struct {
 	syncAlways     bool // fsync=always: commit owns the sync barrier
 	baseLoaded     bool // pre-WAL base state exists (see WALOptions.BaseLoaded)
 
-	cpMu   sync.Mutex   // serializes Checkpoint with Close/Detach
+	cpMu   sync.Mutex   // serializes checkpoint persists with each other and with CloseWAL
 	closed atomic.Bool  // set under cpMu before the log closes
 	cpErr  atomic.Value // string: last auto-checkpoint failure, "" once one succeeds
 }
@@ -164,6 +165,26 @@ func (s *Store) Checkpoint() error {
 	if d == nil {
 		return ErrNotDurable
 	}
+	sn, seq := s.capture(d)
+	return d.persist(sn.merged(), seq)
+}
+
+// capture pins the current snapshot together with the sequence of the
+// last record it holds: appends and publishes happen under the writer
+// lock, so the snapshot holds exactly the records through seq.
+func (s *Store) capture(d *durable) (*Snapshot, uint64) {
+	l := &s.live
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.snap.Load(), d.log.LastSeq()
+}
+
+// persist installs g, the state through record seq, as the checkpointed
+// base and truncates the log through seq. It writes nothing when seq is
+// below the log's checkpoint, which a later capture has already
+// installed: replacing that file with older state would lose the records
+// in between, which the log no longer holds.
+func (d *durable) persist(g *multigraph.Graph, seq uint64) error {
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
 	if d.closed.Load() {
@@ -173,23 +194,16 @@ func (s *Store) Checkpoint() error {
 		// silently roll back updates the successor acknowledged.
 		return wal.ErrClosed
 	}
-
-	// Capture (snapshot, lastSeq) atomically with respect to writers:
-	// appends and publishes happen under the same lock, so the snapshot
-	// holds exactly the records through seq.
-	l := &s.live
-	l.mu.Lock()
-	sn := l.snap.Load()
-	seq := d.log.LastSeq()
-	l.mu.Unlock()
-
+	if seq < d.log.Stats().CheckpointSeq {
+		return nil
+	}
 	path := CheckpointSnapshotPath(d.dir)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	werr := writeSnapshot(f, sn)
+	werr := g.Encode(f)
 	if werr == nil {
 		werr = f.Sync()
 	}
@@ -213,15 +227,18 @@ func (s *Store) Checkpoint() error {
 }
 
 // maybeAutoCheckpoint runs after a completed compaction when the store
-// was attached with CheckpointOnCompact. Failures are retained for
-// DurabilityInfo rather than surfaced: the data is still safe in the WAL,
-// which simply keeps growing until a checkpoint succeeds.
-func (s *Store) maybeAutoCheckpoint() {
+// was attached with CheckpointOnCompact: it persists g, the base the
+// compaction swapped in, at seq, the last record the base holds. The
+// records the compaction replayed onto the new overlay stay in the log.
+// Failures are retained for DurabilityInfo rather than surfaced: the data
+// is still safe in the WAL, which simply keeps growing until a checkpoint
+// succeeds.
+func (s *Store) maybeAutoCheckpoint(g *multigraph.Graph, seq uint64) {
 	d := s.dur.Load()
 	if d == nil || !d.autoCheckpoint {
 		return
 	}
-	if err := s.Checkpoint(); err != nil {
+	if err := d.persist(g, seq); err != nil {
 		d.cpErr.Store(err.Error())
 	} else {
 		d.cpErr.Store("")

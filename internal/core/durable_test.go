@@ -275,6 +275,112 @@ func TestCheckpointOnCompact(t *testing.T) {
 	}
 }
 
+// TestCompactionCheckpointWritesSwappedBase: the checkpoint after a
+// compaction writes the base the compaction swapped in, at the sequence of
+// the last record that base holds, and leaves the writes that raced the
+// rebuild in the log. base.snap then encodes the swapped-in base, and a
+// reopen replays exactly the raced writes back to the live triple set.
+func TestCompactionCheckpointWritesSwappedBase(t *testing.T) {
+	dir := t.TempDir()
+	s := newEmpty(t)
+	if _, err := s.AttachWAL(dir, WALOptions{CheckpointOnCompact: true}); err != nil {
+		t.Fatal(err)
+	}
+	s.SetCompactThreshold(0)
+	for i := range 10 {
+		applyBatch(t, s, walBatch{adds: []rdf.Triple{
+			tri(fmt.Sprintf("http://x/s%d", i), "http://x/p", "http://x/o"),
+			lit(fmt.Sprintf("http://x/s%d", i), "http://x/name", fmt.Sprintf("node %d", i)),
+		}})
+	}
+	const raced = 3
+	s.live.rebuilt = func() {
+		for i := range raced {
+			applyBatch(t, s, walBatch{
+				adds: []rdf.Triple{tri(fmt.Sprintf("http://x/r%d", i), "http://x/q", "http://x/s0")},
+				dels: []rdf.Triple{lit(fmt.Sprintf("http://x/s%d", i), "http://x/name", fmt.Sprintf("node %d", i))},
+			})
+		}
+	}
+	seq := s.WAL().LastSeq()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if di := s.DurabilityInfo(); di.Checkpoints != 1 || di.CheckpointSeq != seq || di.LastCheckpointError != "" {
+		t.Fatalf("%d checkpoints through seq %d (error %q), want one through %d", di.Checkpoints, di.CheckpointSeq, di.LastCheckpointError, seq)
+	}
+	var base bytes.Buffer
+	if err := s.Snapshot().Graph.Encode(&base); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(CheckpointSnapshotPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, base.Bytes()) {
+		t.Fatal("base.snap holds other bytes than the swapped-in base")
+	}
+	want := tripleSet(s)
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := LoadStore(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.AttachWAL(dir, WALOptions{}); err != nil || n != raced {
+		t.Fatalf("reopen replayed %d records (err %v), want the %d raced writes", n, err, raced)
+	}
+	if got := tripleSet(r); !slices.Equal(got, want) {
+		t.Fatalf("reopened store holds %d triples, want %d", len(got), len(want))
+	}
+}
+
+// TestPersistBelowCheckpointWritesNothing: a persist captured before the
+// log's checkpoint, which a later capture has already installed, leaves
+// base.snap and the checkpoint marker as they are.
+func TestPersistBelowCheckpointWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s := newEmpty(t)
+	if _, err := s.AttachWAL(dir, WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	bs := script()
+	for _, b := range bs[:3] {
+		applyBatch(t, s, b)
+	}
+	d := s.dur.Load()
+	old, oldSeq := s.capture(d)
+	for _, b := range bs[3:] {
+		applyBatch(t, s, b)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	files := func() (snap, marker []byte) {
+		t.Helper()
+		var err error
+		if snap, err = os.ReadFile(CheckpointSnapshotPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		if marker, err = os.ReadFile(filepath.Join(dir, "checkpoint")); err != nil {
+			t.Fatal(err)
+		}
+		return snap, marker
+	}
+	snap, marker := files()
+	cp := s.DurabilityInfo().CheckpointSeq
+	if err := d.persist(old.merged(), oldSeq); err != nil {
+		t.Fatalf("persist below the checkpoint: %v", err)
+	}
+	if snap2, marker2 := files(); !bytes.Equal(snap2, snap) || !bytes.Equal(marker2, marker) {
+		t.Fatal("a persist below the checkpoint rewrote base.snap or the checkpoint marker")
+	}
+	if di := s.DurabilityInfo(); di.CheckpointSeq != cp || di.Checkpoints != 1 {
+		t.Fatalf("checkpoint moved to seq %d after %d checkpoints, want seq %d after one", di.CheckpointSeq, di.Checkpoints, cp)
+	}
+}
+
 func TestDurabilityMiscErrors(t *testing.T) {
 	s := newEmpty(t)
 	if err := s.Checkpoint(); err != ErrNotDurable {

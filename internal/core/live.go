@@ -61,6 +61,10 @@ type liveState struct {
 
 	compactThreshold atomic.Int64
 
+	// rebuilt, when non-nil, runs in every compaction between the rebuild
+	// and the swap. Tests set it to land writes the swap must replay.
+	rebuilt func()
+
 	updates        atomic.Uint64
 	compactions    atomic.Uint64
 	lastCompaction atomic.Int64 // nanoseconds
@@ -451,9 +455,9 @@ func (s *Store) runClaimedCompaction(done chan struct{}) error {
 		}
 		l.mu.Unlock()
 	}()
-	err := s.runCompaction()
-	if err == nil {
-		s.maybeAutoCheckpoint()
+	g, seq, err := s.runCompaction()
+	if g != nil {
+		s.maybeAutoCheckpoint(g, seq)
 	}
 	return err
 }
@@ -486,14 +490,20 @@ func (s *Store) WaitCompaction() {
 // runCompaction rebuilds the captured snapshot's merged view into a
 // fresh frozen generation off-lock, then swaps it in under the writer
 // lock, replaying any mutations that landed during the rebuild onto the
-// new base. The caller must have set l.compacting (and owns clearing
-// it, which this function does on every path).
-func (s *Store) runCompaction() error {
+// new base. It returns the base it swapped in and the sequence of the
+// last WAL record that base holds (zero without a WAL), or a nil graph
+// when a Clear voided the rebuild. The caller must have set l.compacting
+// (and owns clearing it, which this function does on every path).
+func (s *Store) runCompaction() (*multigraph.Graph, uint64, error) {
 	l := &s.live
 	start := time.Now()
 
 	l.mu.Lock()
 	cur := l.snap.Load()
+	var seq uint64
+	if d := s.dur.Load(); d != nil {
+		seq = d.log.LastSeq()
+	}
 	// Everything logged so far is already inside cur; the log from here
 	// on holds exactly the writes the rebuild will need to replay.
 	l.log = nil
@@ -504,6 +514,9 @@ func (s *Store) runCompaction() error {
 	buildStart := time.Now()
 	g := cur.Delta.Rebuild()
 	next := newGeneration(g, time.Since(buildStart))
+	if l.rebuilt != nil {
+		l.rebuilt()
+	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -517,7 +530,7 @@ func (s *Store) runCompaction() error {
 	if cur2.Gen != cur.Gen {
 		// The base changed under us (Clear): the rebuilt generation would
 		// resurrect wiped data — discard it.
-		return nil
+		return nil, 0, nil
 	}
 	// Catch up with writes that landed during the rebuild. A batch that
 	// raced the initial capture may already be inside cur — replaying the
@@ -526,7 +539,7 @@ func (s *Store) runCompaction() error {
 	for _, m := range tail {
 		var err error
 		if next.Delta, err = next.Delta.Apply(m.Adds, m.Dels); err != nil {
-			return err // validated at commit time; unreachable
+			return nil, 0, err // validated at commit time; unreachable
 		}
 	}
 	l.retireDelta(cur2.Delta)
@@ -534,5 +547,5 @@ func (s *Store) runCompaction() error {
 	l.snap.Store(next)
 	l.compactions.Add(1)
 	l.lastCompaction.Store(int64(time.Since(start)))
-	return nil
+	return g, seq, nil
 }

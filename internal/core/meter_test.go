@@ -67,9 +67,13 @@ SELECT ?p ?c WHERE { ?p y:wasBornIn ?c . ?p y:livedIn ?e . }`)
 // through a non-empty overlay are attributed.
 func TestExecuteMeterCountsOverlayProbes(t *testing.T) {
 	s := newStore(t)
-	if err := s.UpdateString(`INSERT DATA {
+	u, err := sparql.ParseUpdate(`INSERT DATA {
 		<http://dbpedia.org/resource/New_Person> <http://dbpedia.org/ontology/wasBornIn> <http://dbpedia.org/resource/London> .
-	}`); err != nil {
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyUpdate(u); err != nil {
 		t.Fatal(err)
 	}
 	pq, err := sparql.Parse(`

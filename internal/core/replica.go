@@ -83,12 +83,8 @@ func (s *Store) SaveReplica(w io.Writer) (seq, epoch uint64, err error) {
 	if d == nil {
 		return 0, 0, ErrNotDurable
 	}
-	l := &s.live
-	l.mu.Lock()
-	sn := l.snap.Load()
-	seq = d.log.LastSeq()
-	l.mu.Unlock()
-	if err := writeSnapshot(w, sn); err != nil {
+	sn, seq := s.capture(d)
+	if err := sn.merged().Encode(w); err != nil {
 		return 0, 0, err
 	}
 	return seq, sn.Epoch, nil

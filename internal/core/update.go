@@ -35,15 +35,6 @@ func (s *Store) ApplyUpdate(u *sparql.Update) error {
 	return nil
 }
 
-// UpdateString parses and executes SPARQL Update text.
-func (s *Store) UpdateString(src string) error {
-	u, err := sparql.ParseUpdate(src)
-	if err != nil {
-		return err
-	}
-	return s.ApplyUpdate(u)
-}
-
 // load reads an N-Triples / prefixed-Turtle document from a local file
 // and bulk-inserts its triples as one atomic batch.
 func (s *Store) load(path string) error {

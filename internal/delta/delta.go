@@ -401,13 +401,9 @@ func (v *View) SignatureCandidates(q multigraph.Synopsis) []dict.VertexID {
 
 // attrVertices returns the merged inverted list of attribute a.
 func (v *View) attrVertices(a dict.AttrID) []dict.VertexID {
-	var base []dict.VertexID
-	if int(a) < v.sh.baseNA {
-		base = v.sh.ix.A.Vertices(a)
-	}
 	del, _ := v.sh.attrDel.get(a, v.ver)
 	add, _ := v.sh.attrAdd.get(a, v.ver)
-	return unionSorted(subtractSorted(base, del), add)
+	return unionSorted(subtractSorted(v.sh.g.AttrVertices(a), del), add)
 }
 
 // VertexAttrs returns the sorted attribute ids vid carries under the
@@ -423,20 +419,13 @@ func (v *View) VertexAttrs(vid dict.VertexID) []dict.AttrID {
 }
 
 // AttrCandidates returns the vertices carrying every attribute in attrs
-// under the merged view (CᴬU of Algorithm 1). Mirrors the base index's
-// rarest-first intersection; nil when attrs is empty.
+// under the merged view (CᴬU of Algorithm 1): the merged lists intersected
+// rarest first, as on the base; nil when attrs is empty. Without overlay
+// attribute changes the merged lists are the base graph's own.
 func (v *View) AttrCandidates(attrs []dict.AttrID) []dict.VertexID {
-	if len(attrs) == 0 {
-		return nil
-	}
-	if v.attrAdds == 0 && v.attrDels == 0 {
-		return v.sh.ix.A.Candidates(attrs)
-	}
 	lists := make([][]dict.VertexID, len(attrs))
 	for i, a := range attrs {
-		if lists[i] = v.attrVertices(a); len(lists[i]) == 0 {
-			return nil
-		}
+		lists[i] = v.attrVertices(a)
 	}
 	return otil.IntersectAll(lists)
 }

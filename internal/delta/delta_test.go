@@ -408,7 +408,7 @@ func TestViewMatchesRebuild(t *testing.T) {
 			if !ok {
 				t.Fatalf("trial %d: overlay missing attr %v", trial, at)
 			}
-			want := ix2.A.Vertices(dict.AttrID(ai))
+			want := g2.AttrVertices(dict.AttrID(ai))
 			gotA := v.AttrCandidates([]dict.AttrID{oa})
 			if len(want) != len(gotA) {
 				t.Fatalf("trial %d: attr %v lists differ: %d vs %d", trial, at, len(gotA), len(want))

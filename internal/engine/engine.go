@@ -414,31 +414,18 @@ func (m *matcher) satCandidates(uc, us query.VertexID, vc dict.VertexID) []dict.
 }
 
 // litCandidates computes a literal satellite's candidate set under the
-// subject match vc: p-edge neighbours (when p is an edge type) followed by
-// vc's <p, ·> attributes as encoded literal bindings. Both halves are
-// sorted and every encoded binding exceeds every vertex id, so the
-// concatenation is sorted. It is built in us's scratch buffer: a
-// satellite's set is dead once its core vertex moves to the next candidate.
+// subject match vc (plan.LitCandidates), counting its probes. It is built
+// in us's scratch buffer: a satellite's set is dead once its core vertex
+// moves to the next candidate.
 //
 //amber:hotloop
 func (m *matcher) litCandidates(us query.VertexID, lit *query.LitSat, vc dict.VertexID) []dict.VertexID {
-	var verts []dict.VertexID
 	if len(lit.Types) > 0 {
 		m.effort.probes++
-		verts = m.r.Neighbors(vc, index.Outgoing, lit.Types)
 	}
 	m.effort.probes++
-	attrs := otil.IntersectSorted(m.r.VertexAttrs(vc), lit.Attrs)
 	m.effort.inters++
-	if len(attrs) == 0 {
-		return verts
-	}
-	out := append(m.litBuf[us][:0], verts...)
-	for _, a := range attrs {
-		out = append(out, dict.EncodeAttrBinding(a))
-	}
-	m.litBuf[us] = out
-	return out
+	return plan.LitCandidates(m.r, lit, vc, &m.litBuf[us])
 }
 
 // matchSatellites is Algorithm 2: computes candidate sets for all

@@ -37,12 +37,11 @@ const (
 // has delivered. Safe for concurrent use; one Injector may wrap many
 // files (the budget spans them all, in write order).
 type Injector struct {
-	mu      sync.Mutex
-	armed   bool
-	mode    Mode
-	budget  int64 // bytes that still pass through untouched
-	faults  int
-	written int64
+	mu     sync.Mutex
+	armed  bool
+	mode   Mode
+	budget int64 // bytes that still pass through untouched
+	faults int
 }
 
 // New returns an unarmed Injector: writes pass through untouched.
@@ -58,26 +57,11 @@ func (i *Injector) Arm(after int64, mode Mode) {
 	i.mu.Unlock()
 }
 
-// Disarm cancels any pending fault.
-func (i *Injector) Disarm() {
-	i.mu.Lock()
-	i.armed = false
-	i.mu.Unlock()
-}
-
 // Faults reports how many faults have been delivered.
 func (i *Injector) Faults() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.faults
-}
-
-// Written reports the total bytes written through the injector
-// (including the intact prefix of a torn write).
-func (i *Injector) Written() int64 {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.written
 }
 
 // Wrap wraps f for wal.Options.WrapFile.
@@ -97,7 +81,6 @@ func (w *file) Write(p []byte) (int, error) {
 		if i.armed {
 			i.budget -= int64(len(p))
 		}
-		i.written += int64(len(p))
 		i.mu.Unlock()
 		return w.f.Write(p)
 	}
@@ -108,7 +91,6 @@ func (w *file) Write(p []byte) (int, error) {
 	i.faults++
 	switch mode {
 	case PartialWrite:
-		i.written += k
 		i.mu.Unlock()
 		n, err := w.f.Write(p[:k])
 		if err != nil {
@@ -116,7 +98,6 @@ func (w *file) Write(p []byte) (int, error) {
 		}
 		return n, ErrInjected
 	default: // BitFlip
-		i.written += int64(len(p))
 		i.mu.Unlock()
 		buf := append([]byte(nil), p...)
 		buf[k] ^= 1 << 3

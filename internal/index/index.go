@@ -1,11 +1,11 @@
 // Package index builds and serves the offline index structures of the
 // AMbER paper (Section 4). The ensemble I := {A, S, N} is what the online
-// matching procedure probes: the attribute inverted index A and the vertex
-// signature (synopsis) index S, backed by an R-tree, are built here; the
-// vertex neighbourhood index N — the inverted lists of the per-vertex
-// OTILs for incoming (N+) and outgoing (N−) edges — is the data graph's
-// own type-major adjacency (multigraph.Graph.In and Out), which
-// GraphReader probes directly.
+// matching procedure probes. Only the vertex signature (synopsis) index S,
+// backed by an R-tree, is built here. The attribute index A is the data
+// graph's attribute side (multigraph.Graph.AttrVertices), and the vertex
+// neighbourhood index N — the inverted lists of the per-vertex OTILs for
+// incoming (N+) and outgoing (N−) edges — is its type-major adjacency
+// (multigraph.Graph.In and Out). GraphReader probes both directly.
 package index
 
 import (
@@ -33,55 +33,6 @@ func (d Direction) String() string {
 		return "+"
 	}
 	return "-"
-}
-
-// AttributeIndex is the inverted list A: for each attribute id, the sorted
-// list of data vertices carrying it (Section 4.1).
-type AttributeIndex struct {
-	lists [][]dict.VertexID // indexed by AttrID
-}
-
-// BuildAttributeIndex scans the graph's vertex attributes.
-func BuildAttributeIndex(g *multigraph.Graph) *AttributeIndex {
-	lists := make([][]dict.VertexID, g.NumAttrs())
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, a := range g.Attrs(dict.VertexID(v)) {
-			lists[a] = append(lists[a], dict.VertexID(v))
-		}
-	}
-	// Vertices are scanned in ascending order, so lists are already sorted.
-	return &AttributeIndex{lists: lists}
-}
-
-// Vertices returns the sorted list of vertices carrying attribute a. The
-// returned slice must not be modified.
-func (ai *AttributeIndex) Vertices(a dict.AttrID) []dict.VertexID {
-	if int(a) >= len(ai.lists) {
-		return nil
-	}
-	return ai.lists[a]
-}
-
-// Candidates returns CᴬU: the vertices carrying every attribute in attrs.
-// A nil attrs yields nil — callers only probe when attributes exist.
-func (ai *AttributeIndex) Candidates(attrs []dict.AttrID) []dict.VertexID {
-	lists := make([][]dict.VertexID, len(attrs))
-	for i, a := range attrs {
-		if lists[i] = ai.Vertices(a); len(lists[i]) == 0 {
-			return nil
-		}
-	}
-	return otil.IntersectAll(lists)
-}
-
-// Entries reports the total number of postings (for Table 5 size
-// accounting).
-func (ai *AttributeIndex) Entries() int {
-	n := 0
-	for _, l := range ai.lists {
-		n += len(l)
-	}
-	return n
 }
 
 // SignatureIndex is the synopsis R-tree S (Section 4.2).
@@ -124,9 +75,9 @@ func (si *SignatureIndex) Bytes() int64 { return si.tree.Bytes() }
 
 // Cardinalities are per-edge-type occurrence counts gathered while the
 // ensemble is built. They are the data statistics the cost-based query
-// planner (internal/plan) consumes: together with AttributeIndex list
-// lengths and neighbourhood-trie probes they let the planner estimate
-// candidate-set sizes before any matching happens.
+// planner (internal/plan) consumes: together with the lengths of A's lists
+// and neighbourhood probes they let the planner estimate candidate-set
+// sizes before any matching happens.
 type Cardinalities struct {
 	// OutVertices[t] and InVertices[t] count the vertices with at least
 	// one outgoing (resp. incoming) multi-edge whose label set contains
@@ -261,9 +212,15 @@ func (r GraphReader) Neighbors(v dict.VertexID, dir Direction, types []dict.Edge
 	return r.G.Out(v).Lookup(types)
 }
 
-// AttrCandidates probes the inverted index A.
+// AttrCandidates returns CᴬU: the vertices carrying every attribute in
+// attrs, the graph's lists of index A intersected rarest first. A nil
+// attrs yields nil.
 func (r GraphReader) AttrCandidates(attrs []dict.AttrID) []dict.VertexID {
-	return r.Ix.A.Candidates(attrs)
+	lists := make([][]dict.VertexID, len(attrs))
+	for i, a := range attrs {
+		lists[i] = r.G.AttrVertices(a)
+	}
+	return otil.IntersectAll(lists)
 }
 
 // HasAttrs checks the graph's attribute sets.
@@ -284,19 +241,17 @@ func (r GraphReader) HasEdgeTypes(from, to dict.VertexID, types []dict.EdgeType)
 // Cardinalities exposes the planner statistics.
 func (r GraphReader) Cardinalities() *Cardinalities { return r.Ix.Card }
 
-// Index holds the ensemble's A and S plus the cardinality statistics
-// gathered alongside them; N is the graph's own adjacency.
+// Index holds the ensemble's S plus the cardinality statistics gathered
+// alongside it; A and N are the graph's own attribute side and adjacency.
 type Index struct {
-	A *AttributeIndex
 	S *SignatureIndex
 	// Card holds per-edge-type cardinalities for the cost-based planner.
 	Card *Cardinalities
 }
 
-// Build constructs A, S and the planner statistics for g.
+// Build constructs S and the planner statistics for g.
 func Build(g *multigraph.Graph) *Index {
 	return &Index{
-		A:    BuildAttributeIndex(g),
 		S:    BuildSignatureIndex(g),
 		Card: BuildCardinalities(g),
 	}

@@ -67,16 +67,21 @@ func lookupT(t *testing.T, g *multigraph.Graph, pred string) dict.EdgeType {
 	return e
 }
 
+// The attribute index A is the graph's attribute side: GraphReader's
+// AttrCandidates intersects its lists.
+
 func TestAttributeIndexSingle(t *testing.T) {
 	g, ix := buildAll(t)
 	a, ok := g.Terms().LookupAttr("http://dbpedia.org/ontology/hasCapacityOf", rdf.NewLiteral("90000"))
 	if !ok {
 		t.Fatal("attribute missing")
 	}
-	got := ix.A.Candidates([]dict.AttrID{a})
 	want := lookupV(t, g, "WembleyStadium")
-	if len(got) != 1 || got[0] != want {
-		t.Errorf("Candidates(hasCapacityOf 90000) = %v, want [%d]", got, want)
+	if got := g.AttrVertices(a); !slices.Equal(got, []dict.VertexID{want}) {
+		t.Errorf("AttrVertices(hasCapacityOf 90000) = %v, want [%d]", got, want)
+	}
+	if got := NewReader(g, ix).AttrCandidates([]dict.AttrID{a}); !slices.Equal(got, []dict.VertexID{want}) {
+		t.Errorf("AttrCandidates(hasCapacityOf 90000) = %v, want [%d]", got, want)
 	}
 }
 
@@ -85,33 +90,76 @@ func TestAttributeIndexSingle(t *testing.T) {
 // Music_Band.
 func TestAttributeIndexConjunction(t *testing.T) {
 	g, ix := buildAll(t)
+	r := NewReader(g, ix)
 	a1, ok1 := g.Terms().LookupAttr("http://dbpedia.org/ontology/foundedIn", rdf.NewLiteral("1994"))
 	a2, ok2 := g.Terms().LookupAttr("http://dbpedia.org/ontology/hasName", rdf.NewLiteral("MCA_Band"))
 	if !ok1 || !ok2 {
 		t.Fatal("attributes missing")
 	}
-	got := ix.A.Candidates([]dict.AttrID{a1, a2})
 	want := lookupV(t, g, "Music_Band")
-	if len(got) != 1 || got[0] != want {
-		t.Errorf("Candidates({a1,a2}) = %v, want [%d]", got, want)
+	if got := r.AttrCandidates([]dict.AttrID{a1, a2}); !slices.Equal(got, []dict.VertexID{want}) {
+		t.Errorf("AttrCandidates({a1,a2}) = %v, want [%d]", got, want)
 	}
 	// Conjunction with a foreign attribute must be empty.
 	a0, _ := g.Terms().LookupAttr("http://dbpedia.org/ontology/hasCapacityOf", rdf.NewLiteral("90000"))
-	if got := ix.A.Candidates([]dict.AttrID{a1, a0}); got != nil {
+	if got := r.AttrCandidates([]dict.AttrID{a1, a0}); got != nil {
 		t.Errorf("impossible conjunction = %v", got)
 	}
 }
 
 func TestAttributeIndexEdgeCases(t *testing.T) {
-	_, ix := buildAll(t)
-	if got := ix.A.Candidates(nil); got != nil {
+	g, ix := buildAll(t)
+	r := NewReader(g, ix)
+	if got := r.AttrCandidates(nil); got != nil {
 		t.Errorf("empty attr query = %v", got)
 	}
-	if got := ix.A.Vertices(dict.AttrID(999)); got != nil {
+	if got := g.AttrVertices(dict.AttrID(999)); got != nil {
 		t.Errorf("out-of-range attr = %v", got)
 	}
-	if ix.A.Entries() != 3 {
-		t.Errorf("Entries = %d, want 3", ix.A.Entries())
+	if got := r.AttrCandidates([]dict.AttrID{999}); got != nil {
+		t.Errorf("out-of-range attr query = %v", got)
+	}
+	postings := 0
+	for a := range g.NumAttrs() {
+		postings += len(g.AttrVertices(dict.AttrID(a)))
+	}
+	if postings != 3 {
+		t.Errorf("A holds %d postings, want 3", postings)
+	}
+}
+
+// TestBuildAllocsFlat: Build allocates nothing per attribute or per
+// vertex. On two seeded graphs, the larger with ten times the vertices and
+// attributes, its allocations differ by no more than the larger R-tree's
+// extra levels cost: a level's boxes, its entries, its sort and the
+// growth of the level list.
+func TestBuildAllocsFlat(t *testing.T) {
+	measure := func(n int) (allocs float64, attrs, levels int) {
+		rng := rand.New(rand.NewSource(int64(n)))
+		var ts []rdf.Triple
+		for i := range n {
+			s := rdf.NewIRI(fmt.Sprintf("http://g/v%d", i))
+			ts = append(ts,
+				rdf.Triple{S: s, P: rdf.NewIRI(fmt.Sprintf("http://g/p%d", rng.Intn(4))), O: rdf.NewIRI(fmt.Sprintf("http://g/v%d", rng.Intn(n)))},
+				rdf.Triple{S: s, P: rdf.NewIRI("http://g/name"), O: rdf.NewLiteral(fmt.Sprintf("v%d", i))},
+				rdf.Triple{S: s, P: rdf.NewIRI("http://g/group"), O: rdf.NewLiteral(fmt.Sprintf("g%d", rng.Intn(n/10)))})
+		}
+		g, err := multigraph.FromTriples(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels = 1
+		for k := g.NumVertices(); k > 16; k = (k + 15) / 16 {
+			levels++
+		}
+		return testing.AllocsPerRun(5, func() { Build(g) }), g.NumAttrs(), levels
+	}
+	small, smallA, smallL := measure(400)
+	large, largeA, largeL := measure(4000)
+	t.Logf("Build allocations: %.0f for %d attributes, %.0f for %d", small, smallA, large, largeA)
+	if bound := float64(4 * (largeL - smallL)); large-small > bound {
+		t.Errorf("Build made %.0f allocations for %d attributes and %.0f for %d: more than the %.0f of %d extra R-tree levels",
+			large, largeA, small, smallA, bound, largeL-smallL)
 	}
 }
 

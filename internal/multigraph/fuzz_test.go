@@ -92,14 +92,34 @@ func tripleOf(s, p, o string) rdf.Triple {
 	}
 }
 
+// attrsAgree checks the attribute side against a scan of the vertex side:
+// AttrVertices(a) lists, ascending, exactly the vertices whose Attrs hold
+// a.
+func attrsAgree(t *testing.T, g *Graph) {
+	t.Helper()
+	for a := range g.NumAttrs() + 1 {
+		var want []dict.VertexID
+		for v := range g.NumVertices() {
+			if slices.Contains(g.Attrs(dict.VertexID(v)), dict.AttrID(a)) {
+				want = append(want, dict.VertexID(v))
+			}
+		}
+		if got := g.AttrVertices(dict.AttrID(a)); !slices.Equal(got, want) {
+			t.Fatalf("AttrVertices(%d) = %v, the vertices carrying it %v", a, got, want)
+		}
+	}
+}
+
 // FuzzBuildGraph builds graphs from small triple sets drawn from the input,
 // three bytes a triple: subject, predicate and object ids over eight
 // vertices and four predicates, an object byte from 0xf0 up being one of
 // sixteen literals. The graph must agree with a naive reference, the set
 // of triples it was built from: every run lists exactly the labelled
 // edges of its vertex and type, HasEdgeTypes and the regrouped multi-edges
-// answer from the same set, and the pair count is the set's. Its snapshot
-// must decode to identical arrays that re-encode to the same bytes.
+// answer from the same set, and the pair count is the set's. Each
+// attribute's vertices are those whose attributes contain it. Its snapshot
+// must decode to identical arrays that re-encode to the same bytes, and
+// the decoded attribute side must pass the same check.
 func FuzzBuildGraph(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 1, 1, 1, 0, 0, 2, 2, 2, 3, 3, 0xf3})
 	f.Add([]byte{5, 0, 5, 5, 1, 5, 5, 0, 5, 6, 3, 5, 7, 2, 5})
@@ -178,11 +198,13 @@ func FuzzBuildGraph(f *testing.F) {
 		if labels != len(ref) || g.NumEdges() != len(pairs) {
 			t.Fatalf("graph holds %d labels on %d pairs, the triples %d on %d", labels, g.NumEdges(), len(ref), len(pairs))
 		}
+		attrsAgree(t, g)
 		snap := encoded(t, g)
 		dec, err := Decode(bytes.NewReader(snap))
 		if err != nil {
 			t.Fatal(err)
 		}
+		attrsAgree(t, dec)
 		graphsEqual(t, g, dec)
 		if !bytes.Equal(encoded(t, dec), snap) {
 			t.Fatal("Encode→Decode→Encode is not a fixed point")

@@ -13,7 +13,10 @@
 // edge types in ascending order, each with the ascending neighbours whose
 // multi-edge contains the type. These runs are the neighbourhood index N;
 // no other copy of the adjacency exists. MultiEdges regroups a vertex's
-// runs by neighbour for the snapshot codec and the signatures.
+// runs by neighbour for the snapshot codec and the signatures. Attributes
+// are stored from both ends: per vertex its ascending attributes, and per
+// attribute the ascending vertices that carry it, which is the attribute
+// index A of Section 4.1.
 //
 // The package also computes vertex signatures and their 8-field synopses
 // (Section 4.2, Table 3), which feed the S index.
@@ -32,7 +35,9 @@ import (
 
 // Graph is the immutable data multigraph, a fixed number of flat arrays
 // whatever its size. Build one with a Builder. Vertex v's attributes are
-// attrIDs[attrOff[v]:attrOff[v+1]], ascending.
+// attrIDs[attrOff[v]:attrOff[v+1]], ascending; the attribute side inverts
+// them: attribute a's vertices are holders[holderOff[a]:holderOff[a+1]],
+// ascending.
 //
 // Dicts are the generation's dictionaries for their one writer: a
 // live-update overlay over the graph interns new terms into them. The
@@ -43,9 +48,11 @@ type Graph struct {
 	Dicts dict.Dictionaries
 	terms dict.Snapshot
 
-	out, in side // edges v → w ("-") and w → v ("+")
-	attrOff []uint32
-	attrIDs []dict.AttrID
+	out, in   side // edges v → w ("-") and w → v ("+")
+	attrOff   []uint32
+	attrIDs   []dict.AttrID
+	holderOff []uint32
+	holders   []dict.VertexID
 
 	numTriples, numEdges int
 }
@@ -93,9 +100,10 @@ func (g *Graph) NumTriples() int { return g.numTriples }
 // Bytes reports the size of the graph's arrays and of its dictionaries
 // (for Table 5 size accounting): per side a 4-byte start per vertex, an
 // 8-byte (type, offset) entry per run and a 4-byte id per edge label; a
-// 4-byte offset per vertex and a 4-byte id per attribute.
+// 4-byte offset per vertex and per attribute and, on each attribute side,
+// a 4-byte id per (vertex, attribute) pair.
 func (g *Graph) Bytes() int64 {
-	n := len(g.attrOff) + len(g.attrIDs)
+	n := len(g.attrOff) + len(g.attrIDs) + len(g.holderOff) + len(g.holders)
 	for _, s := range []*side{&g.out, &g.in} {
 		n += len(s.start) + len(s.types) + len(s.off) + len(s.ids)
 	}
@@ -117,6 +125,18 @@ func (g *Graph) In(v dict.VertexID) otil.Postings { return g.in.of(v) }
 func (g *Graph) Attrs(v dict.VertexID) []dict.AttrID {
 	lo, hi := g.attrOff[v], g.attrOff[v+1]
 	return g.attrIDs[lo:hi:hi]
+}
+
+// AttrVertices returns the ascending vertices that carry attribute a: its
+// inverted list in the paper's index A. Unknown attributes have none. The
+// result is a view into the graph's arrays; nothing it returns may be
+// modified.
+func (g *Graph) AttrVertices(a dict.AttrID) []dict.VertexID {
+	if int(a) >= len(g.holderOff)-1 {
+		return nil
+	}
+	lo, hi := g.holderOff[a], g.holderOff[a+1]
+	return g.holders[lo:hi:hi]
 }
 
 // HasAttrs reports whether v carries every attribute in want (want must be
@@ -238,16 +258,49 @@ func (b *Builder) Build() *Graph {
 		panic(fmt.Sprintf("multigraph: %d edge labels or %d attributes exceed the graph's 32-bit offsets", len(es), len(attrs)))
 	}
 	g.layout(n, es, nil)
-	g.attrOff, g.attrIDs = make([]uint32, n+1), make([]dict.AttrID, len(attrs))
-	for i, k := range attrs {
+	g.allocAttrs(n, b.Dicts.Attrs.Len(), len(attrs))
+	for _, k := range attrs {
 		g.attrOff[k>>32+1]++
-		g.attrIDs[i] = dict.AttrID(k)
+		g.attrIDs = append(g.attrIDs, dict.AttrID(k))
 	}
 	for v := 1; v <= n; v++ {
 		g.attrOff[v] += g.attrOff[v-1]
 	}
+	g.invertAttrs()
 	g.terms = g.Dicts.Snapshot()
 	return g
+}
+
+// allocAttrs allocates the offsets of both attribute sides, for n vertices
+// and nA attributes, as one array, and room for k attribute ids.
+func (g *Graph) allocAttrs(n, nA, k int) {
+	off := make([]uint32, n+1+nA+1)
+	g.attrOff, g.holderOff = off[:n+1:n+1], off[n+1:]
+	g.attrIDs = make([]dict.AttrID, 0, k)
+}
+
+// invertAttrs fills the attribute side from the vertex side, for Build and
+// Decode, by a counting sort: the first pass counts each attribute's
+// vertices, the second places them, visiting vertices in ascending order
+// so that each list is written ascending. holderOff[a] serves as a's
+// cursor and is shifted back afterwards.
+func (g *Graph) invertAttrs() {
+	off, nA := g.holderOff, len(g.holderOff)-1
+	for _, a := range g.attrIDs {
+		off[a+1]++
+	}
+	for a := 1; a <= nA; a++ {
+		off[a] += off[a-1]
+	}
+	g.holders = make([]dict.VertexID, len(g.attrIDs))
+	for v := range len(g.attrOff) - 1 {
+		for _, a := range g.Attrs(dict.VertexID(v)) {
+			g.holders[off[a]] = dict.VertexID(v)
+			off[a]++
+		}
+	}
+	copy(off[1:], off[:nA])
+	off[0] = 0
 }
 
 // layout fills both sides and the pair count from the graph's distinct

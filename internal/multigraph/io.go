@@ -365,11 +365,12 @@ func (d *decoder) graph() (*Graph, error) {
 		byType[t] += byType[t-1]
 	}
 	es := make([]edge, labels)
-	g.attrOff, g.attrIDs = make([]uint32, nV+1), make([]dict.AttrID, 0, attrs)
+	g.allocAttrs(nV, nA, attrs)
 	if d.sections(g, es, byType, nV, nT, nA); d.err != nil {
 		return nil, d.err
 	}
 	g.layout(nV, es, byType)
+	g.invertAttrs()
 	g.terms = g.Dicts.Snapshot()
 	return g, nil
 }

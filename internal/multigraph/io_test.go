@@ -49,7 +49,8 @@ func graphsEqual(t *testing.T, a, b *Graph) {
 			t.Fatal("adjacency arrays differ")
 		}
 	}
-	if !slices.Equal(a.attrOff, b.attrOff) || !slices.Equal(a.attrIDs, b.attrIDs) {
+	if !slices.Equal(a.attrOff, b.attrOff) || !slices.Equal(a.attrIDs, b.attrIDs) ||
+		!slices.Equal(a.holderOff, b.holderOff) || !slices.Equal(a.holders, b.holders) {
 		t.Fatal("attribute arrays differ")
 	}
 	for i := 0; i < a.NumEdgeTypes(); i++ {

@@ -200,7 +200,7 @@ func (s *scaffold) computeFixed() {
 			// neighbours plus encoded <p, ·> attributes of the constant —
 			// is computable right here.
 			s.p.IsFixed[u] = true
-			s.p.Fixed[u] = litFixed(s.r, lit)
+			s.p.Fixed[u] = LitCandidates(s.r, lit, lit.SubjectVertex, new([]dict.VertexID))
 			if len(s.p.Fixed[u]) == 0 {
 				s.p.markEmpty("empty candidate set for ?" + v.Name)
 			}
@@ -237,20 +237,27 @@ func (s *scaffold) computeFixed() {
 	}
 }
 
-// litFixed materializes the candidate list of a constant-subject literal
-// satellite: the subject's p-neighbours followed by its matching
-// attributes as encoded literal bindings (sorted by construction).
-func litFixed(r index.Reader, lit *query.LitSat) []dict.VertexID {
+// LitCandidates computes a literal satellite's candidate set for subject
+// data vertex v: v's p-neighbours (when p is an edge type) followed by its
+// matching <p, ·> attributes as encoded literal bindings. Both halves are
+// sorted and every encoded binding exceeds every vertex id, so the
+// concatenation is sorted. It is built in *scratch, which keeps the grown
+// storage; when no attribute matches, the result is the Neighbors list
+// itself, read-only as the Reader contract makes it.
+func LitCandidates(r index.Reader, lit *query.LitSat, v dict.VertexID, scratch *[]dict.VertexID) []dict.VertexID {
 	var verts []dict.VertexID
 	if len(lit.Types) > 0 {
-		verts = r.Neighbors(lit.SubjectVertex, index.Outgoing, lit.Types)
+		verts = r.Neighbors(v, index.Outgoing, lit.Types)
 	}
-	attrs := otil.IntersectSorted(r.VertexAttrs(lit.SubjectVertex), lit.Attrs)
-	out := make([]dict.VertexID, 0, len(verts)+len(attrs))
-	out = append(out, verts...)
+	attrs := otil.IntersectSorted(r.VertexAttrs(v), lit.Attrs)
+	if len(attrs) == 0 {
+		return verts
+	}
+	out := append((*scratch)[:0], verts...)
 	for _, a := range attrs {
 		out = append(out, dict.EncodeAttrBinding(a))
 	}
+	*scratch = out
 	return out
 }
 

@@ -17,9 +17,6 @@ import (
 // replacement snapshot loads; liveness (/healthz) is unaffected.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// Ready reports the current /readyz verdict.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // handleReadyz is the readiness probe: 503 while a reload or replay is
 // in progress, 200 otherwise. Liveness (/healthz) stays unconditionally
 // 200 — a draining server is still alive.

@@ -24,14 +24,16 @@ type Stats struct {
 	// Attributes is |A|: distinct <predicate, literal> tuples.
 	Attributes int
 
-	// DatabaseBuildTime and IndexBuildTime are the offline-stage timings.
+	// DatabaseBuildTime and IndexBuildTime are the offline-stage timings:
+	// the multigraph's, which builds A and N with it, and S's together
+	// with the planner statistics.
 	DatabaseBuildTime time.Duration
 	IndexBuildTime    time.Duration
 	// DatabaseBytes is the size of the multigraph's arrays and
-	// dictionaries. The graph's type-major adjacency is the paper's
-	// neighbourhood index N, so N's bytes count here. IndexBytes is the
-	// size of the rest of the ensemble I = {A, S, N}: A's postings and
-	// S's level arrays.
+	// dictionaries. The graph's attribute side is the paper's attribute
+	// index A and its type-major adjacency the neighbourhood index N, so
+	// A's and N's bytes count here. IndexBytes is the size of the rest of
+	// the ensemble I = {A, S, N}: S's level arrays.
 	DatabaseBytes int64
 	IndexBytes    int64
 }
